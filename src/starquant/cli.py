@@ -17,6 +17,7 @@ import argparse
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,19 +40,12 @@ from .fedosov import (
 from .geometry import (
     GeometryAtPoint,
     anholonomy_closed_form_residual,
-    canonical_dconnection,
     dtheta_check,
-    einstein_residual,
     frame_identity_residuals,
-    fundamental_tensor_hamilton,
     induced_hamiltonian,
     metric_compat_residual,
-    nconnection_cotangent,
-    phi_connection,
     poisson_bracket,
-    ricci_scalar_phi,
     theta_compat_residual,
-    torsion_curvature,
     values,
 )
 from .jets import PhasePoint
@@ -299,8 +293,10 @@ def _parse_matrix(entries, n, what):
 def resolve_generator(cfg):
     """(generator, dual generator or None, echo metadata).
 
-    The dual is the same family written on the opposite bundle; it is
-    only produced for the closed-form families, and it is what the flow
+    Generators come back as compiled jet functions, so every geometry
+    build and Legendre push of a run reuses one compiled AST.  The dual
+    is the same family written on the opposite bundle; it is only
+    produced for the closed-form families, and it is what the flow
     equivalence check integrates against.
     """
     spec = cfg["generator"]
@@ -311,7 +307,7 @@ def resolve_generator(cfg):
     if "dsl" in spec:
         _require(not set(spec) - {"dsl"}, "generator cannot mix dsl and family")
         _require(isinstance(spec["dsl"], str), "generator dsl must be a string")
-        return parse(spec["dsl"], n, bundle), None, {"dsl": spec["dsl"]}
+        return jet_function(parse(spec["dsl"], n, bundle)), None, {"dsl": spec["dsl"]}
     name = spec.get("family")
     _require(name in _FAMILIES,
              f"generator family must be one of {', '.join(_FAMILIES)}")
@@ -334,8 +330,9 @@ def resolve_generator(cfg):
         return induced_hamiltonian(gm, vm), None, {"family": name, "params": params}
     src = _family_source(name, params, n, bundle)
     other = "tangent" if bundle == "cotangent" else "cotangent"
-    dual = parse(_family_source(name, params, n, other), n, other)
-    return parse(src, n, bundle), dual, {"family": name, "params": params, "dsl": src}
+    dual = jet_function(parse(_family_source(name, params, n, other), n, other))
+    return jet_function(parse(src, n, bundle)), dual, {
+        "family": name, "params": params, "dsl": src}
 
 
 def resolve_points(cfg):
@@ -408,50 +405,46 @@ def _check(name, residual, tol, point=None):
     }
 
 
-def _point_value(f, pt):
-    space, base, fiber = pt.jets(1)
-    del space
-    return jet_function(f)(base, fiber).value
-
-
 # ---------------------------------------------------------------------------
 # per-point work
 
 
-def _inspect_point(cfg, gen, pt):
-    order = _jet_order(cfg)
-    geo = GeometryAtPoint(gen, pt, order)
+_CONNECTIONS = (("canonical_d", "canonical"), ("phi_pair", "phi"))
+
+
+def _geometry_checks(geo):
+    """The identity battery of one point's geometry, shared by inspect
+    and check; every tensor is read from `geo`, and only the dtheta
+    finite differences build geometry at neighbouring points."""
     checks = []
     fid = frame_identity_residuals(geo)
     for key in sorted(fid):
         checks.append(_check(f"frame_{key}", fid[key], TOL["frame_identity"]))
     checks.append(_check("anholonomy_closed_form",
                          anholonomy_closed_form_residual(geo), TOL["anholonomy"]))
-    checks.append(_check("dtheta", dtheta_check(gen, pt), TOL["dtheta"]))
-    for kind, label in (("canonical_d", "canonical"), ("phi_pair", "phi")):
+    checks.append(_check("dtheta", dtheta_check(geo.fn, geo.point), TOL["dtheta"]))
+    for kind, label in _CONNECTIONS:
         checks.append(_check(f"metric_compat_{label}",
                              metric_compat_residual(geo, kind), TOL["compat"]))
         checks.append(_check(f"theta_compat_{label}",
                              theta_compat_residual(geo, kind), TOL["compat"]))
+    tc = geo.curvature_torsion("canonical_d")
+    worst = max(abs(tc.T_hij).max(), abs(tc.S_abc).max())
+    checks.append(_check("canonical_torsion_blocks", worst, TOL["canonical_torsion"]))
+    return checks
 
-    gt = fundamental_tensor_hamilton(gen, pt, order=order)
-    nc = nconnection_cotangent(gen, pt, order=order)
+
+def _inspect_point(cfg, gen, pt):
+    geo = GeometryAtPoint(gen, pt, _jet_order(cfg))
+    checks = _geometry_checks(geo)
     blocks = {}
-    for label, builder in (("canonical", canonical_dconnection),
-                           ("phi", phi_connection)):
-        coeffs = builder(gen, pt, order=order)
-        tc = torsion_curvature(coeffs, nc, gt)
+    for kind, label in _CONNECTIONS:
+        tc = geo.curvature_torsion(kind)
         blocks[label] = {
             "omega": tc.Omega,
             "torsion": {"T_hij": tc.T_hij, "S_abc": tc.S_abc, "P_aic": tc.P_aic},
             "curvature": {"R_ijkm": tc.R_ijkm, "P_ijkc": tc.P_ijkc, "S_ijbc": tc.S_ijbc},
         }
-        if label == "canonical":
-            worst = max(abs(tc.T_hij).max(), abs(tc.S_abc).max())
-            checks.append(_check("canonical_torsion_blocks", worst,
-                                 TOL["canonical_torsion"]))
-
-    ricci, scalar = ricci_scalar_phi(gen, pt, order=order)
     block = {
         "index": None,
         "x": list(pt.x),
@@ -461,9 +454,9 @@ def _inspect_point(cfg, gen, pt):
         "g_lower": values(geo.g_lower),
         "nconnection": values(geo.nconnection),
         "connections": blocks,
-        "ricci": ricci,
-        "scalar": scalar,
-        "einstein_residual": einstein_residual(gen, pt, lam=cfg["lambda"], order=order),
+        "ricci": values(geo.ricci_phi),
+        "scalar": geo.scalar_phi.value.real,
+        "einstein_residual": geo.einstein_residual(cfg["lambda"]),
     }
     return block, checks
 
@@ -495,22 +488,28 @@ def _flow_duality(hamiltonian, lagrangian, primary, cfg):
     return worst
 
 
+def _flow_checks(cfg, gen, dual, traj):
+    """Energy drift along the trajectory of gen, and its distance to the
+    flow of the dual generator when the family has one."""
+    energy = np.asarray(traj.energy)
+    drift = float(np.abs(energy - energy[0]).max())
+    checks = [_check("energy_drift", drift,
+                     TOL["energy_drift"] * max(1.0, cfg["flow"]["t_end"]))]
+    if dual is not None:
+        pair = (gen, dual) if cfg["bundle_tag"] == "cotangent" else (dual, gen)
+        checks.append(_check("flow_duality", _flow_duality(*pair, traj, cfg),
+                             TOL["flow_duality"]))
+    return checks
+
+
 def _flow_point(cfg, gen, dual, pt, keep_trajectory):
     t_end, dt = cfg["flow"]["t_end"], cfg["flow"]["dt"]
     if cfg["bundle_tag"] == "cotangent":
         traj = hamilton_flow(gen, pt, t_end, dt)
     else:
         traj = lagrange_flow(gen, pt, t_end, dt)
-    energy = np.asarray(traj.energy)
-    drift = float(np.abs(energy - energy[0]).max())
-    checks = [_check("energy_drift", drift,
-                     TOL["energy_drift"] * max(1.0, t_end))]
-    if dual is not None:
-        if cfg["bundle_tag"] == "cotangent":
-            duality = _flow_duality(gen, dual, traj, cfg)
-        else:
-            duality = _flow_duality(dual, gen, traj, cfg)
-        checks.append(_check("flow_duality", duality, TOL["flow_duality"]))
+    checks = _flow_checks(cfg, gen, dual, traj)
+    energy = traj.energy
     last = traj.states[-1]
     block = {
         "index": None,
@@ -521,7 +520,7 @@ def _flow_point(cfg, gen, dual, pt, keep_trajectory):
         "steps": len(traj.times) - 1,
         "energy": {"initial": float(energy[0]),
                    "final": float(energy[-1]),
-                   "drift": drift},
+                   "drift": checks[0]["residual"]},
         "final_state": {"x": last.x, "p": last.p},
     }
     extra = traj if keep_trajectory else None
@@ -569,14 +568,30 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
     return out
 
 
+def _star_checks(fg, gf, f, g, pt):
+    """Normalization c0(f,g) = fg and c1(f,g) - c1(g,f) = i{f,g} from the
+    v-coefficient jets of f*g and g*f; returns (checks, {f,g} value)."""
+    _, base, fiber = pt.jets(1)
+    fv, gv = jet_function(f)(base, fiber).value, jet_function(g)(base, fiber).value
+    c0 = fg[0].value if 0 in fg else 0.0
+    scale = max(1.0, abs(fv * gv))
+    c1_fg = fg[1].value if 1 in fg else 0.0
+    c1_gf = gf[1].value if 1 in gf else 0.0
+    pb = poisson_bracket(f, g, pt).value
+    checks = [_check("star_normalization", abs(c0 - fv * gv) / scale, TOL["star_c0"]),
+              _check("c1_antisymmetry", abs((c1_fg - c1_gf) - 1j * pb), TOL["star_c1"])]
+    return checks, pb
+
+
 def _star_point(cfg, gen, pt):
     n, v_max = cfg["n"], cfg["v_max"]
     h_src = cfg["star"].get("h")
     order = _jet_order(cfg)
     if h_src is not None and cfg["jet_order"] == "auto":
         # the associativity probe lifts star coefficients a second time,
-        # which consumes another d_max derivative orders
-        order = max(order, 2 * cfg["D_max"])
+        # which consumes another d_max derivative orders, and the first
+        # lift needs one more
+        order = max(order, 2 * cfg["D_max"] + 1)
     state = build_state(gen, pt, cfg["D_max"], order=order)
     f = parse(cfg["star"]["f"], n)
     g = parse(cfg["star"]["g"], n)
@@ -589,16 +604,8 @@ def _star_point(cfg, gen, pt):
     tf, tg = tau_lift(f, state), tau_lift(g, state)
     fg = _scalar_coeffs(wick_product(tf, tg, state.lam), v_max)
     gf = _scalar_coeffs(wick_product(tg, tf, state.lam), v_max)
-    fv, gv = _point_value(f, pt), _point_value(g, pt)
-    c0 = fg[0].value if 0 in fg else 0.0
-    scale = max(1.0, abs(fv * gv))
-    checks.append(_check("star_normalization", abs(c0 - fv * gv) / scale,
-                         TOL["star_c0"]))
-    c1_fg = fg[1].value if 1 in fg else 0.0
-    c1_gf = gf[1].value if 1 in gf else 0.0
-    pb = poisson_bracket(f, g, pt).value
-    checks.append(_check("c1_antisymmetry", abs((c1_fg - c1_gf) - 1j * pb),
-                         TOL["star_c1"]))
+    star_checks, pb = _star_checks(fg, gf, f, g, pt)
+    checks += star_checks
 
     gamma, kappa, c0_form = chern_weyl(state)
     checks.append(_check("trace_form_closed", chern_weyl_closedness(state),
@@ -627,7 +634,10 @@ def _star_point(cfg, gen, pt):
         th = tau_lift(h, state)
         gh = _scalar_coeffs(wick_product(tg, th, state.lam), v_max)
         block["h"] = h_src
-        defects = _assoc_defects(tf, fg, gh, th, state, v_max)
+        # only the complete orders are probed: beyond D_max // 2 the
+        # coefficients carry truncated recursion data
+        defects = _assoc_defects(tf, fg, gh, th, state,
+                                 min(v_max, cfg["D_max"] // 2))
         block["associativity_defects"] = defects
         for r, d in enumerate(defects):
             checks.append(_check(f"associativity_v{r}", d, TOL["associativity"]))
@@ -637,38 +647,11 @@ def _star_point(cfg, gen, pt):
 def _check_point(cfg, gen, dual, pt, first):
     """Geometry identities plus quantization probes; flows on the first
     point only, since one trajectory already sweeps through many."""
-    order = max(5, _jet_order(cfg))
-    geo = GeometryAtPoint(gen, pt, order)
-    checks = []
-    fid = frame_identity_residuals(geo)
-    for key in sorted(fid):
-        checks.append(_check(f"frame_{key}", fid[key], TOL["frame_identity"]))
-    checks.append(_check("anholonomy_closed_form",
-                         anholonomy_closed_form_residual(geo), TOL["anholonomy"]))
-    checks.append(_check("dtheta", dtheta_check(gen, pt), TOL["dtheta"]))
-    for kind, label in (("canonical_d", "canonical"), ("phi_pair", "phi")):
-        checks.append(_check(f"metric_compat_{label}",
-                             metric_compat_residual(geo, kind), TOL["compat"]))
-        checks.append(_check(f"theta_compat_{label}",
-                             theta_compat_residual(geo, kind), TOL["compat"]))
-    gt = fundamental_tensor_hamilton(gen, pt, order=order)
-    nc = nconnection_cotangent(gen, pt, order=order)
-    tc = torsion_curvature(canonical_dconnection(gen, pt, order=order), nc, gt)
-    worst = max(abs(tc.T_hij).max(), abs(tc.S_abc).max())
-    checks.append(_check("canonical_torsion_blocks", worst,
-                         TOL["canonical_torsion"]))
+    checks = _geometry_checks(GeometryAtPoint(gen, pt, max(5, _jet_order(cfg))))
 
     if first:
-        t_end, dt = cfg["flow"]["t_end"], cfg["flow"]["dt"]
-        traj = hamilton_flow(gen, pt, t_end, dt)
-        energy = np.asarray(traj.energy)
-        drift = float(np.abs(energy - energy[0]).max())
-        checks.append(_check("energy_drift", drift,
-                             TOL["energy_drift"] * max(1.0, t_end)))
-        if dual is not None:
-            checks.append(_check("flow_duality",
-                                 _flow_duality(gen, dual, traj, cfg),
-                                 TOL["flow_duality"]))
+        traj = hamilton_flow(gen, pt, cfg["flow"]["t_end"], cfg["flow"]["dt"])
+        checks += _flow_checks(cfg, gen, dual, traj)
 
     state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
     f = parse(_PROBE_F, cfg["n"])
@@ -680,16 +663,7 @@ def _check_point(cfg, gen, dual, pt, first):
     v_max = max(1, min(cfg["v_max"], cfg["D_max"] // 2))
     fg = star_product_jets(f, g, state, v_max)
     gf = star_product_jets(g, f, state, v_max)
-    fv, gv = _point_value(f, pt), _point_value(g, pt)
-    scale = max(1.0, abs(fv * gv))
-    c0 = fg[0].value if 0 in fg else 0.0
-    checks.append(_check("star_normalization", abs(c0 - fv * gv) / scale,
-                         TOL["star_c0"]))
-    c1_fg = fg[1].value if 1 in fg else 0.0
-    c1_gf = gf[1].value if 1 in gf else 0.0
-    pb = poisson_bracket(f, g, pt).value
-    checks.append(_check("c1_antisymmetry", abs((c1_fg - c1_gf) - 1j * pb),
-                         TOL["star_c1"]))
+    checks += _star_checks(fg, gf, f, g, pt)[0]
     checks.append(_check("trace_form_closed", chern_weyl_closedness(state),
                          TOL["trace_closed"]))
 
@@ -798,8 +772,11 @@ def _cmd_run(command, args):
                 parse(cfg["star"][key], cfg["n"])
 
     payloads = [(command, cfg, i, x, p) for i, (x, p) in enumerate(points)]
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+    # the pool forks every worker up front, so more than one per point or
+    # per CPU only costs processes; the echo keeps the configured value
+    pool_size = min(cfg["workers"], len(payloads), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_run_point, payloads))
     else:
         results = [_run_point(p) for p in payloads]
@@ -842,11 +819,13 @@ def _cmd_run(command, args):
     else:
         _emit(_render_json(report), cfg["output"])
 
+    return _exit_code(any_error, checks)
+
+
+def _exit_code(any_error, checks):
     if any_error:
         return 3
-    if any(not c["pass"] for c in checks):
-        return 1
-    return 0
+    return 1 if any(not c.get("pass") for c in checks) else 0
 
 
 def _cmd_report(args):
@@ -858,11 +837,7 @@ def _cmd_report(args):
         _emit(_render_json(report), args.out)
     else:
         _emit(_render_checks_csv(report), args.out)
-    if errors:
-        return 3
-    if any(not c.get("pass") for c in checks):
-        return 1
-    return 0
+    return _exit_code(bool(errors), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -912,13 +887,7 @@ def main(argv=None):
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_run(args.command, args)
-    except (ParseError, UnknownVariable) as exc:
-        print(f"starquant: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"starquant: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, UnknownVariable, ConfigError, OSError) as exc:
         print(f"starquant: {exc}", file=sys.stderr)
         return 2
     except _MATH_ERRORS as exc:

@@ -17,6 +17,7 @@ y1..yn (tangent bundle) for the fiber.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -128,8 +129,11 @@ class _Parser:
         m = _NUMBER.match(self.src, self.pos)
         if not m:
             self.error("number")
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise ParseError(self.pos, "finite number", repr(m.group()))
         self.pos = m.end()
-        return float(m.group())
+        return value
 
     def parse(self):
         self.skip_ws()
@@ -166,13 +170,18 @@ class _Parser:
             return Neg(self.factor())
         node = self.atom()
         exponents = []
+        start = self.pos
         while self.accept("^"):
             exponents.append(self.number())
         if exponents:
             # literal chain folds right to left: x^2^3 = x^(2^3)
             acc = exponents[-1]
             for e in reversed(exponents[:-1]):
-                acc = e**acc
+                try:
+                    acc = e**acc
+                except OverflowError:
+                    raise ParseError(start, "finite exponent",
+                                     repr(self.src[start:self.pos].strip())) from None
             node = Pow(node, acc)
         return node
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientJetOrder
+from .errors import InsufficientJetOrder, StarquantError
 from .expr import jet_function
 from .jets import PhasePoint, align, jet_const, jet_matrix_inverse, jet_space
 
@@ -642,15 +642,6 @@ class GeometryAtPoint:
 
         return self._memo("theta_coord", build)
 
-    @property
-    def lift_metric_coord(self):
-        def build():
-            self._need("lifts")
-            _, C = self.frames_n
-            return _mm(_mm(_transpose(C), self.metric_frame("canonical_d")), C)
-
-        return self._memo("lift_metric_coord", build)
-
     # -- anholonomy, connections, torsion, curvature --------------------------
 
     def anholonomy(self, kind):
@@ -769,6 +760,27 @@ class GeometryAtPoint:
             return _nijenhuis_values(F, C, Jc)
 
         return self._memo("nijenhuis", build)
+
+    def curvature_torsion(self, kind):
+        """Torsion and curvature blocks of one connection kind, read from
+        the cached torsion, curvature, anholonomy and Omega."""
+        return self._memo(
+            ("curvature_torsion", kind),
+            lambda: _curvature_torsion_blocks(
+                kind, self.omega, self.torsion(kind), self.curvature(kind),
+                self.anholonomy(kind),
+            ),
+        )
+
+    def einstein_residual(self, lam=0.0):
+        """Left side of the contracted field equations with zero source: the
+        raised Ricci block minus (1/2)(scalar + lambda) times the identity,
+        with the coordinate leg restored through the oblique coframe."""
+        ric = values(self.ricci_phi)
+        scalar = self.scalar_phi.value
+        ginv = values(self.metric_frame_inverse("phi_pair"))
+        Cv = values(self.frames_phi[1])
+        return (ginv @ ric @ Cv - 0.5 * (scalar + lam) * Cv).real
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1023,6 @@ def torsion_curvature(coeffs, nconn, gtensor, pt=None):
     """
     del pt
     N = nconn.coeffs
-    n = N.shape[0]
     if N[0, 0].order < 1:
         raise InsufficientJetOrder(
             "torsion_curvature needs nonlinear-connection jets of order >= 1; "
@@ -1021,19 +1032,30 @@ def torsion_curvature(coeffs, nconn, gtensor, pt=None):
     F, C = _frame_jets(N, variant, gtensor.upper)
     W = _anholonomy(F, C)
     G = _full_from_coeffs(coeffs)
-    T = _torsion_full(G, W)
-    R = _curvature_full(G, W, F)
-    if variant == "phi_adapted":
-        F_phi = F
-    else:
+    F_phi = F
+    if variant != "phi_adapted":
         F_phi, _ = _frame_jets(N, "phi_adapted", gtensor.upper)
-    omega = values(_omega_jets(N, F_phi))
+    return _curvature_torsion_blocks(
+        coeffs.kind, _omega_jets(N, F_phi), _torsion_full(G, W),
+        _curvature_full(G, W, F), W,
+    )
+
+
+def _curvature_torsion_blocks(kind, omega, T, R, W):
+    """Slice full-frame torsion T and curvature R jets into the reported
+    component blocks, as values."""
+    n = omega.shape[0]
     T_hij = values(T[:n, :n, :n])
     S_abc = values(T[n:, n:, n:])
-    if coeffs.kind == "canonical_d":
+    if kind == "canonical_d":
         # vanishing of these two blocks is a theorem for the canonical
-        # connection; a violation means corrupted inputs
-        assert abs(T_hij).max() <= 1e-10 and abs(S_abc).max() <= 1e-10
+        # connection; a violation (NaN included) means corrupted inputs
+        worst = max(abs(T_hij).max(), abs(S_abc).max())
+        if not worst <= 1e-10:
+            raise StarquantError(
+                f"canonical d-connection torsion blocks T_hij, S_abc reach "
+                f"{worst:.3g} where they must vanish: non-finite or corrupted inputs"
+            )
     # mixed torsion reported as L^c_{ai} - d^c(N_ia): minus the (v out,
     # h direction, v source) block of the structure equations
     P_aic = np.empty((n, n, n), dtype=np.complex128)
@@ -1045,7 +1067,7 @@ def torsion_curvature(coeffs, nconn, gtensor, pt=None):
     P_ijkc = values(R[:n, :n, :n, n:])
     S_ijbc = values(R[:n, :n, n:, n:])
     return CurvatureTorsion(
-        omega, T_hij, S_abc, P_aic, R_ijkm, P_ijkc, S_ijbc, values(W)
+        values(omega), T_hij, S_abc, P_aic, R_ijkm, P_ijkc, S_ijbc, values(W)
     )
 
 
@@ -1055,16 +1077,7 @@ def ricci_scalar_phi(H, pt, order=5, hessian_tol=1e-10):
 
 
 def einstein_residual(H, pt, lam=0.0, order=5, hessian_tol=1e-10):
-    """Left side of the contracted field equations with zero source: the
-    raised Ricci block minus (1/2)(scalar + lambda) times the identity,
-    with the coordinate leg restored through the oblique coframe."""
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    ric = values(geo.ricci_phi)
-    scalar = geo.scalar_phi.value
-    ginv = values(geo.metric_frame_inverse("phi_pair"))
-    Cv = values(geo.frames_phi[1])
-    resid = ginv @ ric @ Cv - 0.5 * (scalar + lam) * Cv
-    return resid.real
+    return GeometryAtPoint(H, pt, order, hessian_tol).einstein_residual(lam)
 
 
 def nijenhuis_sample(H, pt, order=4, hessian_tol=1e-10):

@@ -263,6 +263,21 @@ def test_star_associativity_probe(tmp_path, capsys):
     assert max(blk["associativity_defects"]) < 1e-12
 
 
+def test_star_associativity_auto_order_curved(tmp_path, capsys):
+    # the second lift of the probe needs 2*D_max + 1 orders, and only the
+    # complete orders r <= D_max // 2 are probed
+    data = base_config(n=2, generator="0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2",
+                       points=[{"x": [0.3, -0.1], "p": [0.7, 0.4]}], D_max=3)
+    path = write_config(tmp_path, data)
+    code, out, _ = run(["star", "--config", path, "x1*p1", "x1^2 + p2", "p2 - x2"],
+                       capsys)
+    assert code == 0
+    blk = json.loads(out)["points"][0]
+    assert len(blk["coefficients"]["fg"]) == 4
+    assert len(blk["associativity_defects"]) == 2
+    assert max(blk["associativity_defects"]) < 1e-12
+
+
 def test_star_observables_from_config(tmp_path, capsys):
     data = base_config(D_max=3, v_max=1,
                        star={"f": "x1*p1", "g": "p1"})
@@ -379,3 +394,68 @@ def test_vielbein_lift_matches_conformal_family(tmp_path, capsys):
     assert a["hamiltonian"][0] == pytest.approx(b["hamiltonian"][0])
     assert a["g_upper"][0][0][0] == pytest.approx(b["g_upper"][0][0][0])
     assert np.allclose(np.asarray(a["nconnection"]), np.asarray(b["nconnection"]))
+
+
+# ---------------------------------------------------------------------------
+# robustness and resource bounds
+
+
+def test_overflowing_literals_are_config_errors(tmp_path, capsys):
+    for source in ("x1^2^3^4^5 + p1^2", "1e400*p1^2"):
+        path = write_config(tmp_path, base_config(generator=source))
+        code, _, err = run(["inspect", "--config", path], capsys)
+        assert code == 2, source
+        assert err.startswith("starquant:")
+        assert "Traceback" not in err
+
+
+def test_inspect_builds_geometry_once_per_point(tmp_path, capsys, monkeypatch):
+    # one build at the point plus the 4n finite-difference points of dtheta
+    builds = []
+    init = cli.GeometryAtPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.GeometryAtPoint, "__init__", counting_init)
+    quartic = base_config(n=2, generator="0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2",
+                          points=[{"x": [0.3, -0.1], "p": [0.7, 0.4]}])
+    for data, n in ((base_config(), 1), (quartic, 2)):
+        builds.clear()
+        path = write_config(tmp_path, data)
+        code, _, _ = run(["inspect", "--config", path], capsys)
+        assert code == 0
+        assert len(builds) == 1 + 4 * n
+
+
+def test_workers_are_bounded(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    path = write_config(tmp_path, base_config(workers=5000))
+    code, out, _ = run(["inspect", "--config", path], capsys)
+    assert code == 0
+    assert pools == []  # one point runs serially
+    assert json.loads(out)["config"]["workers"] == 5000
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    data = base_config(workers=5000, points=[{"x": [0.3], "p": [-0.7]},
+                                             {"x": [0.1], "p": [0.5]}])
+    path = write_config(tmp_path, data, "two.json")
+    code, _, _ = run(["inspect", "--config", path], capsys)
+    assert code == 0
+    assert pools == [2]

@@ -1,12 +1,14 @@
 """Geometry tower tests: symbolic and finite-difference oracles plus the
 structural identities that define the frames and connections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from starquant import geometry as geo
-from starquant.errors import DegenerateHessian, InsufficientJetOrder
+from starquant.errors import DegenerateHessian, InsufficientJetOrder, StarquantError
 from starquant.expr import parse
 from starquant.jets import PhasePoint
 
@@ -581,3 +583,46 @@ def test_insufficient_order_gates():
     cd = geo.canonical_dconnection(EXP1, point, order=3)
     with pytest.raises(InsufficientJetOrder):
         geo.torsion_curvature(cd, N, g)
+
+
+# ---------------------------------------------------------------------------
+# the per-point owner against the array-input path
+
+QUARTIC2 = parse("0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2", 2)
+PT2 = pt(0.3, -0.1, 0.7, 0.4)
+
+
+def test_curvature_torsion_method_matches_free_function():
+    G = geo.GeometryAtPoint(QUARTIC2, PT2, 5)
+    g = geo.fundamental_tensor_hamilton(QUARTIC2, PT2, order=5)
+    N = geo.nconnection_cotangent(QUARTIC2, PT2, order=5)
+    for kind, builder in (("canonical_d", geo.canonical_dconnection),
+                          ("phi_pair", geo.phi_connection)):
+        want = geo.torsion_curvature(builder(QUARTIC2, PT2, order=5), N, g)
+        got = G.curvature_torsion(kind)
+        for field in dataclasses.fields(geo.CurvatureTorsion):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.array_equal(a, b), (kind, field.name)
+            assert a.tobytes() == b.tobytes(), (kind, field.name)
+    assert G.curvature_torsion("phi_pair") is G.curvature_torsion("phi_pair")
+    lam = 0.25
+    assert np.array_equal(G.einstein_residual(lam),
+                          geo.einstein_residual(QUARTIC2, PT2, lam=lam, order=5))
+
+
+def test_canonical_torsion_guard_raises():
+    G = geo.GeometryAtPoint(CONF2, pt(0.3, -0.2, 0.7, 0.4), 5)
+    W = G.anholonomy("canonical_d")
+    R = G.curvature("canonical_d")
+    intact = G.torsion("canonical_d")
+    geo._curvature_torsion_blocks("canonical_d", G.omega, intact, R, W)
+    for bad in (1e-6, float("nan")):
+        T = intact.copy()
+        T[0, 0, 1] = T[0, 0, 1] + bad
+        with pytest.raises(StarquantError, match="torsion"):
+            geo._curvature_torsion_blocks("canonical_d", G.omega, T, R, W)
+    # the oblique connection carries no such theorem, so no guard
+    T = G.torsion("phi_pair").copy()
+    T[0, 0, 1] = T[0, 0, 1] + 1e-6
+    geo._curvature_torsion_blocks("phi_pair", G.omega, T, G.curvature("phi_pair"),
+                                  G.anholonomy("phi_pair"))
