@@ -31,8 +31,6 @@ from .fedosov import (
     build_state,
     chern_weyl,
     chern_weyl_closedness,
-    recursion_residual,
-    star_product_jets,
     tau_flatness,
     tau_lift,
     wick_product,
@@ -229,9 +227,11 @@ def _jet_order(cfg):
     """Resolve the 'auto' jet order for the command at hand.
 
     Quantization consumes 3 + D_max derivatives (curvature depth plus
-    the recursion's polynomial degree), inspection needs the full
-    curvature tower (order 5), and flows only differentiate the
-    generator twice per step.
+    the recursion's polynomial degree), and at n >= 2 at least 6, since
+    the closedness of the curvature trace differentiates the curvature
+    once more (at n = 1 that check has no index triple).  Inspection
+    needs the full curvature tower (order 5), and flows only
+    differentiate the generator twice per step.
     """
     jo = cfg["jet_order"]
     if jo != "auto":
@@ -239,7 +239,8 @@ def _jet_order(cfg):
             raise ConfigError("inspect needs jet_order >= 5 for the curvature tower")
         return jo
     if cfg["command"] in ("star", "check"):
-        return 3 + cfg["D_max"]
+        order = 3 + cfg["D_max"]
+        return max(order, 6) if cfg["n"] >= 2 else order
     if cfg["command"] == "inspect":
         return 5
     return 3
@@ -527,16 +528,6 @@ def _flow_point(cfg, gen, dual, pt, keep_trajectory):
     return block, checks, extra
 
 
-def _scalar_coeffs(prod, v_max):
-    """v-coefficient jets of a Wick product, absent orders skipped."""
-    out = {}
-    for r in range(v_max + 1):
-        c = prod.scalar_part(r)
-        if c is not None:
-            out[r] = c
-    return out
-
-
 def _coeff_values(coeffs, v_max):
     return [coeffs[r].value if r in coeffs else 0.0 + 0.0j
             for r in range(v_max + 1)]
@@ -549,21 +540,18 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
     d_max derivative orders; the caller provides a state seeded deeply
     enough for that.
     """
-    left = {q: wick_product(tau_lift(fg[q], state), th, state.lam)
+    left = {q: wick_product(tau_lift(fg[q], state), th, state.lam).scalar_parts(v_max)
             for q in sorted(fg)}
-    right = {q: wick_product(tf, tau_lift(gh[q], state), state.lam)
+    right = {q: wick_product(tf, tau_lift(gh[q], state), state.lam).scalar_parts(v_max)
              for q in sorted(gh)}
     out = []
     for r in range(v_max + 1):
         total = 0.0 + 0.0j
         for q in range(r + 1):
-            p = r - q
-            if q in left:
-                c = left[q].scalar_part(p)
-                total += c.value if c is not None else 0.0
-            if q in right:
-                c = right[q].scalar_part(p)
-                total -= c.value if c is not None else 0.0
+            if (c := left.get(q, {}).get(r - q)) is not None:
+                total += c.value
+            if (c := right.get(q, {}).get(r - q)) is not None:
+                total -= c.value
         out.append(abs(total))
     return out
 
@@ -595,15 +583,14 @@ def _star_point(cfg, gen, pt):
     state = build_state(gen, pt, cfg["D_max"], order=order)
     f = parse(cfg["star"]["f"], n)
     g = parse(cfg["star"]["g"], n)
-
-    checks = [_check("recursion_residual", recursion_residual(state),
-                     TOL["recursion"]),
-              _check("tau_flat_f", tau_flatness(f, state), TOL["tau_flat"]),
-              _check("tau_flat_g", tau_flatness(g, state), TOL["tau_flat"])]
-
     tf, tg = tau_lift(f, state), tau_lift(g, state)
-    fg = _scalar_coeffs(wick_product(tf, tg, state.lam), v_max)
-    gf = _scalar_coeffs(wick_product(tg, tf, state.lam), v_max)
+
+    checks = [_check("recursion_residual", state.residual, TOL["recursion"]),
+              _check("tau_flat_f", tau_flatness(tf, state), TOL["tau_flat"]),
+              _check("tau_flat_g", tau_flatness(tg, state), TOL["tau_flat"])]
+
+    fg = wick_product(tf, tg, state.lam).scalar_parts(v_max)
+    gf = wick_product(tg, tf, state.lam).scalar_parts(v_max)
     star_checks, pb = _star_checks(fg, gf, f, g, pt)
     checks += star_checks
 
@@ -632,7 +619,7 @@ def _star_point(cfg, gen, pt):
     if h_src is not None:
         h = parse(h_src, n)
         th = tau_lift(h, state)
-        gh = _scalar_coeffs(wick_product(tg, th, state.lam), v_max)
+        gh = wick_product(tg, th, state.lam).scalar_parts(v_max)
         block["h"] = h_src
         # only the complete orders are probed: beyond D_max // 2 the
         # coefficients carry truncated recursion data
@@ -656,13 +643,12 @@ def _check_point(cfg, gen, dual, pt, first):
     state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
     f = parse(_PROBE_F, cfg["n"])
     g = parse(_PROBE_G, cfg["n"])
-    checks.append(_check("recursion_residual", recursion_residual(state),
-                         TOL["recursion"]))
-    checks.append(_check("tau_flat_probe", tau_flatness(f, state),
-                         TOL["tau_flat"]))
-    v_max = max(1, min(cfg["v_max"], cfg["D_max"] // 2))
-    fg = star_product_jets(f, g, state, v_max)
-    gf = star_product_jets(g, f, state, v_max)
+    tf, tg = tau_lift(f, state), tau_lift(g, state)
+    checks.append(_check("recursion_residual", state.residual, TOL["recursion"]))
+    checks.append(_check("tau_flat_probe", tau_flatness(tf, state), TOL["tau_flat"]))
+    # the star checks read c0 and c1 only
+    fg = wick_product(tf, tg, state.lam).scalar_parts(1)
+    gf = wick_product(tg, tf, state.lam).scalar_parts(1)
     checks += _star_checks(fg, gf, f, g, pt)[0]
     checks.append(_check("trace_form_closed", chern_weyl_closedness(state),
                          TOL["trace_closed"]))
@@ -755,13 +741,17 @@ def _emit_flow_csv(cfg, extras, n_points):
             traj.write_csv(fh, fiber_label=label)
 
 
+def _load_json(path, what):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not text
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _cmd_run(command, args):
     start = time.perf_counter()
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+    raw = _load_json(args.config, "config")
     cfg = effective_config(raw, command, args)
     order_resolved = _jet_order(cfg)
     _, _, meta = resolve_generator(cfg)  # validates the DSL up front
@@ -829,8 +819,8 @@ def _exit_code(any_error, checks):
 
 
 def _cmd_report(args):
-    with open(args.path) as fh:
-        report = json.load(fh)
+    report = _load_json(args.path, "report")
+    _require(isinstance(report, dict), "report must be a JSON object")
     checks = report.get("checks", [])
     errors = [b for b in report.get("points", []) if "error" in b]
     if args.format == "json":

@@ -141,6 +141,11 @@ class WickElement:
         """Jet coefficient of v^r with no fiber variables and no form."""
         return self.terms.get((v_power, (0,) * (2 * self.n), ()))
 
+    def scalar_parts(self, v_max):
+        """{r: scalar_part(r)} for r = 0 .. v_max, absent orders skipped."""
+        parts = {r: self.scalar_part(r) for r in range(v_max + 1)}
+        return {r: c for r, c in parts.items() if c is not None}
+
     def max_abs(self):
         if not self.terms:
             return 0.0
@@ -451,6 +456,7 @@ class FedosovState:
     curvature_lift: WickElement
     r: WickElement = None
     r_components: dict = field(default_factory=dict)
+    residual: float = None  # closure residual, stored by fedosov_r
 
     @property
     def n(self):
@@ -517,7 +523,7 @@ def fedosov_r(state):
         r = r + comp[m]
     state.r = r
     state.r_components = comp
-    resid = recursion_residual(state)
+    state.residual = resid = recursion_residual(state)
     if resid > 1e-6:
         raise StarquantError(f"degree recursion failed to close: residual {resid:.3g}")
     return r
@@ -596,43 +602,26 @@ def tau_lift(f, state):
     return total
 
 
-def tau_flatness(f, state):
-    """Residual of the flat-section property for the lift of f."""
-    lifted = tau_lift(f, state)
+def tau_flatness(lifted, state):
+    """Residual of the flat-section property of a lift from tau_lift."""
     return flat_connection_apply(lifted, state).restrict(state.d_max - 1).max_abs()
-
-
-def star_product_jets(f, g, state, v_max=None):
-    """v-coefficients of the product of flat lifts, as jets."""
-    if v_max is None:
-        v_max = state.d_max // 2
-    fj = _observable_jet(f, state.geometry)
-    gj = _observable_jet(g, state.geometry)
-    prod = wick_product(
-        tau_lift(fj, state), tau_lift(gj, state), state.lam
-    )
-    coeffs = {}
-    for r in range(v_max + 1):
-        c = prod.scalar_part(r)
-        if c is not None:
-            coeffs[r] = c
-    zeroth = coeffs.get(0)
-    want = fj.value * gj.value
-    got = zeroth.value if zeroth is not None else 0.0
-    scale = max(1.0, abs(want))
-    if abs(got - want) > 1e-9 * scale:
-        raise StarquantError(
-            f"zeroth star coefficient {got:.6g} disagrees with fg = {want:.6g}"
-        )
-    return coeffs
 
 
 def star_product(f, g, state, v_max=None):
     """Complex coefficients C_r(f, g) of v^r, r = 0 .. v_max."""
     if v_max is None:
         v_max = state.d_max // 2
-    jets = star_product_jets(f, g, state, v_max)
-    return [jets[r].value if r in jets else 0.0 + 0.0j for r in range(v_max + 1)]
+    fj = _observable_jet(f, state.geometry)
+    gj = _observable_jet(g, state.geometry)
+    prod = wick_product(tau_lift(fj, state), tau_lift(gj, state), state.lam)
+    coeffs = prod.scalar_parts(v_max)
+    want = fj.value * gj.value
+    got = coeffs[0].value if 0 in coeffs else 0.0
+    if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
+        raise StarquantError(
+            f"zeroth star coefficient {got:.6g} disagrees with fg = {want:.6g}"
+        )
+    return [coeffs[r].value if r in coeffs else 0.0 + 0.0j for r in range(v_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -459,3 +459,51 @@ def test_workers_are_bounded(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["inspect", "--config", path], capsys)
     assert code == 0
     assert pools == [2]
+
+
+def test_report_rejects_malformed_input(tmp_path, capsys):
+    for name, data in (("garbled.json", b"not json {"), ("list.json", b"[1, 2]"),
+                       ("binary.json", b"\xff\xfe\x00")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, _, err = run(["report", str(path)], capsys)
+        assert code == 2, name
+        assert err.startswith("starquant:")
+        assert "Traceback" not in err
+
+
+def test_quantization_at_dmax2_n2_auto_order(tmp_path, capsys):
+    # the closedness of the curvature trace needs order 6 at n >= 2
+    data = base_config(n=2, generator="0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2",
+                       points=[{"x": [0.3, -0.1], "p": [0.7, 0.4]}], D_max=2,
+                       flow={"t_end": 0.5, "dt": 1e-2})
+    path = write_config(tmp_path, data)
+    for argv in (["star", "--config", path, "x1*p1", "x1^2 + p2"],
+                 ["check", "--config", path]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv[0]
+        assert json.loads(out)["config"]["jet_order_resolved"] == 6
+
+
+def test_star_and_check_lift_each_observable_once(tmp_path, capsys, monkeypatch):
+    # the closure residual comes from the recursion, and both the flatness
+    # checks and the star coefficients read the one lift per observable
+    from starquant import fedosov
+
+    calls = {"residual": 0, "lift": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fedosov, "recursion_residual",
+                        counting("residual", fedosov.recursion_residual))
+    monkeypatch.setattr(cli, "tau_lift", counting("lift", cli.tau_lift))
+    path = write_config(tmp_path, base_config(D_max=2, flow={"t_end": 0.5, "dt": 1e-2}))
+    for argv in (["star", "--config", path, "x1*p1", "p1"], ["check", "--config", path]):
+        calls.update(residual=0, lift=0)
+        code, _, _ = run(argv, capsys)
+        assert code == 0, argv[0]
+        assert calls == {"residual": 1, "lift": 2}, argv[0]

@@ -309,7 +309,7 @@ def test_exp_family_flat_but_connected(exp1):
     assert exp1.torsion_lift.is_zero()
     assert exp1.curvature_lift.is_zero()
     assert exp1.r.is_zero()
-    assert fd.tau_flatness(parse("x1 * p1", 1), exp1) <= 1e-12
+    assert fd.tau_flatness(fd.tau_lift(parse("x1 * p1", 1), exp1), exp1) <= 1e-12
 
 
 def test_curved_recursion_closes(curved):
@@ -334,6 +334,11 @@ def test_recursion_guard_raises_on_inconsistent_lift():
         fd.fedosov_r(state)
 
 
+def test_state_stores_the_closure_residual():
+    state = fd.build_state(QUARTIC2, PT2, 3)
+    assert state.residual == fd.recursion_residual(state)
+
+
 def test_build_state_validation():
     with pytest.raises(ValueError):
         fd.build_state(FLAT2, PT2, d_max=1)
@@ -347,7 +352,23 @@ def test_tau_projects_and_is_flat(curved):
     f = parse("x1 * p1", 2)
     lifted = fd.tau_lift(f, curved)
     assert lifted.scalar_part(0).value == pytest.approx(0.3 * 0.7, abs=1e-14)
-    assert fd.tau_flatness(f, curved) <= 1e-12
+    assert fd.tau_flatness(lifted, curved) <= 1e-12
+
+
+def test_scalar_parts_skip_absent_orders(curved):
+    prod = fd.wick_product(fd.tau_lift(parse("x1 * p1", 2), curved),
+                           fd.tau_lift(parse("x1^2 + p2", 2), curved), curved.lam)
+    parts = prod.scalar_parts(3)
+    assert set(parts) <= {0, 1, 2, 3}
+    for r in range(4):
+        assert parts.get(r) is prod.scalar_part(r)
+    assert prod.scalar_parts(0).keys() == {0}
+
+
+def test_star_c0_guard_rejects_nan(flat):
+    nan = jet_const(flat.geometry.space, float("nan"))
+    with pytest.raises(StarquantError):
+        fd.star_product(nan, parse("x1", 2), flat)
 
 
 def test_star_zeroth_order_is_pointwise_product(curved):
