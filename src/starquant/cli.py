@@ -33,7 +33,7 @@ from .fedosov import (
     chern_weyl_closedness,
     tau_flatness,
     tau_lift,
-    wick_product,
+    wick_scalar_parts,
 )
 from .geometry import (
     GeometryAtPoint,
@@ -540,9 +540,9 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
     d_max derivative orders; the caller provides a state seeded deeply
     enough for that.
     """
-    left = {q: wick_product(tau_lift(fg[q], state), th, state.lam).scalar_parts(v_max)
+    left = {q: wick_scalar_parts(tau_lift(fg[q], state), th, state.lam, v_max)
             for q in sorted(fg)}
-    right = {q: wick_product(tf, tau_lift(gh[q], state), state.lam).scalar_parts(v_max)
+    right = {q: wick_scalar_parts(tf, tau_lift(gh[q], state), state.lam, v_max)
              for q in sorted(gh)}
     out = []
     for r in range(v_max + 1):
@@ -589,8 +589,8 @@ def _star_point(cfg, gen, pt):
               _check("tau_flat_f", tau_flatness(tf, state), TOL["tau_flat"]),
               _check("tau_flat_g", tau_flatness(tg, state), TOL["tau_flat"])]
 
-    fg = wick_product(tf, tg, state.lam).scalar_parts(v_max)
-    gf = wick_product(tg, tf, state.lam).scalar_parts(v_max)
+    fg = wick_scalar_parts(tf, tg, state.lam, v_max)
+    gf = wick_scalar_parts(tg, tf, state.lam, v_max)
     star_checks, pb = _star_checks(fg, gf, f, g, pt)
     checks += star_checks
 
@@ -619,7 +619,7 @@ def _star_point(cfg, gen, pt):
     if h_src is not None:
         h = parse(h_src, n)
         th = tau_lift(h, state)
-        gh = wick_product(tg, th, state.lam).scalar_parts(v_max)
+        gh = wick_scalar_parts(tg, th, state.lam, v_max)
         block["h"] = h_src
         # only the complete orders are probed: beyond D_max // 2 the
         # coefficients carry truncated recursion data
@@ -647,8 +647,8 @@ def _check_point(cfg, gen, dual, pt, first):
     checks.append(_check("recursion_residual", state.residual, TOL["recursion"]))
     checks.append(_check("tau_flat_probe", tau_flatness(tf, state), TOL["tau_flat"]))
     # the star checks read c0 and c1 only
-    fg = wick_product(tf, tg, state.lam).scalar_parts(1)
-    gf = wick_product(tg, tf, state.lam).scalar_parts(1)
+    fg = wick_scalar_parts(tf, tg, state.lam, 1)
+    gf = wick_scalar_parts(tg, tf, state.lam, 1)
     checks += _star_checks(fg, gf, f, g, pt)[0]
     checks.append(_check("trace_form_closed", chern_weyl_closedness(state),
                          TOL["trace_closed"]))
@@ -699,10 +699,10 @@ def _render_json(report):
     return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
 
 
-def _render_checks_csv(report):
+def _render_checks_csv(checks):
     buf = io.StringIO()
     buf.write("point,name,residual,tolerance,pass\n")
-    for c in report["checks"]:
+    for c in checks:
         point = "" if c["point"] is None else c["point"]
         buf.write(f"{point},{c['name']},{c['residual']:.17g},"
                   f"{c['tolerance']:.17g},{str(c['pass']).lower()}\n")
@@ -805,7 +805,7 @@ def _cmd_run(command, args):
     if command == "flow" and cfg["format"] == "csv":
         _emit_flow_csv(cfg, extras, len(points))
     elif cfg["format"] == "csv":
-        _emit(_render_checks_csv(report), cfg["output"])
+        _emit(_render_checks_csv(checks), cfg["output"])
     else:
         _emit(_render_json(report), cfg["output"])
 
@@ -818,15 +818,32 @@ def _exit_code(any_error, checks):
     return 1 if any(not c.get("pass") for c in checks) else 0
 
 
+_CHECK_FIELDS = {"name": str, "residual": (int, float), "tolerance": (int, float),
+                 "pass": bool}
+
+
+def _is_check_row(c):
+    """A check object as a run writes it, with every field the CSV reads."""
+    return (isinstance(c, dict)
+            and all(isinstance(c.get(k), t) for k, t in _CHECK_FIELDS.items())
+            and "point" in c
+            and (c["point"] is None or isinstance(c["point"], int)))
+
+
 def _cmd_report(args):
     report = _load_json(args.path, "report")
     _require(isinstance(report, dict), "report must be a JSON object")
     checks = report.get("checks", [])
-    errors = [b for b in report.get("points", []) if "error" in b]
+    points = report.get("points", [])
+    _require(isinstance(checks, list) and all(map(_is_check_row, checks)),
+             "report checks must be a list of check objects")
+    _require(isinstance(points, list) and all(isinstance(b, dict) for b in points),
+             "report points must be a list of objects")
+    errors = [b for b in points if "error" in b]
     if args.format == "json":
         _emit(_render_json(report), args.out)
     else:
-        _emit(_render_checks_csv(report), args.out)
+        _emit(_render_checks_csv(checks), args.out)
     return _exit_code(bool(errors), checks)
 
 

@@ -331,15 +331,23 @@ def lifted_torsion_curvature(ctx, d_max):
 # the fiberwise product
 
 
-def wick_product(a, b, lam):
+def wick_product(a, b, lam, cap=None):
     """Exponential bidifferential product with matrix lam = theta - i g.
 
     Each contraction pairs d/dz on the left with d/dz on the right through
     one factor (i v / 2) lam^{alpha beta}; the wedge combines form factors
-    with sign, and the result is re-truncated at d_max."""
+    with sign, and the result is re-truncated at d_max.
+
+    Deg = 2 deg_v + deg_s is additive: a contraction trades two fiber
+    variables for one v, so every key a pair of terms feeds has the Deg sum
+    of that pair.  A caller that keeps only Deg <= cap passes it here, and
+    pairs above min(cap, d_max) are skipped.  The kept keys receive exactly
+    the pieces, in the same order, as without the cap, so the result equals
+    the uncapped product restricted to cap, bit for bit; the container
+    stays at d_max."""
     a._check(b)
     n2 = 2 * a.n
-    d_max = a.d_max
+    top = a.d_max if cap is None else min(cap, a.d_max)
     contract_cache = {}
 
     def contractions(za, zb):
@@ -383,7 +391,7 @@ def wick_product(a, b, lam):
     for (ra, za, fa), ca in a.terms.items():
         deg_a_term = 2 * ra + sum(za)
         for (rb, zb, fb), cb in b.terms.items():
-            if deg_a_term + 2 * rb + sum(zb) > d_max:
+            if deg_a_term + 2 * rb + sum(zb) > top:
                 continue
             merged = wedge_merge(fa, fb)
             if merged is None:
@@ -393,18 +401,25 @@ def wick_product(a, b, lam):
             _accumulate(out, (ra + rb, _zadd(za, zb), form), base)
             for t, sa, sb, w in contractions(za, zb):
                 _accumulate(out, (ra + rb + t, _zadd(sa, sb), form), jmul(base, w))
-    return _built(a.n, d_max, out)
+    return _built(a.n, a.d_max, out)
+
+
+def wick_scalar_parts(a, b, lam, v_max):
+    """scalar_parts(v_max) of a o b.  The scalar key (r, 0, ()) has Deg 2 r,
+    so the product is capped at 2 v_max."""
+    return wick_product(a, b, lam, cap=2 * v_max).scalar_parts(v_max)
 
 
 def _zadd(za, zb):
     return tuple(x + y for x, y in zip(za, zb))
 
 
-def ad_wick(x, a, lam):
-    """deg_a-graded commutator x o a - (-1)^{deg_a x deg_a a} a o x."""
+def ad_wick(x, a, lam, cap=None):
+    """deg_a-graded commutator x o a - (-1)^{deg_a x deg_a a} a o x,
+    with both products capped at Deg <= cap (see wick_product)."""
     x_even, x_odd = x.form_split()
     a_even, a_odd = a.form_split()
-    out = wick_product(x, a, lam)
+    out = wick_product(x, a, lam, cap)
     for xp, xel in ((0, x_even), (1, x_odd)):
         if not xel.terms:
             continue
@@ -412,7 +427,7 @@ def ad_wick(x, a, lam):
             if not ael.terms:
                 continue
             sign = -1.0 if (xp * ap) % 2 == 0 else 1.0
-            out = out + wick_product(ael, xel, lam).scale(sign)
+            out = out + wick_product(ael, xel, lam, cap).scale(sign)
     return out
 
 
@@ -445,7 +460,17 @@ class FedosovState:
     the cap of the working containers.  The extra two degrees are headroom:
     a product of complete pieces can carry total degree up to d_max + 2
     before the division by v brings its contribution back under d_max, so
-    truncating at d_max would silently lose complete degrees."""
+    truncating at d_max would silently lose complete degrees.
+
+    Not every product needs all of that headroom.  Since Deg adds under the
+    Wick product and the division by v lowers it by 2, a product whose
+    result is read only up to degree k after the division needs pairs up to
+    k + 2 and no more, and each caller caps its products there: the square
+    in recursion_residual and the flat connection in tau_flatness at
+    d_max + 1 (read at d_max - 1), the second application in
+    flat_connection_defect at d_max (read at d_max - 2), and the scalar
+    reads of v^0 .. v^r in wick_scalar_parts at 2 r, since the key
+    (r, 0, ()) has Deg 2 r.  The containers themselves stay at d_alg."""
 
     geometry: GeometryAtPoint
     d_max: int
@@ -535,7 +560,8 @@ def recursion_residual(state):
     r = state.r
     lhs = delta_pair(r)
     rhs = state.torsion_lift + state.curvature_lift + extended_D(r, state.ctx)
-    square = wick_product(r, r, state.lam)
+    # read at d_max - 1 after the division by v
+    square = wick_product(r, r, state.lam, cap=state.d_max + 1)
     if square.terms:
         rhs = rhs - v_divide(square.scale(1j))
     return (lhs - rhs).restrict(state.d_max - 1).max_abs()
@@ -547,12 +573,14 @@ def _in_container(a, d_alg):
     return _built(a.n, d_alg, dict(a.terms))
 
 
-def flat_connection_apply(a, state):
-    """The candidate flat connection: -delta + D - (i/v) ad(r)."""
+def flat_connection_apply(a, state, cap=None):
+    """The candidate flat connection: -delta + D - (i/v) ad(r).  With a cap
+    the Wick products skip pairs above Deg cap, so the result is exact
+    through degree cap - 2 only."""
     a = _in_container(a, state.d_alg)
     out = extended_D(a, state.ctx) - delta_pair(a)
     if state.r.terms:
-        out = out - v_divide(ad_wick(state.r, a, state.lam).scale(1j))
+        out = out - v_divide(ad_wick(state.r, a, state.lam, cap).scale(1j))
     return out
 
 
@@ -562,9 +590,13 @@ def flat_connection_defect(a, state):
     The square equals (i/v) ad of the curvature of the connection, and the
     recursion leaves that curvature undetermined from degree d_max up.  The
     division by v pulls the unknown part two degrees down, so only degrees
-    strictly below d_max - 1 are meaningful for a degree-1 probe."""
+    strictly below d_max - 1 are meaningful for a degree-1 probe.
+
+    The first application is kept through d_max, so its products need the
+    full d_alg = d_max + 2; the second is read at d_max - 2 and caps its
+    products at d_max."""
     once = flat_connection_apply(a, state).restrict(state.d_max)
-    twice = flat_connection_apply(once, state)
+    twice = flat_connection_apply(once, state, cap=state.d_max)
     return twice.restrict(state.d_max - 2).max_abs()
 
 
@@ -604,7 +636,8 @@ def tau_lift(f, state):
 
 def tau_flatness(lifted, state):
     """Residual of the flat-section property of a lift from tau_lift."""
-    return flat_connection_apply(lifted, state).restrict(state.d_max - 1).max_abs()
+    applied = flat_connection_apply(lifted, state, cap=state.d_max + 1)
+    return applied.restrict(state.d_max - 1).max_abs()
 
 
 def star_product(f, g, state, v_max=None):
@@ -613,8 +646,8 @@ def star_product(f, g, state, v_max=None):
         v_max = state.d_max // 2
     fj = _observable_jet(f, state.geometry)
     gj = _observable_jet(g, state.geometry)
-    prod = wick_product(tau_lift(fj, state), tau_lift(gj, state), state.lam)
-    coeffs = prod.scalar_parts(v_max)
+    tf, tg = tau_lift(fj, state), tau_lift(gj, state)
+    coeffs = wick_scalar_parts(tf, tg, state.lam, v_max)
     want = fj.value * gj.value
     got = coeffs[0].value if 0 in coeffs else 0.0
     if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):

@@ -369,7 +369,10 @@ def pow_const(jet, exponent):
             f"fractional power {exponent} at a negative real value {c}"
         )
     r = float(exponent)
-    term = c**r if not is_int else c ** int(r)
+    try:
+        term = c**r if not is_int else c ** int(r)
+    except OverflowError:
+        raise JetDomainError(f"power {exponent} of {c} overflows") from None
     series = [term]
     for m in range(1, jet.order + 1):
         term = term * (r - m + 1) / (m * c)

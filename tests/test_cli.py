@@ -409,6 +409,16 @@ def test_overflowing_literals_are_config_errors(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_overflowing_jet_power_is_a_math_error(tmp_path, capsys):
+    # x1^4 underflows to a subnormal whose reciprocal overflows
+    data = base_config(generator="p1^2/x1^4", points=[{"x": [1e-80], "p": [0.5]}])
+    path = write_config(tmp_path, data)
+    code, out, err = run(["inspect", "--config", path], capsys)
+    assert code == 3
+    assert "Traceback" not in err
+    assert json.loads(out)["points"][0]["error"]["type"] == "JetDomainError"
+
+
 def test_inspect_builds_geometry_once_per_point(tmp_path, capsys, monkeypatch):
     # one build at the point plus the 4n finite-difference points of dtheta
     builds = []
@@ -463,13 +473,21 @@ def test_workers_are_bounded(tmp_path, capsys, monkeypatch):
 
 def test_report_rejects_malformed_input(tmp_path, capsys):
     for name, data in (("garbled.json", b"not json {"), ("list.json", b"[1, 2]"),
-                       ("binary.json", b"\xff\xfe\x00")):
+                       ("binary.json", b"\xff\xfe\x00"),
+                       ("check_int.json", b'{"checks": [1]}'),
+                       ("point_int.json", b'{"points": [1]}'),
+                       ("checks_int.json", b'{"checks": 5}'),
+                       ("check_partial.json", b'{"checks": [{"name": "c"}]}')):
         path = tmp_path / name
         path.write_bytes(data)
         code, _, err = run(["report", str(path)], capsys)
         assert code == 2, name
         assert err.startswith("starquant:")
         assert "Traceback" not in err
+    # no checks and no points is a valid, empty report
+    path = tmp_path / "empty.json"
+    path.write_bytes(b"{}")
+    assert run(["report", str(path)], capsys) == (0, "point,name,residual,tolerance,pass\n", "")
 
 
 def test_quantization_at_dmax2_n2_auto_order(tmp_path, capsys):

@@ -327,6 +327,65 @@ def test_curved_flat_connection_defect(curved):
         assert fd.flat_connection_defect(probe, curved) <= 1e-12
 
 
+def same_bits(got, want):
+    return list(got.terms) == list(want.terms) and all(
+        got.terms[k].coeffs.tobytes() == want.terms[k].coeffs.tobytes()
+        for k in got.terms
+    )
+
+
+def test_capped_product_is_the_restricted_product(curved):
+    # forms of both parities, jet coefficients that vary over the chart,
+    # and a Deg 0 term so that every cap keeps something
+    x1 = fd.WickElement.from_jet(curved.geometry.base_jets[0], 2, curved.d_alg)
+    a = x1 + curved.r_components[2] + curved.r_components[3]
+    lifted = fd.tau_lift(parse("x1 * p1", 2), curved)
+    b = (lifted + fd.extended_D(lifted, curved.ctx)).restrict(2)
+    assert {len(f) for (_, _, f) in a.terms} == {0, 1}
+    assert {len(f) for (_, _, f) in b.terms} == {0, 1}
+    for product in (fd.wick_product, fd.ad_wick):
+        full = product(a, b, curved.lam)
+        assert full.terms
+        for cap in range(curved.d_alg + 2):
+            capped = product(a, b, curved.lam, cap)
+            assert capped.d_max == curved.d_alg
+            assert same_bits(capped, full.restrict(cap)), (product.__name__, cap)
+    full = fd.wick_product(a, b, curved.lam)
+    for v_max in range(3):
+        parts = fd.wick_scalar_parts(a, b, curved.lam, v_max)
+        want = full.scalar_parts(v_max)
+        assert parts.keys() == want.keys() and parts
+        assert all(parts[r].coeffs.tobytes() == want[r].coeffs.tobytes() for r in parts)
+
+
+def test_capped_callers_match_uncapped(curved, monkeypatch):
+    probe = fd.WickElement(2, curved.d_alg,
+                           {(0, (1, 0, 0, 0), ()): curved.geometry.base_jets[0]})
+    lifted = fd.tau_lift(parse("x1 * p1", 2), curved)
+    callers = (lambda: fd.recursion_residual(curved),
+               lambda: fd.tau_flatness(lifted, curved),
+               lambda: fd.flat_connection_defect(probe, curved))
+    divide, seen = fd.v_divide, []
+
+    def recording_divide(a, tol=1e-12):
+        seen.append((sum(1 for (r, _, _) in a.terms if r == 0), a.max_abs()))
+        return divide(a, tol)
+
+    monkeypatch.setattr(fd, "v_divide", recording_divide)
+    capped = [call() for call in callers]
+    capped_seen, seen = seen, []
+    wick = fd.wick_product
+    monkeypatch.setattr(fd, "wick_product", lambda a, b, lam, cap=None: wick(a, b, lam))
+    assert [call() for call in callers] == capped
+    # the cap shrinks max_abs, and with it the tolerance of the v^0 guard in
+    # v_divide; the v^0 part is empty with and without the cap, so the
+    # guard cannot change an outcome
+    assert len(seen) == len(capped_seen)
+    assert all(count == 0 for count, _ in seen + capped_seen)
+    assert min(size for _, size in capped_seen) > 1.0
+    assert any(c < u for (_, c), (_, u) in zip(capped_seen, seen))
+
+
 def test_recursion_guard_raises_on_inconsistent_lift():
     state = fd.build_state(QUARTIC2, PT2, d_max=3, with_r=False)
     state.torsion_lift = state.torsion_lift.scale(-1.0)
