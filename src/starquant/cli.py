@@ -17,6 +17,7 @@ import argparse
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -38,11 +39,11 @@ from .fedosov import (
 from .geometry import (
     GeometryAtPoint,
     anholonomy_closed_form_residual,
-    dtheta_check,
+    bracket_jets,
+    dtheta_residual,
     frame_identity_residuals,
     induced_hamiltonian,
     metric_compat_residual,
-    poisson_bracket,
     theta_compat_residual,
     values,
 )
@@ -113,9 +114,10 @@ def _require(cond, message):
 
 
 def _as_number(value, name):
+    # the bound rejects NaN, the infinities and integers beyond float range
     _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{name} must be a number",
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max, f"{name} must be a finite number",
     )
     return float(value)
 
@@ -379,15 +381,18 @@ def resolve_points(cfg):
 
 
 def jsonable(obj):
-    """Recursively convert report data to JSON types; complex -> [re, im]."""
+    """Recursively convert report data to JSON types; complex -> [re, im].
+    A NaN or an infinity raises StarquantError."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise StarquantError(f"non-finite number {obj} in the results")
         return float(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [jsonable(obj.real), jsonable(obj.imag)]
     if isinstance(obj, (list, tuple, np.ndarray)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, dict):
@@ -415,15 +420,15 @@ _CONNECTIONS = (("canonical_d", "canonical"), ("phi_pair", "phi"))
 
 def _geometry_checks(geo):
     """The identity battery of one point's geometry, shared by inspect
-    and check; every tensor is read from `geo`, and only the dtheta
-    finite differences build geometry at neighbouring points."""
+    and check; every tensor, dtheta included, is read from the jets of
+    `geo`, so no geometry is built at a neighbouring point."""
     checks = []
     fid = frame_identity_residuals(geo)
     for key in sorted(fid):
         checks.append(_check(f"frame_{key}", fid[key], TOL["frame_identity"]))
     checks.append(_check("anholonomy_closed_form",
                          anholonomy_closed_form_residual(geo), TOL["anholonomy"]))
-    checks.append(_check("dtheta", dtheta_check(geo.fn, geo.point), TOL["dtheta"]))
+    checks.append(_check("dtheta", dtheta_residual(geo), TOL["dtheta"]))
     for kind, label in _CONNECTIONS:
         checks.append(_check(f"metric_compat_{label}",
                              metric_compat_residual(geo, kind), TOL["compat"]))
@@ -556,19 +561,33 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
     return out
 
 
-def _star_checks(fg, gf, f, g, pt):
-    """Normalization c0(f,g) = fg and c1(f,g) - c1(g,f) = i{f,g} from the
-    v-coefficient jets of f*g and g*f; returns (checks, {f,g} value)."""
-    _, base, fiber = pt.jets(1)
-    fv, gv = jet_function(f)(base, fiber).value, jet_function(g)(base, fiber).value
+def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
+    """Probes shared by star and check.  f and g are compiled, evaluated on
+    the state's own seed jets and lifted once each; the checks read those:
+    recursion closure, flatness of the lifts named in flat_labels, c0(f,g)
+    = fg, c1(f,g) - c1(g,f) = i{f,g}, closedness of the curvature trace.
+    Returns (checks, (tf, tg), (fg, gf) jets to v^v_max, {f,g} value)."""
+    geo = state.geometry
+    fj, gj = [jet_function(parse(src, geo.n))(geo.base_jets, geo.fiber_jets)
+              for src in (f_src, g_src)]
+    tf, tg = tau_lift(fj, state), tau_lift(gj, state)
+    fg = wick_scalar_parts(tf, tg, state.lam, v_max)
+    gf = wick_scalar_parts(tg, tf, state.lam, v_max)
+    fv, gv = fj.value, gj.value
     c0 = fg[0].value if 0 in fg else 0.0
-    scale = max(1.0, abs(fv * gv))
     c1_fg = fg[1].value if 1 in fg else 0.0
     c1_gf = gf[1].value if 1 in gf else 0.0
-    pb = poisson_bracket(f, g, pt).value
-    checks = [_check("star_normalization", abs(c0 - fv * gv) / scale, TOL["star_c0"]),
-              _check("c1_antisymmetry", abs((c1_fg - c1_gf) - 1j * pb), TOL["star_c1"])]
-    return checks, pb
+    pb = bracket_jets(fj, gj, geo.n).value
+    checks = [_check("recursion_residual", state.residual, TOL["recursion"])]
+    checks += [_check(label, tau_flatness(t, state), TOL["tau_flat"])
+               for label, t in zip(flat_labels, (tf, tg))]
+    checks += [
+        _check("star_normalization", abs(c0 - fv * gv) / max(1.0, abs(fv * gv)),
+               TOL["star_c0"]),
+        _check("c1_antisymmetry", abs((c1_fg - c1_gf) - 1j * pb), TOL["star_c1"]),
+        _check("trace_form_closed", chern_weyl_closedness(state), TOL["trace_closed"]),
+    ]
+    return checks, (tf, tg), (fg, gf), pb
 
 
 def _star_point(cfg, gen, pt):
@@ -581,22 +600,9 @@ def _star_point(cfg, gen, pt):
         # lift needs one more
         order = max(order, 2 * cfg["D_max"] + 1)
     state = build_state(gen, pt, cfg["D_max"], order=order)
-    f = parse(cfg["star"]["f"], n)
-    g = parse(cfg["star"]["g"], n)
-    tf, tg = tau_lift(f, state), tau_lift(g, state)
-
-    checks = [_check("recursion_residual", state.residual, TOL["recursion"]),
-              _check("tau_flat_f", tau_flatness(tf, state), TOL["tau_flat"]),
-              _check("tau_flat_g", tau_flatness(tg, state), TOL["tau_flat"])]
-
-    fg = wick_scalar_parts(tf, tg, state.lam, v_max)
-    gf = wick_scalar_parts(tg, tf, state.lam, v_max)
-    star_checks, pb = _star_checks(fg, gf, f, g, pt)
-    checks += star_checks
-
+    checks, (tf, tg), (fg, gf), pb = _quantization_probes(
+        state, cfg["star"]["f"], cfg["star"]["g"], v_max, ("tau_flat_f", "tau_flat_g"))
     gamma, kappa, c0_form = chern_weyl(state)
-    checks.append(_check("trace_form_closed", chern_weyl_closedness(state),
-                         TOL["trace_closed"]))
 
     block = {
         "index": None,
@@ -617,8 +623,7 @@ def _star_point(cfg, gen, pt):
         "c0_form": c0_form,
     }
     if h_src is not None:
-        h = parse(h_src, n)
-        th = tau_lift(h, state)
+        th = tau_lift(parse(h_src, n), state)
         gh = wick_scalar_parts(tg, th, state.lam, v_max)
         block["h"] = h_src
         # only the complete orders are probed: beyond D_max // 2 the
@@ -632,27 +637,16 @@ def _star_point(cfg, gen, pt):
 
 
 def _check_point(cfg, gen, dual, pt, first):
-    """Geometry identities plus quantization probes; flows on the first
-    point only, since one trajectory already sweeps through many."""
-    checks = _geometry_checks(GeometryAtPoint(gen, pt, max(5, _jet_order(cfg))))
-
+    """Geometry identities plus quantization probes, all read from one
+    Fedosov state's geometry; flows on the first point only, since one
+    trajectory already sweeps through many."""
+    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
+    checks = _geometry_checks(state.geometry)
     if first:
         traj = hamilton_flow(gen, pt, cfg["flow"]["t_end"], cfg["flow"]["dt"])
         checks += _flow_checks(cfg, gen, dual, traj)
-
-    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
-    f = parse(_PROBE_F, cfg["n"])
-    g = parse(_PROBE_G, cfg["n"])
-    tf, tg = tau_lift(f, state), tau_lift(g, state)
-    checks.append(_check("recursion_residual", state.residual, TOL["recursion"]))
-    checks.append(_check("tau_flat_probe", tau_flatness(tf, state), TOL["tau_flat"]))
     # the star checks read c0 and c1 only
-    fg = wick_scalar_parts(tf, tg, state.lam, 1)
-    gf = wick_scalar_parts(tg, tf, state.lam, 1)
-    checks += _star_checks(fg, gf, f, g, pt)[0]
-    checks.append(_check("trace_form_closed", chern_weyl_closedness(state),
-                         TOL["trace_closed"]))
-
+    checks += _quantization_probes(state, _PROBE_F, _PROBE_G, 1, ("tau_flat_probe",))[0]
     block = {"index": None, "x": list(pt.x), "p": list(pt.p)}
     return block, checks
 
@@ -677,6 +671,8 @@ def _run_point(payload):
             block, checks = _star_point(cfg, gen, pt)
         else:
             block, checks = _check_point(cfg, gen, dual, pt, index == 0)
+        # a non-finite number makes the point an error block
+        block, checks = jsonable([block, checks])
     except _MATH_ERRORS as exc:
         block = {
             "index": index,
@@ -696,7 +692,9 @@ def _run_point(payload):
 
 
 def _render_json(report):
-    return json.dumps(jsonable(report), indent=2, sort_keys=True) + "\n"
+    """Blocks and checks arrive converted by jsonable in the worker, and
+    the rest is config data, so the report is plain JSON data here."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _render_checks_csv(checks):
@@ -722,29 +720,30 @@ def _emit_flow_csv(cfg, extras, n_points):
     the file name, so errored points leave visible gaps."""
     label = "p" if cfg["bundle_tag"] == "cotangent" else "y"
     out = cfg["output"]
-    if out is None:
-        _require(n_points == 1,
-                 "flow csv for several points needs --out for the file pattern")
-        for _, traj in extras:
-            traj.write_csv(sys.stdout, fiber_label=label)
-        return
-    if n_points == 1:
-        for _, traj in extras:
-            with open(out, "w") as fh:
-                traj.write_csv(fh, fiber_label=label)
-        return
-    stem, dot, ext = out.rpartition(".")
+    _require(out is not None or n_points == 1,
+             "flow csv for several points needs --out for the file pattern")
+    stem, dot, ext = (out or "").rpartition(".")
     if not dot:
         stem, ext = out, "csv"
     for i, traj in extras:
-        with open(f"{stem}-{i}.{ext}", "w") as fh:
-            traj.write_csv(fh, fiber_label=label)
+        if out is None:
+            traj.write_csv(sys.stdout, fiber_label=label)
+        else:
+            with open(out if n_points == 1 else f"{stem}-{i}.{ext}", "w") as fh:
+                traj.write_csv(fh, fiber_label=label)
+
+
+def _finite_float(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
 
 
 def _load_json(path, what):
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
         except ValueError as exc:  # bad JSON, or bytes that are not text
             raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 

@@ -479,7 +479,7 @@ class FedosovState:
     lam: np.ndarray
     torsion_lift: WickElement
     curvature_lift: WickElement
-    r: WickElement = None
+    r: WickElement = None  # set by fedosov_r
     r_components: dict = field(default_factory=dict)
     residual: float = None  # closure residual, stored by fedosov_r
 
@@ -488,7 +488,7 @@ class FedosovState:
         return self.geometry.n
 
 
-def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, with_r=True):
+def build_state(generator, point, d_max, order=None, hessian_tol=1e-10):
     """Evaluate the oblique-frame geometry at the point and run the
     degree recursion.  Jet order defaults to 3 + d_max (at least 5)."""
     if d_max < 2:
@@ -513,10 +513,8 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, with_r=T
         lam=lam,
         torsion_lift=t_lift,
         curvature_lift=r_lift,
-        r=WickElement.zero(geo.n, d_alg),
     )
-    if with_r:
-        fedosov_r(state)
+    fedosov_r(state)
     return state
 
 

@@ -964,9 +964,27 @@ def almost_structures(gtensor, nconn, with_nijenhuis=True):
     )
 
 
+def dtheta_residual(geo):
+    """Max exterior-derivative component of the assembled symplectic form,
+    read from the jets of its coordinate components at the point: the
+    cyclic sum d_A theta_BC + d_B theta_CA + d_C theta_AB over A < B < C."""
+    th = geo.theta_coord
+    n2 = th.shape[0]
+    worst = 0.0
+    for A in range(n2):
+        for B in range(A + 1, n2):
+            for Cc in range(B + 1, n2):
+                val = jsum([th[B, Cc].partial(A), th[Cc, A].partial(B),
+                            th[A, B].partial(Cc)]).value
+                worst = max(worst, abs(val))
+    return float(worst)
+
+
 def dtheta_check(H, pt, step=1e-4):
     """Max exterior-derivative component of the assembled symplectic form,
-    by central finite differences of its coordinate components."""
+    by central finite differences of its coordinate components over 4n
+    neighbouring geometry builds.  This is the independent reference for
+    `dtheta_residual` in the tests; the CLI reads the jet route."""
 
     def theta_at(arr):
         geo = GeometryAtPoint(H, PhasePoint.from_array(arr), 3)

@@ -13,6 +13,7 @@ keeps multiplication tables reusable across orders.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -377,6 +378,9 @@ def pow_const(jet, exponent):
     for m in range(1, jet.order + 1):
         term = term * (r - m + 1) / (m * c)
         series.append(term)
+    # complex arithmetic returns inf or nan where it does not raise
+    if not all(map(cmath.isfinite, series)):
+        raise JetDomainError(f"power {exponent} of {c} leaves the finite range")
     return _horner(jet, series)
 
 

@@ -2,11 +2,13 @@
 exit codes, determinism, and the shape of the emitted reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from starquant import cli
+from starquant.errors import StarquantError
 
 
 def write_config(tmp_path, data, name="job.json"):
@@ -48,6 +50,8 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         base_config(flow={"t_end": -1.0}),
         base_config(generator={"family": "unknown"}),
         base_config(generator={"family": "flat", "params": {"omega": 2.0}}),
+        base_config(**{"lambda": float("nan")}),  # written as the token NaN
+        base_config(**{"lambda": 10 ** 400}),  # beyond float range
     ]
     for data in bad:
         path = write_config(tmp_path, data)
@@ -120,6 +124,8 @@ def test_jsonable_complex_pairs():
     assert data == {"z": [[[1.0, 2.0]]], "r": 0.5}
     with pytest.raises(TypeError):
         cli.jsonable(object())
+    with pytest.raises(StarquantError):
+        cli.jsonable({"r": [1.0, np.complex128(complex(0.0, np.inf))]})
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +160,9 @@ def test_inspect_point_override(tmp_path, capsys):
     assert len(rep["points"]) == 1
     assert rep["points"][0]["x"] == [0.1]
     assert rep["points"][0]["p"] == [0.9]
+    code, _, err = run(["inspect", "--config", path, "--point", "x=inf p=0.9"], capsys)
+    assert code == 2
+    assert err.startswith("starquant:")
 
 
 def test_degenerate_generator_reports_cleanly(tmp_path, capsys):
@@ -410,17 +419,42 @@ def test_overflowing_literals_are_config_errors(tmp_path, capsys):
 
 
 def test_overflowing_jet_power_is_a_math_error(tmp_path, capsys):
-    # x1^4 underflows to a subnormal whose reciprocal overflows
-    data = base_config(generator="p1^2/x1^4", points=[{"x": [1e-80], "p": [0.5]}])
+    # x1^4 underflows to a subnormal whose reciprocal overflows; at
+    # x1 = 1e-150 the leading power 1e300 is finite and the next term of
+    # the binomial series is not, which must stop before numpy sees it
+    for source, x in (("p1^2/x1^4", 1e-80), ("p1^2/x1^2", 1e-150)):
+        data = base_config(generator=source, points=[{"x": [x], "p": [0.5]}])
+        path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["inspect", "--config", path], capsys)
+        assert code == 3, source
+        assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], source
+        assert json.loads(out)["points"][0]["error"]["type"] == "JetDomainError"
+
+
+def _strict(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def test_nonfinite_results_are_error_blocks(tmp_path, capsys):
+    # H is about 2.5e199 here, and the oblique frame pairing overflows
+    data = base_config(generator="p1^2*(1+x1^2)^200", points=[{"x": [3.0], "p": [0.5]}])
     path = write_config(tmp_path, data)
-    code, out, err = run(["inspect", "--config", path], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(["inspect", "--config", path], capsys)
     assert code == 3
     assert "Traceback" not in err
-    assert json.loads(out)["points"][0]["error"]["type"] == "JetDomainError"
+    report = json.loads(out, parse_constant=_strict)
+    assert report["checks"] == []
+    assert "non-finite" in report["points"][0]["error"]["message"]
 
 
 def test_inspect_builds_geometry_once_per_point(tmp_path, capsys, monkeypatch):
-    # one build at the point plus the 4n finite-difference points of dtheta
+    # dtheta is read from the point's own jets, check runs its battery on
+    # the Fedosov state's geometry, and star reads every probe from it
     builds = []
     init = cli.GeometryAtPoint.__init__
 
@@ -431,12 +465,20 @@ def test_inspect_builds_geometry_once_per_point(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.GeometryAtPoint, "__init__", counting_init)
     quartic = base_config(n=2, generator="0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2",
                           points=[{"x": [0.3, -0.1], "p": [0.7, 0.4]}])
-    for data, n in ((base_config(), 1), (quartic, 2)):
+    for data in (base_config(), quartic):
         builds.clear()
         path = write_config(tmp_path, data)
         code, _, _ = run(["inspect", "--config", path], capsys)
         assert code == 0
-        assert len(builds) == 1 + 4 * n
+        assert len(builds) == 1
+    two = base_config(D_max=2, flow={"t_end": 0.5, "dt": 1e-2},
+                      points=[{"x": [0.3], "p": [-0.7]}, {"x": [-0.2], "p": [0.5]}])
+    path = write_config(tmp_path, two)
+    for argv in (["check", "--config", path], ["star", "--config", path, "x1*p1", "p1"]):
+        builds.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0, argv[0]
+        assert len(builds) == 2, argv[0]  # one per point
 
 
 def test_workers_are_bounded(tmp_path, capsys, monkeypatch):
@@ -477,7 +519,11 @@ def test_report_rejects_malformed_input(tmp_path, capsys):
                        ("check_int.json", b'{"checks": [1]}'),
                        ("point_int.json", b'{"points": [1]}'),
                        ("checks_int.json", b'{"checks": 5}'),
-                       ("check_partial.json", b'{"checks": [{"name": "c"}]}')):
+                       ("check_partial.json", b'{"checks": [{"name": "c"}]}'),
+                       ("nan.json", b'{"points": [{"x": NaN}]}'),
+                       ("inf.json", b'{"checks": [{"name": "c", "point": 0, "residual": '
+                                    b'Infinity, "tolerance": 1, "pass": false}]}'),
+                       ("huge.json", b'{"points": [{"x": 1e400}]}')):
         path = tmp_path / name
         path.write_bytes(data)
         code, _, err = run(["report", str(path)], capsys)

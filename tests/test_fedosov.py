@@ -387,7 +387,7 @@ def test_capped_callers_match_uncapped(curved, monkeypatch):
 
 
 def test_recursion_guard_raises_on_inconsistent_lift():
-    state = fd.build_state(QUARTIC2, PT2, d_max=3, with_r=False)
+    state = fd.build_state(QUARTIC2, PT2, d_max=3)
     state.torsion_lift = state.torsion_lift.scale(-1.0)
     with pytest.raises(StarquantError):
         fd.fedosov_r(state)

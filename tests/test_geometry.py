@@ -2,6 +2,7 @@
 structural identities that define the frames and connections."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import sympy as sp
 from starquant import geometry as geo
 from starquant.errors import DegenerateHessian, InsufficientJetOrder, StarquantError
 from starquant.expr import parse
-from starquant.jets import PhasePoint
+from starquant.jets import PhasePoint, jet_const
 
 
 def pt(*vals):
@@ -244,6 +245,25 @@ def test_theta_lift_is_canonical_in_coordinates():
 def test_dtheta_check_families():
     for H in FAMILIES2:
         assert geo.dtheta_check(H, pt(0.3, -0.2, 0.7, 0.4)) <= 1e-8
+
+
+def test_dtheta_residual_matches_finite_differences():
+    # the jet route the CLI reads against the 4n-build reference, on flat,
+    # the quartic and exp-conformal (at n = 1 there is no index triple)
+    for H in (FLAT2, QUARTIC2, CONF2):
+        for point in sample_points(3, 2, seed=7) + [PT2]:
+            jet = geo.dtheta_residual(geo.GeometryAtPoint(H, point, 5))
+            fd = geo.dtheta_check(H, point)
+            assert jet <= 1e-8 and fd <= 1e-8
+            assert abs(jet - fd) <= 1e-8
+
+
+def test_dtheta_residual_catches_a_form_that_is_not_closed():
+    # x1 dx2 ^ dp1 at n = 2 has d = dx1 ^ dx2 ^ dp1, so one component is 1
+    space, base, _ = pt(0.3, -0.1, 0.7, 0.4).jets(2)
+    form = np.full((4, 4), jet_const(space, 0.0), dtype=object)
+    form[1, 2], form[2, 1] = base[0], -base[0]
+    assert geo.dtheta_residual(SimpleNamespace(theta_coord=form)) == 1.0
 
 
 def test_metric_lift_against_hand_blocks():

@@ -1,0 +1,40 @@
+"""Byte-identity regression: three small runs, one per quantizing or
+inspecting command, against reports stored under tests/golden/.
+
+A change that moves any byte of these reports must say why and
+regenerate the file; a refactor must leave them untouched.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from starquant import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+QUARTIC = "0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2"
+QUARTIC_POINT = {"x": [0.3, -0.1], "p": [0.7, 0.4]}
+
+CASES = {
+    "inspect_quartic": ("inspect", {"n": 2, "generator": QUARTIC,
+                                    "points": [QUARTIC_POINT]}),
+    "check_exp_conformal": ("check", {"n": 1, "generator": {"family": "exp-conformal"},
+                                      "points": [{"x": [0.3], "p": [-0.7]}], "D_max": 3,
+                                      "flow": {"t_end": 0.5, "dt": 1e-2}}),
+    "star_quartic_h": ("star", {"n": 2, "generator": QUARTIC, "points": [QUARTIC_POINT],
+                                "D_max": 3, "star": {"f": "x1*p1", "g": "x1^2 + p2",
+                                                     "h": "p2 - x2"}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path):
+    command, config = CASES[name]
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    code = cli.main([command, "--config", str(config_path), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
