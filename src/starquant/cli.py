@@ -32,7 +32,6 @@ from .fedosov import (
     build_state,
     chern_weyl,
     chern_weyl_closedness,
-    tau_flatness,
     tau_lift,
     wick_scalar_parts,
 )
@@ -99,6 +98,11 @@ TOL = {
     "trace_closed": 1e-7,
 }
 
+# the most work one config may ask for; 17 = 2 * 8 + 1 is the order that
+# star with h resolves to at D_max 8
+CAPS = {"n": 4, "D_max": 8, "v_max": 8, "jet_order": 17,
+        "flow_steps": 10 ** 6, "points": 10 ** 4}
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent job configuration."""
@@ -120,6 +124,10 @@ def _as_number(value, name):
         and abs(value) <= sys.float_info.max, f"{name} must be a finite number",
     )
     return float(value)
+
+
+def _capped(value, key, what=None):
+    _require(value <= CAPS[key], f"{what or key} must be at most {CAPS[key]}")
 
 
 def _parse_point_flag(text, n):
@@ -149,6 +157,7 @@ def effective_config(raw, command, args):
     n = raw.get("n")
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              "n must be an integer >= 1")
+    _capped(n, "n")
     bundle = raw.get("bundle_tag", "cotangent")
     _require(bundle in ("cotangent", "tangent"),
              "bundle_tag must be 'cotangent' or 'tangent'")
@@ -163,15 +172,18 @@ def effective_config(raw, command, args):
     if jet_order != "auto":
         _require(isinstance(jet_order, int) and not isinstance(jet_order, bool)
                  and jet_order >= 2, "jet_order must be 'auto' or an integer >= 2")
+        _capped(jet_order, "jet_order")
 
     d_max = args.dmax if getattr(args, "dmax", None) is not None else raw.get("D_max", 4)
     _require(isinstance(d_max, int) and not isinstance(d_max, bool) and d_max >= 1,
              "D_max must be an integer >= 1")
+    _capped(d_max, "D_max")
     _require(d_max >= 2 or command not in ("star", "check"),
              "star and check need D_max >= 2")
     v_max = args.vmax if getattr(args, "vmax", None) is not None else raw.get("v_max", 3)
     _require(isinstance(v_max, int) and not isinstance(v_max, bool) and v_max >= 0,
              "v_max must be an integer >= 0")
+    _capped(v_max, "v_max")
 
     flow_raw = raw.get("flow", {})
     _require(isinstance(flow_raw, dict), "flow must be an object")
@@ -180,6 +192,8 @@ def effective_config(raw, command, args):
     t_end = _as_number(flow_raw.get("t_end", 5.0), "flow.t_end")
     dt = _as_number(flow_raw.get("dt", 1e-3), "flow.dt")
     _require(t_end > 0 and 0 < dt <= t_end, "flow needs 0 < dt <= t_end")
+    # RK4 takes ceil(t_end / dt) steps, the last one landing on t_end
+    _capped(t_end / dt, "flow_steps", "flow.t_end / flow.dt")
 
     lam = _as_number(raw.get("lambda", 0.0), "lambda")
     workers = raw.get("workers", 1)
@@ -355,6 +369,7 @@ def resolve_points(cfg):
             for a in ax:
                 _require(isinstance(a, list) and a, f"grid.{key} axes must be nonempty lists")
                 axes.append([_as_number(v, f"grid.{key}") for v in a])
+        _capped(math.prod(map(len, axes)), "points", "the number of grid points")
         # x axes vary slowest; within a point the full Cartesian product
         # is taken in axis order, which fixes the point indexing
         return [
@@ -362,6 +377,7 @@ def resolve_points(cfg):
             for combo in itertools.product(*axes)
         ]
     _require(isinstance(spec, list) and spec, "points must be a nonempty list")
+    _capped(len(spec), "points", "the number of points")
     out = []
     for entry in spec:
         _require(isinstance(entry, dict) and set(entry) == {"x", "p"},
@@ -545,9 +561,9 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
     d_max derivative orders; the caller provides a state seeded deeply
     enough for that.
     """
-    left = {q: wick_scalar_parts(tau_lift(fg[q], state), th, state.lam, v_max)
+    left = {q: wick_scalar_parts(tau_lift(fg[q], state)[0], th, state.lam, v_max)
             for q in sorted(fg)}
-    right = {q: wick_scalar_parts(tf, tau_lift(gh[q], state), state.lam, v_max)
+    right = {q: wick_scalar_parts(tf, tau_lift(gh[q], state)[0], state.lam, v_max)
              for q in sorted(gh)}
     out = []
     for r in range(v_max + 1):
@@ -564,13 +580,14 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
 def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
     """Probes shared by star and check.  f and g are compiled, evaluated on
     the state's own seed jets and lifted once each; the checks read those:
-    recursion closure, flatness of the lifts named in flat_labels, c0(f,g)
-    = fg, c1(f,g) - c1(g,f) = i{f,g}, closedness of the curvature trace.
+    recursion closure and flatness of the lifts named in flat_labels, both
+    the closure defect their degree recursions computed, c0(f,g) = fg,
+    c1(f,g) - c1(g,f) = i{f,g}, closedness of the curvature trace.
     Returns (checks, (tf, tg), (fg, gf) jets to v^v_max, {f,g} value)."""
     geo = state.geometry
     fj, gj = [jet_function(parse(src, geo.n))(geo.base_jets, geo.fiber_jets)
               for src in (f_src, g_src)]
-    tf, tg = tau_lift(fj, state), tau_lift(gj, state)
+    (tf, f_defect), (tg, g_defect) = tau_lift(fj, state), tau_lift(gj, state)
     fg = wick_scalar_parts(tf, tg, state.lam, v_max)
     gf = wick_scalar_parts(tg, tf, state.lam, v_max)
     fv, gv = fj.value, gj.value
@@ -579,8 +596,8 @@ def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
     c1_gf = gf[1].value if 1 in gf else 0.0
     pb = bracket_jets(fj, gj, geo.n).value
     checks = [_check("recursion_residual", state.residual, TOL["recursion"])]
-    checks += [_check(label, tau_flatness(t, state), TOL["tau_flat"])
-               for label, t in zip(flat_labels, (tf, tg))]
+    checks += [_check(label, defect, TOL["tau_flat"])
+               for label, defect in zip(flat_labels, (f_defect, g_defect))]
     checks += [
         _check("star_normalization", abs(c0 - fv * gv) / max(1.0, abs(fv * gv)),
                TOL["star_c0"]),
@@ -623,7 +640,7 @@ def _star_point(cfg, gen, pt):
         "c0_form": c0_form,
     }
     if h_src is not None:
-        th = tau_lift(parse(h_src, n), state)
+        th, _ = tau_lift(parse(h_src, n), state)
         gh = wick_scalar_parts(tg, th, state.lam, v_max)
         block["h"] = h_src
         # only the complete orders are probed: beyond D_max // 2 the
@@ -662,23 +679,29 @@ def _run_point(payload):
     pt = PhasePoint(x, p)
     extra = None
     try:
-        if command == "inspect":
-            block, checks = _inspect_point(cfg, gen, pt)
-        elif command == "flow":
-            keep = cfg["format"] == "csv"
-            block, checks, extra = _flow_point(cfg, gen, dual, pt, keep)
-        elif command == "star":
-            block, checks = _star_point(cfg, gen, pt)
-        else:
-            block, checks = _check_point(cfg, gen, dual, pt, index == 0)
-        # a non-finite number makes the point an error block
+        # a non-finite number makes the point an error block, whether numpy
+        # makes it (underflow stays silent: flows underflow legitimately)
+        # or it reaches the results
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if command == "inspect":
+                block, checks = _inspect_point(cfg, gen, pt)
+            elif command == "flow":
+                keep = cfg["format"] == "csv"
+                block, checks, extra = _flow_point(cfg, gen, dual, pt, keep)
+            elif command == "star":
+                block, checks = _star_point(cfg, gen, pt)
+            else:
+                block, checks = _check_point(cfg, gen, dual, pt, index == 0)
         block, checks = jsonable([block, checks])
-    except _MATH_ERRORS as exc:
+    except (*_MATH_ERRORS, FloatingPointError) as exc:
+        message = str(exc)
+        if isinstance(exc, FloatingPointError):
+            message = f"non-finite number: {message}"
         block = {
             "index": index,
             "x": list(x),
             "p": list(p),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": {"type": type(exc).__name__, "message": message},
         }
         return index, block, [], extra, True
     block["index"] = index

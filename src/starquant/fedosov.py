@@ -463,14 +463,13 @@ class FedosovState:
     truncating at d_max would silently lose complete degrees.
 
     Not every product needs all of that headroom.  Since Deg adds under the
-    Wick product and the division by v lowers it by 2, a product whose
-    result is read only up to degree k after the division needs pairs up to
-    k + 2 and no more, and each caller caps its products there: the square
-    in recursion_residual and the flat connection in tau_flatness at
-    d_max + 1 (read at d_max - 1), the second application in
-    flat_connection_defect at d_max (read at d_max - 2), and the scalar
-    reads of v^0 .. v^r in wick_scalar_parts at 2 r, since the key
-    (r, 0, ()) has Deg 2 r.  The containers themselves stay at d_alg."""
+    Wick product and the division by v lowers it by 2, a product read only
+    up to degree k after the division needs pairs up to k + 2, and each
+    caller caps its products there: the scalar reads of v^0 .. v^r in
+    wick_scalar_parts at 2 r, since the key (r, 0, ()) has Deg 2 r, and the
+    test references of the closure (the fresh square in recursion_residual,
+    the flat connection in tau_flatness and flat_connection_defect) at the
+    degrees they read.  The containers themselves stay at d_alg."""
 
     geometry: GeometryAtPoint
     d_max: int
@@ -518,35 +517,41 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10):
     return state
 
 
-def fedosov_r(state):
-    """Degree-by-degree solution of the flatness equation.
+def _solve_degrees(total, x, degrees, source):
+    """Solve delta x[m] = src_m = source(m) for m in degrees, in order, by
+    x[m] = delta_inv(src_m); source(m) reads only the x[k] already solved.
+    A step is exact where src_m is delta-closed, so the largest defect
+    |delta x[m] - src_m| is the residual of the whole equation on Deg m - 1
+    for each m.  Returns (total + the sum of the x[m], that defect)."""
+    defect = 0.0
+    for m in degrees:
+        src = source(m)
+        x[m] = delta_inv_pair(src)
+        total = total + x[m]
+        defect = max(defect, (delta_pair(x[m]) - src).max_abs())
+    return total, defect
 
-    comp[2] = delta_inv T_lift, comp[3] picks up the curvature lift, and
-    each later degree m solves
-    comp[m] = delta_inv(D comp[m-1] - (i/v) sum_{a+b=m+1} comp[a] o comp[b])."""
-    d_max = state.d_max
-    comp = {2: delta_inv_pair(state.torsion_lift)}
-    for m in range(3, d_max + 1):
+
+def fedosov_r(state):
+    """Degree-by-degree solution of the flatness equation
+    delta r = T_lift + R_lift + D r - (i/v) r o r:  comp[2] = delta_inv
+    T_lift, comp[3] picks up the curvature lift, and each later degree m
+    solves comp[m] = delta_inv(D comp[m-1] - (i/v) sum_{a+b=m+1} comp[a] o
+    comp[b]).  The closure defect, on Deg 1 .. d_max - 1, is state.residual."""
+    comp = {}
+
+    def source(m):
+        if m == 2:
+            return state.torsion_lift
         acc = extended_D(comp[m - 1], state.ctx)
         if m == 3:
             acc = acc + state.curvature_lift
-        pairs = [
-            wick_product(comp[p], comp[m + 1 - p], state.lam)
-            for p in range(2, m)
-            if m + 1 - p >= 2
-        ]
-        if pairs:
-            conv = pairs[0]
-            for extra in pairs[1:]:
-                conv = conv + extra
-            acc = acc - v_divide(conv.scale(1j))
-        comp[m] = delta_inv_pair(acc)
-    r = WickElement.zero(state.n, state.d_alg)
-    for m in sorted(comp):
-        r = r + comp[m]
-    state.r = r
-    state.r_components = comp
-    state.residual = resid = recursion_residual(state)
+        pairs = [wick_product(comp[p], comp[m + 1 - p], state.lam) for p in range(2, m)]
+        return acc - v_divide(sum(pairs[1:], pairs[0]).scale(1j))
+
+    zero = WickElement.zero(state.n, state.d_alg)
+    r, resid = _solve_degrees(zero, comp, range(2, state.d_max + 1), source)
+    state.r, state.r_components, state.residual = r, comp, resid
     if resid > 1e-6:
         raise StarquantError(f"degree recursion failed to close: residual {resid:.3g}")
     return r
@@ -610,26 +615,21 @@ def _observable_jet(f, geo):
 
 def tau_lift(f, state):
     """The flat section projecting to f, degree by degree:
-    t[m] = delta_inv(D t[m-1] - (i/v) sum_l ad(comp[l+2]) t[m-1-l])."""
-    geo = state.geometry
-    f0 = _observable_jet(f, geo)
+    t[m] = delta_inv(D t[m-1] - (i/v) sum_l ad(comp[l+2]) t[m-1-l]).
+    Returns (lift, defect): the closure defect of these steps is the
+    flatness residual on Deg 0 .. d_max - 1."""
+    f0 = _observable_jet(f, state.geometry)
     t = {0: WickElement.from_jet(f0, state.n, state.d_alg)}
-    for m in range(1, state.d_max + 1):
+
+    def source(m):
         acc = extended_D(t[m - 1], state.ctx)
-        correction = None
-        for l in range(m):
-            comp = state.r_components.get(l + 2)
-            if comp is None or not comp.terms:
-                continue
-            piece = ad_wick(comp, t[m - 1 - l], state.lam)
-            correction = piece if correction is None else correction + piece
-        if correction is not None and correction.terms:
-            acc = acc - v_divide(correction.scale(1j))
-        t[m] = delta_inv_pair(acc)
-    total = t[0]
-    for m in range(1, state.d_max + 1):
-        total = total + t[m]
-    return total
+        pieces = [ad_wick(state.r_components[l + 2], t[m - 1 - l], state.lam)
+                  for l in range(m) if l + 2 in state.r_components]
+        if pieces:
+            acc = acc - v_divide(sum(pieces[1:], pieces[0]).scale(1j))
+        return acc
+
+    return _solve_degrees(t[0], t, range(1, state.d_max + 1), source)
 
 
 def tau_flatness(lifted, state):
@@ -644,7 +644,7 @@ def star_product(f, g, state, v_max=None):
         v_max = state.d_max // 2
     fj = _observable_jet(f, state.geometry)
     gj = _observable_jet(g, state.geometry)
-    tf, tg = tau_lift(fj, state), tau_lift(gj, state)
+    (tf, _), (tg, _) = tau_lift(fj, state), tau_lift(gj, state)
     coeffs = wick_scalar_parts(tf, tg, state.lam, v_max)
     want = fj.value * gj.value
     got = coeffs[0].value if 0 in coeffs else 0.0

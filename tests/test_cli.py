@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end: config validation,
 exit codes, determinism, and the shape of the emitted reports."""
 
+import argparse
 import json
 import warnings
 
@@ -434,6 +435,54 @@ def test_overflowing_jet_power_is_a_math_error(tmp_path, capsys):
         assert json.loads(out)["points"][0]["error"]["type"] == "JetDomainError"
 
 
+def test_work_caps_are_config_errors(tmp_path, capsys, monkeypatch):
+    # each key one above its cap, and the extremes that once passed
+    # validation; every one is refused before a point starts
+    def unreachable(payload):
+        raise AssertionError("a point started above a cap")
+
+    monkeypatch.setattr(cli, "_run_point", unreachable)
+    caps = cli.CAPS
+
+    def of_dim(n, points=None):
+        return base_config(n=n, generator="p1^2",
+                           points=points or [{"x": [0.1] * n, "p": [0.5] * n}])
+
+    wide_grid = {"grid": {"x": [[0.1] * 1000] * 2, "p": [[0.5] * 1000] * 2}}
+    over = [
+        (of_dim(caps["n"] + 1), []),
+        (of_dim(60), []),
+        (base_config(D_max=caps["D_max"] + 1), []),
+        (base_config(), ["--dmax", str(caps["D_max"] + 1)]),
+        (base_config(D_max=10 ** 6, v_max=10 ** 6), []),
+        (base_config(v_max=caps["v_max"] + 1), []),
+        (base_config(), ["--vmax", str(caps["v_max"] + 1)]),
+        (base_config(jet_order=caps["jet_order"] + 1), []),
+        (base_config(jet_order=100000), []),
+        (base_config(flow={"t_end": (caps["flow_steps"] + 1) * 1e-6, "dt": 1e-6}), []),
+        (base_config(flow={"t_end": 1e300, "dt": 1e-300}), []),
+        (base_config(points=[{"x": [0.3], "p": [-0.7]}] * (caps["points"] + 1)), []),
+        (base_config(points={"grid": {"x": [[0.1] * (caps["points"] + 1)], "p": [[0.5]]}}),
+         []),
+        (of_dim(2, wide_grid), []),  # 10^12 points
+    ]
+    for case, (data, flags) in enumerate(over):
+        path = write_config(tmp_path, data)
+        for command in ("inspect", "flow", "star", "check"):
+            observables = ["x1", "p1"] if command == "star" else []
+            code, out, err = run([command, "--config", path, *flags, *observables], capsys)
+            assert code == 2, (case, command)
+            assert err.startswith("starquant:") and err.count("\n") == 1, err
+            assert "at most" in err and out == ""
+    # at the caps every key is accepted
+    at_cap = base_config(n=caps["n"], D_max=caps["D_max"], v_max=caps["v_max"],
+                         jet_order=caps["jet_order"], generator="p1^2",
+                         flow={"t_end": caps["flow_steps"] * 1e-3, "dt": 1e-3},
+                         points={"grid": {"x": [[0.1] * 10] * 4, "p": [[0.5]] * 4}})
+    cfg = cli.effective_config(at_cap, "check", argparse.Namespace())
+    assert len(cli.resolve_points(cfg)) == caps["points"]
+
+
 def _strict(token):
     raise ValueError(f"non-finite JSON token {token}")
 
@@ -442,11 +491,9 @@ def test_nonfinite_results_are_error_blocks(tmp_path, capsys):
     # H is about 2.5e199 here, and the oblique frame pairing overflows
     data = base_config(generator="p1^2*(1+x1^2)^200", points=[{"x": [3.0], "p": [0.5]}])
     path = write_config(tmp_path, data)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code, out, err = run(["inspect", "--config", path], capsys)
+    code, out, err = run(["inspect", "--config", path], capsys)
     assert code == 3
-    assert "Traceback" not in err
+    assert err == ""  # numpy raised inside the point instead of warning
     report = json.loads(out, parse_constant=_strict)
     assert report["checks"] == []
     assert "non-finite" in report["points"][0]["error"]["message"]
@@ -550,11 +597,14 @@ def test_quantization_at_dmax2_n2_auto_order(tmp_path, capsys):
 
 
 def test_star_and_check_lift_each_observable_once(tmp_path, capsys, monkeypatch):
-    # the closure residual comes from the recursion, and both the flatness
-    # checks and the star coefficients read the one lift per observable
+    # the closure and flatness residuals are the defects the degree
+    # recursions computed, so no command applies the closure references, and
+    # both the flatness checks and the star coefficients read the one lift
+    # per observable
     from starquant import fedosov
 
-    calls = {"residual": 0, "lift": 0}
+    references = ("recursion_residual", "tau_flatness", "flat_connection_apply")
+    calls = dict.fromkeys((*references, "lift"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -562,12 +612,13 @@ def test_star_and_check_lift_each_observable_once(tmp_path, capsys, monkeypatch)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fedosov, "recursion_residual",
-                        counting("residual", fedosov.recursion_residual))
+    for name in references:
+        monkeypatch.setattr(fedosov, name, counting(name, getattr(fedosov, name)))
     monkeypatch.setattr(cli, "tau_lift", counting("lift", cli.tau_lift))
+    assert not any(hasattr(cli, name) for name in references)  # none imported there
     path = write_config(tmp_path, base_config(D_max=2, flow={"t_end": 0.5, "dt": 1e-2}))
     for argv in (["star", "--config", path, "x1*p1", "p1"], ["check", "--config", path]):
-        calls.update(residual=0, lift=0)
+        calls.update(dict.fromkeys(calls, 0))
         code, _, _ = run(argv, capsys)
         assert code == 0, argv[0]
-        assert calls == {"residual": 1, "lift": 2}, argv[0]
+        assert calls == {**dict.fromkeys(references, 0), "lift": 2}, argv[0]

@@ -3,6 +3,8 @@ differential, lifted Bianchi identities, closure of the degree recursion,
 flat sections, the star product against the Poisson bracket, and the
 curvature trace form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -309,7 +311,7 @@ def test_exp_family_flat_but_connected(exp1):
     assert exp1.torsion_lift.is_zero()
     assert exp1.curvature_lift.is_zero()
     assert exp1.r.is_zero()
-    assert fd.tau_flatness(fd.tau_lift(parse("x1 * p1", 1), exp1), exp1) <= 1e-12
+    assert fd.tau_flatness(fd.tau_lift(parse("x1 * p1", 1), exp1)[0], exp1) <= 1e-12
 
 
 def test_curved_recursion_closes(curved):
@@ -339,7 +341,7 @@ def test_capped_product_is_the_restricted_product(curved):
     # and a Deg 0 term so that every cap keeps something
     x1 = fd.WickElement.from_jet(curved.geometry.base_jets[0], 2, curved.d_alg)
     a = x1 + curved.r_components[2] + curved.r_components[3]
-    lifted = fd.tau_lift(parse("x1 * p1", 2), curved)
+    lifted, _ = fd.tau_lift(parse("x1 * p1", 2), curved)
     b = (lifted + fd.extended_D(lifted, curved.ctx)).restrict(2)
     assert {len(f) for (_, _, f) in a.terms} == {0, 1}
     assert {len(f) for (_, _, f) in b.terms} == {0, 1}
@@ -361,7 +363,7 @@ def test_capped_product_is_the_restricted_product(curved):
 def test_capped_callers_match_uncapped(curved, monkeypatch):
     probe = fd.WickElement(2, curved.d_alg,
                            {(0, (1, 0, 0, 0), ()): curved.geometry.base_jets[0]})
-    lifted = fd.tau_lift(parse("x1 * p1", 2), curved)
+    lifted, _ = fd.tau_lift(parse("x1 * p1", 2), curved)
     callers = (lambda: fd.recursion_residual(curved),
                lambda: fd.tau_flatness(lifted, curved),
                lambda: fd.flat_connection_defect(probe, curved))
@@ -393,6 +395,41 @@ def test_recursion_guard_raises_on_inconsistent_lift():
         fd.fedosov_r(state)
 
 
+@pytest.mark.parametrize("d_max", [3, 4, 5])
+@pytest.mark.parametrize("name", ["flat", "exp-conformal", "quartic"])
+def test_closure_defects_match_the_references(name, d_max):
+    # the defects of the degree steps against the fresh r o r and the
+    # flat connection applied to the finished lift
+    generator, pt, n = {"flat": (FLAT2, PT2, 2), "exp-conformal": (EXP1, PT1, 1),
+                        "quartic": (QUARTIC2, PT2, 2)}[name]
+    state = fd.build_state(generator, pt, d_max)
+    assert abs(state.residual - fd.recursion_residual(state)) <= 1e-12
+    for source in ("x1 * p1", "x1^2 + p1"):
+        lifted, defect = fd.tau_lift(parse(source, n), state)
+        assert abs(defect - fd.tau_flatness(lifted, state)) <= 1e-12
+
+
+def test_recursion_guard_raises_on_scaled_curvature():
+    state = fd.build_state(QUARTIC2, PT2, d_max=3)
+    state.curvature_lift = state.curvature_lift.scale(1.5)
+    with pytest.raises(StarquantError, match="failed to close"):
+        fd.fedosov_r(state)
+
+
+def test_lift_defect_sees_a_corrupted_connection(curved):
+    # doubling one component of r breaks the flatness the lift solves for;
+    # the state is copied so the fixture stays intact
+    comps = dict(curved.r_components)
+    comps[3] = comps[3].scale(2.0)
+    r = fd.WickElement.zero(2, curved.d_alg)
+    for m in sorted(comps):
+        r = r + comps[m]
+    broken = dataclasses.replace(curved, r=r, r_components=comps)
+    lifted, defect = fd.tau_lift(parse("x1 * p1", 2), broken)
+    assert defect > 1.0
+    assert abs(defect - fd.tau_flatness(lifted, broken)) <= 1e-12
+
+
 def test_state_stores_the_closure_residual():
     state = fd.build_state(QUARTIC2, PT2, 3)
     assert state.residual == fd.recursion_residual(state)
@@ -409,14 +446,14 @@ def test_build_state_validation():
 
 def test_tau_projects_and_is_flat(curved):
     f = parse("x1 * p1", 2)
-    lifted = fd.tau_lift(f, curved)
+    lifted, _ = fd.tau_lift(f, curved)
     assert lifted.scalar_part(0).value == pytest.approx(0.3 * 0.7, abs=1e-14)
     assert fd.tau_flatness(lifted, curved) <= 1e-12
 
 
 def test_scalar_parts_skip_absent_orders(curved):
-    prod = fd.wick_product(fd.tau_lift(parse("x1 * p1", 2), curved),
-                           fd.tau_lift(parse("x1^2 + p2", 2), curved), curved.lam)
+    prod = fd.wick_product(fd.tau_lift(parse("x1 * p1", 2), curved)[0],
+                           fd.tau_lift(parse("x1^2 + p2", 2), curved)[0], curved.lam)
     parts = prod.scalar_parts(3)
     assert set(parts) <= {0, 1, 2, 3}
     for r in range(4):
