@@ -99,9 +99,10 @@ TOL = {
 }
 
 # the most work one config may ask for; 17 = 2 * 8 + 1 is the order that
-# star with h resolves to at D_max 8
+# star with h resolves to at D_max 8; jet_table bounds the index triples of
+# the jet product table (about 60 MB of int64)
 CAPS = {"n": 4, "D_max": 8, "v_max": 8, "jet_order": 17,
-        "flow_steps": 10 ** 6, "points": 10 ** 4}
+        "flow_steps": 10 ** 6, "points": 10 ** 4, "jet_table": 25 * 10 ** 5}
 
 
 class ConfigError(Exception):
@@ -245,9 +246,11 @@ def _jet_order(cfg):
     Quantization consumes 3 + D_max derivatives (curvature depth plus
     the recursion's polynomial degree), and at n >= 2 at least 6, since
     the closedness of the curvature trace differentiates the curvature
-    once more (at n = 1 that check has no index triple).  Inspection
-    needs the full curvature tower (order 5), and flows only
-    differentiate the generator twice per step.
+    once more (at n = 1 that check has no index triple).  The
+    associativity probe of star with h lifts star coefficients a second
+    time, which consumes another D_max orders, and the first lift needs
+    one more: 2 D_max + 1.  Inspection needs the full curvature tower
+    (order 5), and flows only differentiate the generator twice per step.
     """
     jo = cfg["jet_order"]
     if jo != "auto":
@@ -256,7 +259,11 @@ def _jet_order(cfg):
         return jo
     if cfg["command"] in ("star", "check"):
         order = 3 + cfg["D_max"]
-        return max(order, 6) if cfg["n"] >= 2 else order
+        if cfg["n"] >= 2:
+            order = max(order, 6)
+        if cfg["command"] == "star" and cfg["star"].get("h") is not None:
+            order = max(order, 2 * cfg["D_max"] + 1)
+        return order
     if cfg["command"] == "inspect":
         return 5
     return 3
@@ -610,13 +617,7 @@ def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
 def _star_point(cfg, gen, pt):
     n, v_max = cfg["n"], cfg["v_max"]
     h_src = cfg["star"].get("h")
-    order = _jet_order(cfg)
-    if h_src is not None and cfg["jet_order"] == "auto":
-        # the associativity probe lifts star coefficients a second time,
-        # which consumes another d_max derivative orders, and the first
-        # lift needs one more
-        order = max(order, 2 * cfg["D_max"] + 1)
-    state = build_state(gen, pt, cfg["D_max"], order=order)
+    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
     checks, (tf, tg), (fg, gf), pb = _quantization_probes(
         state, cfg["star"]["f"], cfg["star"]["g"], v_max, ("tau_flat_f", "tau_flat_g"))
     gamma, kappa, c0_form = chern_weyl(state)
@@ -776,6 +777,11 @@ def _cmd_run(command, args):
     raw = _load_json(args.config, "config")
     cfg = effective_config(raw, command, args)
     order_resolved = _jet_order(cfg)
+    # the jet product table holds one index triple per pair of monomials in
+    # 2n variables whose degrees sum to at most the order
+    table = math.comb(4 * cfg["n"] + order_resolved, 4 * cfg["n"])
+    _capped(table, "jet_table", f"the jet product table ({table} index triples "
+            f"at n = {cfg['n']}, jet order {order_resolved})")
     _, _, meta = resolve_generator(cfg)  # validates the DSL up front
     points = resolve_points(cfg)
     if command == "star":

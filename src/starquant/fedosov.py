@@ -27,11 +27,10 @@ from .geometry import (
     GeometryAtPoint,
     as_generator,
     frame_deriv,
-    jmul,
     jsum,
     values,
 )
-from .jets import Jet, align
+from .jets import Jet
 
 PRUNE_TOL = 1e-14
 
@@ -164,8 +163,7 @@ def _accumulate(store, key, coeff):
     if cur is None:
         store[key] = coeff
     else:
-        a, b = align(cur, coeff)
-        store[key] = a + b
+        store[key] = cur + coeff
 
 
 def _built(n, d_max, store):
@@ -271,7 +269,7 @@ def extended_D(a, ctx):
                     continue
                 for src in range(n2):
                     znew = _bump(_bump(z, slot, -1), src, 1)
-                    coeff = jmul(G[slot, al, src], c) * (-sign * z[slot])
+                    coeff = G[slot, al, src] * c * (-sign * z[slot])
                     _accumulate(out, (r, znew, form), coeff)
         for pos, eps in enumerate(f):
             rest = f[:pos] + f[pos + 1 :]
@@ -282,7 +280,7 @@ def extended_D(a, ctx):
                     if merged is None:
                         continue
                     s2, form = merged
-                    coeff = jmul(W[eps, mu, nu], c) * (-psign * s2)
+                    coeff = W[eps, mu, nu] * c * (-psign * s2)
                     _accumulate(out, (r, z, form), coeff)
     return _built(a.n, a.d_max, out)
 
@@ -372,14 +370,13 @@ def wick_product(a, b, lam, cap=None):
                         factor = sa[al] * sb[be]
                         piece = lam[al, be] * (w if np.isscalar(w) else 1.0)
                         if not np.isscalar(w):
-                            piece = jmul(w, piece)
+                            piece = w * piece
                         nk = (_bump(sa, al, -1), _bump(sb, be, -1))
                         cur = new.get(nk)
                         if cur is None:
                             new[nk] = piece * factor
                         else:
-                            cur, piece = align(cur, piece * factor)
-                            new[nk] = cur + piece
+                            new[nk] = cur + piece * factor
             states = new
             pref = (0.5j) ** t / math.factorial(t)
             for (sa, sb), w in states.items():
@@ -397,10 +394,10 @@ def wick_product(a, b, lam, cap=None):
             if merged is None:
                 continue
             sign, form = merged
-            base = jmul(ca, cb) * sign
+            base = ca * cb * sign
             _accumulate(out, (ra + rb, _zadd(za, zb), form), base)
             for t, sa, sb, w in contractions(za, zb):
-                _accumulate(out, (ra + rb + t, _zadd(sa, sb), form), jmul(base, w))
+                _accumulate(out, (ra + rb + t, _zadd(sa, sb), form), base * w)
     return _built(a.n, a.d_max, out)
 
 
@@ -667,11 +664,7 @@ def _chern_jets(state):
     for a in range(n2):
         for b in range(n2):
             gamma[a, b] = jsum(
-                [
-                    jmul(J[ap, t], R[t, ap, a, b])
-                    for ap in range(n2)
-                    for t in range(n2)
-                ]
+                [J[ap, t] * R[t, ap, a, b] for ap in range(n2) for t in range(n2)]
             ) * (-0.25)
     return gamma
 
@@ -686,7 +679,7 @@ def chern_weyl(state):
     F = state.ctx.frames
     gamma = _chern_jets(state)
     xi = [
-        jsum([jmul(J[ap, t], T[t, ap, b]) for ap in range(n2) for t in range(n2)])
+        jsum([J[ap, t] * T[t, ap, b] for ap in range(n2) for t in range(n2)])
         for b in range(n2)
     ]
     dxi = np.zeros((n2, n2), dtype=np.complex128)
@@ -696,7 +689,7 @@ def chern_weyl(state):
                 frame_deriv(xi[b], F[a]),
                 -frame_deriv(xi[a], F[b]),
             ]
-            pieces += [-jmul(W[c, a, b], xi[c]) for c in range(n2)]
+            pieces += [-(W[c, a, b] * xi[c]) for c in range(n2)]
             val = jsum(pieces).value
             dxi[a, b] = val
             dxi[b, a] = -val
@@ -722,8 +715,8 @@ def chern_weyl_closedness(state):
                     frame_deriv(gamma[a, b], F[c]),
                 ]
                 for d in range(n2):
-                    pieces.append(-jmul(W[d, a, b], gamma[d, c]))
-                    pieces.append(jmul(W[d, a, c], gamma[d, b]))
-                    pieces.append(-jmul(W[d, b, c], gamma[d, a]))
+                    pieces.append(-(W[d, a, b] * gamma[d, c]))
+                    pieces.append(W[d, a, c] * gamma[d, b])
+                    pieces.append(-(W[d, b, c] * gamma[d, a]))
                 worst = max(worst, abs(jsum(pieces).value))
     return worst

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientJetOrder, StarquantError
 from .expr import jet_function
-from .jets import PhasePoint, align, jet_const, jet_matrix_inverse, jet_space
+from .jets import PhasePoint, jet_const, jet_matrix_inverse, jet_space
 
 COTANGENT = "cotangent"
 TANGENT = "tangent"
@@ -39,29 +39,10 @@ def as_generator(obj):
     return obj if callable(obj) else jet_function(obj)
 
 
-# ---------------------------------------------------------------------------
-# jet-combination helpers with explicit order alignment
-
-
 def jsum(terms):
-    terms = align(*terms)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
-
-
-def jsub(a, b):
-    a, b = align(a, b)
-    return a - b
-
-
-def jmul(*factors):
-    factors = align(*factors)
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
+    """Left fold of a list of jets; sum() would start from 0 and turn a
+    leading -0.0 into +0.0."""
+    return sum(terms[1:], terms[0])
 
 
 def _mm(A, B):
@@ -70,7 +51,7 @@ def _mm(A, B):
     out = np.empty((n, k), dtype=object)
     for i in range(n):
         for j in range(k):
-            out[i, j] = jsum([jmul(A[i, t], B[t, j]) for t in range(m)])
+            out[i, j] = jsum([A[i, t] * B[t, j] for t in range(m)])
     return out
 
 
@@ -93,7 +74,7 @@ def real_values(mat):
 
 def frame_deriv(f, row):
     """Directional derivative of a jet along a frame vector (row of jets)."""
-    return jsum([jmul(row[a], f.partial(a)) for a in range(len(row))])
+    return jsum([row[a] * f.partial(a) for a in range(len(row))])
 
 
 def vector_bracket(U, V):
@@ -101,17 +82,17 @@ def vector_bracket(U, V):
     dim = len(U)
     out = []
     for b in range(dim):
-        plus = jsum([jmul(U[a], V[b].partial(a)) for a in range(dim)])
-        minus = jsum([jmul(V[a], U[b].partial(a)) for a in range(dim)])
-        out.append(jsub(plus, minus))
+        plus = jsum([U[a] * V[b].partial(a) for a in range(dim)])
+        minus = jsum([V[a] * U[b].partial(a) for a in range(dim)])
+        out.append(plus - minus)
     return out
 
 
 def bracket_jets(f, g, n):
     """Poisson bracket of two jets on a 2n-dimensional cotangent chart."""
-    plus = jsum([jmul(f.partial(n + k), g.partial(k)) for k in range(n)])
-    minus = jsum([jmul(f.partial(k), g.partial(n + k)) for k in range(n)])
-    return jsub(plus, minus)
+    plus = jsum([f.partial(n + k) * g.partial(k) for k in range(n)])
+    minus = jsum([f.partial(k) * g.partial(n + k) for k in range(n)])
+    return plus - minus
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +211,11 @@ def _frame_jets(N, variant, g_upper=None):
                 F[n + b, j] = -gu[b, j]
             for a in range(n):
                 diag = one if a == b else zero
-                F[n + b, n + a] = jsub(
-                    diag, jsum([jmul(gu[b, i], N[i, a]) for i in range(n)])
-                )
+                F[n + b, n + a] = diag - jsum([gu[b, i] * N[i, a] for i in range(n)])
         for i in range(n):
             for j in range(n):
                 diag = one if i == j else zero
-                C[i, j] = jsub(
-                    diag, jsum([jmul(gu[b, i], N[j, b]) for b in range(n)])
-                )
+                C[i, j] = diag - jsum([gu[b, i] * N[j, b] for b in range(n)])
             for b in range(n):
                 C[i, n + b] = gu[b, i]
         for c in range(n):
@@ -256,10 +233,8 @@ def _theta_on_frames(F, n):
     out = np.empty((n2, n2), dtype=object)
     for a in range(n2):
         for b in range(n2):
-            out[a, b] = jsub(
-                jsum([jmul(F[a, n + k], F[b, k]) for k in range(n)]),
-                jsum([jmul(F[b, n + k], F[a, k]) for k in range(n)]),
-            )
+            plus = jsum([F[a, n + k] * F[b, k] for k in range(n)])
+            out[a, b] = plus - jsum([F[b, n + k] * F[a, k] for k in range(n)])
     return out
 
 
@@ -272,7 +247,7 @@ def _anholonomy(F, C):
         for b in range(a + 1, n2):
             br = vector_bracket(list(F[a]), list(F[b]))
             for g in range(n2):
-                w = jsum([jmul(C[g, B], br[B]) for B in range(n2)])
+                w = jsum([C[g, B] * br[B] for B in range(n2)])
                 W[g, a, b] = w
                 W[g, b, a] = -w
                 min_order = w.order if min_order is None else min(min_order, w.order)
@@ -310,7 +285,7 @@ def _koszul_block(rows, m, minv, w_low):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                out[i, j, k] = jsum([jmul(minv[i, s], low[s, j, k]) for s in range(n)])
+                out[i, j, k] = jsum([minv[i, s] * low[s, j, k] for s in range(n)])
     return out
 
 
@@ -352,7 +327,7 @@ def _torsion_full(G, W):
     for g in range(n2):
         for a in range(n2):
             for b in range(n2):
-                T[g, a, b] = jsub(jsub(G[g, a, b], G[g, b, a]), W[g, a, b])
+                T[g, a, b] = G[g, a, b] - G[g, b, a] - W[g, a, b]
     return T
 
 
@@ -369,9 +344,9 @@ def _curvature_full(G, W, F):
                         -frame_deriv(G[g, a, ph], F[b]),
                     ]
                     for d in range(n2):
-                        terms.append(jmul(G[d, b, ph], G[g, a, d]))
-                        terms.append(-jmul(G[d, a, ph], G[g, b, d]))
-                        terms.append(-jmul(W[d, a, b], G[g, d, ph]))
+                        terms.append(G[d, b, ph] * G[g, a, d])
+                        terms.append(-(G[d, a, ph] * G[g, b, d]))
+                        terms.append(-(W[d, a, b] * G[g, d, ph]))
                     r = jsum(terms)
                     R[g, ph, a, b] = r
                     R[g, ph, b, a] = -r
@@ -393,9 +368,8 @@ def _omega_jets(N, F_phi):
     for i in range(n):
         for j in range(n):
             for a in range(n):
-                out[i, j, a] = jsub(
-                    frame_deriv(N[j, a], F_phi[i]), frame_deriv(N[i, a], F_phi[j])
-                )
+                out[i, j, a] = (frame_deriv(N[j, a], F_phi[i])
+                                - frame_deriv(N[i, a], F_phi[j]))
     return out
 
 
@@ -406,7 +380,7 @@ def _nijenhuis_values(F, C, J_coord):
 
     def apply_J(vec):
         return [
-            jsum([jmul(J_coord[A, B], vec[B]) for B in range(n2)]) for A in range(n2)
+            jsum([J_coord[A, B] * vec[B] for B in range(n2)]) for A in range(n2)
         ]
 
     out = np.zeros((n2, n2, n2), dtype=np.complex128)
@@ -420,9 +394,9 @@ def _nijenhuis_values(F, C, J_coord):
             t2 = apply_J(vector_bracket(JX, Y))
             t3 = apply_J(vector_bracket(X, JY))
             t4 = vector_bracket(X, Y)
-            comp = [jsub(jsub(jsub(t1[B], t2[B]), t3[B]), t4[B]) for B in range(n2)]
+            comp = [t1[B] - t2[B] - t3[B] - t4[B] for B in range(n2)]
             for g in range(n2):
-                val = jsum([jmul(C[g, B], comp[B]) for B in range(n2)]).value
+                val = jsum([C[g, B] * comp[B] for B in range(n2)]).value
                 out[g, a, b] = val
                 out[g, b, a] = -val
     return out
@@ -521,10 +495,10 @@ class GeometryAtPoint:
                 for j in range(n):
                     br = bracket_jets(self.g_lower[i, j], self.H, n)
                     sym = jsum(
-                        [jmul(mixed[k, i], self.g_lower[j, k]) for k in range(n)]
-                        + [jmul(mixed[k, j], self.g_lower[i, k]) for k in range(n)]
+                        [mixed[k, i] * self.g_lower[j, k] for k in range(n)]
+                        + [mixed[k, j] * self.g_lower[i, k] for k in range(n)]
                     )
-                    out[i, j] = jsub(br, sym) * 0.5
+                    out[i, j] = (br - sym) * 0.5
             return out
 
         return self._memo("nconnection", build)
@@ -671,7 +645,7 @@ class GeometryAtPoint:
                 w_h = [
                     [
                         [
-                            jsum([jmul(gl[s, m], W[m, j, k]) for m in range(n)])
+                            jsum([gl[s, m] * W[m, j, k] for m in range(n)])
                             for k in range(n)
                         ]
                         for j in range(n)
@@ -681,12 +655,7 @@ class GeometryAtPoint:
                 w_v = [
                     [
                         [
-                            jsum(
-                                [
-                                    jmul(gu[c, m], W[n + m, n + a, n + b])
-                                    for m in range(n)
-                                ]
-                            )
+                            jsum([gu[c, m] * W[n + m, n + a, n + b] for m in range(n)])
                             for b in range(n)
                         ]
                         for a in range(n)
@@ -744,7 +713,7 @@ class GeometryAtPoint:
             ginv = self.metric_frame_inverse("phi_pair")
             n2 = 2 * self.n
             return jsum(
-                [jmul(ginv[a, b], ric[a, b]) for a in range(n2) for b in range(n2)]
+                [ginv[a, b] * ric[a, b] for a in range(n2) for b in range(n2)]
             )
 
         return self._memo("scalar_phi", build)
@@ -851,7 +820,7 @@ def induced_hamiltonian(g_base, vielbein):
         base_up = jet_matrix_inverse(base_lo)
         upper = _mm(_mm(E, base_up), _transpose(E))
         quad = jsum(
-            [jmul(upper[a, b], ps[a], ps[b]) for a in range(n) for b in range(n)]
+            [upper[a, b] * ps[a] * ps[b] for a in range(n) for b in range(n)]
         )
         return quad * 0.5
 
@@ -868,8 +837,8 @@ def semi_spray(L, pt, order=2, hessian_tol=1e-10):
         inner = []
         for j in range(n):
             dj = Lj.partial(n + j)
-            mixed = jsum([jmul(dj.partial(k), ys[k]) for k in range(n)])
-            inner.append(jmul(upper[i, j], jsub(mixed, Lj.partial(j))))
+            mixed = jsum([dj.partial(k) * ys[k] for k in range(n)])
+            inner.append(upper[i, j] * (mixed - Lj.partial(j)))
         out.append(jsum(inner) * 0.5)
     return out
 
@@ -1140,8 +1109,8 @@ def anholonomy_closed_form_residual(geo):
     for i in range(n):
         for j in range(n):
             for a in range(n):
-                closed = jsub(
-                    frame_deriv(N[j, a], Fn[i]), frame_deriv(N[i, a], Fn[j])
+                closed = (
+                    frame_deriv(N[j, a], Fn[i]) - frame_deriv(N[i, a], Fn[j])
                 ).value
                 worst = max(worst, abs(W[n + a, i, j] - closed))
             for g in range(n):
@@ -1180,7 +1149,7 @@ def _compat_residual(geo, kind, form):
             for c in range(n2):
                 terms = [frame_deriv(form[b, c], F[a])]
                 for d in range(n2):
-                    terms.append(-jmul(G[d, a, b], form[d, c]))
-                    terms.append(-jmul(G[d, a, c], form[b, d]))
+                    terms.append(-(G[d, a, b] * form[d, c]))
+                    terms.append(-(G[d, a, c] * form[b, d]))
                 worst = max(worst, abs(jsum(terms).value))
     return float(worst)

@@ -9,6 +9,12 @@ functions, and matrix inversion.
 Monomials are listed degree first (graded lexicographic), which makes
 truncation to a lower order a prefix slice of the coefficient vector and
 keeps multiplication tables reusable across orders.
+
+Order rule: a sum, difference or product of two jets of one dimension is
+known up to the lower of their orders, so `+`, `-` and `*` truncate the
+higher-order operand to it.  Truncating first gives the same bits as
+truncating the result, since the product table lists its pairs by
+ascending left index at every order.
 """
 
 from __future__ import annotations
@@ -138,7 +144,10 @@ def jet_space(dim, order):
 
 
 class Jet:
-    """One truncated Taylor expansion.  Treat instances as immutable."""
+    """One truncated Taylor expansion.  Treat instances as immutable.
+
+    Combining two jets of one dimension works at the lower of their
+    orders; jets of different dimensions do not combine."""
 
     __slots__ = ("space", "coeffs")
 
@@ -167,18 +176,12 @@ class Jet:
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value:.6g})"
 
-    def _compat(self, other):
-        if self.space.dim != other.space.dim or self.space.order != other.space.order:
-            raise ValueError(
-                f"jet mismatch: {self.space!r} vs {other.space!r}; "
-                "truncate explicitly before combining"
-            )
-
     def __add__(self, other):
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                self._compat(other)
-            return _wrap(self.space, self.coeffs + other.coeffs)
+            if other.space is self.space:
+                return _wrap(self.space, self.coeffs + other.coeffs)
+            space = _lower(self, other)
+            return _wrap(space, self.coeffs[: space.size] + other.coeffs[: space.size])
         if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out[0] += other
@@ -189,9 +192,10 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                self._compat(other)
-            return _wrap(self.space, self.coeffs - other.coeffs)
+            if other.space is self.space:
+                return _wrap(self.space, self.coeffs - other.coeffs)
+            space = _lower(self, other)
+            return _wrap(space, self.coeffs[: space.size] - other.coeffs[: space.size])
         if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out[0] -= other
@@ -210,15 +214,15 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            if other.space is not self.space:
-                self._compat(other)
-            ii, jj, kk = self.space._mul()
+            space = self.space if other.space is self.space else _lower(self, other)
+            # the lower order's table only indexes coefficients it keeps
+            ii, jj, kk = space._mul()
             # unbuffered scatter-add: each output sums its terms one by one
             # from +0.0 in table order, so results do not depend on numpy's
             # pairwise-summation blocking
-            out = np.zeros(self.space.size, dtype=np.complex128)
+            out = np.zeros(space.size, dtype=np.complex128)
             np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
-            return _wrap(self.space, out)
+            return _wrap(space, out)
         if isinstance(other, _SCALARS):
             return Jet(self.space, self.coeffs * other)
         return NotImplemented
@@ -288,6 +292,13 @@ class Jet:
         return self.coefficient(mono) * fact
 
 
+def _lower(a, b):
+    # the space two jets of one dimension combine in
+    if a.space.dim != b.space.dim:
+        raise ValueError(f"jet mismatch: {a.space!r} vs {b.space!r}")
+    return a.space if a.space.order <= b.space.order else b.space
+
+
 def _wrap(space, coeffs):
     # Constructor for internal results: `coeffs` is already a complex128
     # vector of length space.size, so the checks of Jet() are skipped.
@@ -312,12 +323,6 @@ def jet_var(space, var, value):
         unit = tuple(1 if t == var else 0 for t in range(space.dim))
         out[space.index[unit]] = 1.0
     return Jet(space, out)
-
-
-def align(*jets):
-    """Truncate all jets to the smallest order present among them."""
-    k = min(j.order for j in jets)
-    return tuple(j.truncate(k) for j in jets)
 
 
 def _int_pow(jet, n):

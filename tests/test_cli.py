@@ -3,6 +3,7 @@ exit codes, determinism, and the shape of the emitted reports."""
 
 import argparse
 import json
+import math
 import warnings
 
 import numpy as np
@@ -286,6 +287,8 @@ def test_star_associativity_auto_order_curved(tmp_path, capsys):
     assert len(blk["coefficients"]["fg"]) == 4
     assert len(blk["associativity_defects"]) == 2
     assert max(blk["associativity_defects"]) < 1e-12
+    # the echo reports the order the point was seeded at
+    assert json.loads(out)["config"]["jet_order_resolved"] == 2 * 3 + 1
 
 
 def test_star_observables_from_config(tmp_path, capsys):
@@ -481,6 +484,35 @@ def test_work_caps_are_config_errors(tmp_path, capsys, monkeypatch):
                          points={"grid": {"x": [[0.1] * 10] * 4, "p": [[0.5]] * 4}})
     cfg = cli.effective_config(at_cap, "check", argparse.Namespace())
     assert len(cli.resolve_points(cfg)) == caps["points"]
+
+
+def test_jet_table_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # at n = 4 and D_max 8 the product table would hold C(16 + order, 16)
+    # index triples: 1.3e7 for check (order 11), 1.2e9 for star with h
+    # (order 17); both are refused before any table is built
+    class Reached(Exception):
+        pass
+
+    def reached(payload):
+        raise Reached
+
+    monkeypatch.setattr(cli, "_run_point", reached)
+    data = base_config(n=4, generator="p1^2", D_max=8,
+                       points=[{"x": [0.1] * 4, "p": [0.5] * 4}])
+    path = write_config(tmp_path, data)
+    for argv, table in ((["check"], math.comb(27, 16)),
+                        (["star", "x1", "p1", "x2"], math.comb(33, 16))):
+        assert table > cli.CAPS["jet_table"]
+        code, out, err = run([argv[0], "--config", path, *argv[1:]], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("starquant:") and err.count("\n") == 1, err
+        assert f"({table} index triples" in err
+        assert f"must be at most {cli.CAPS['jet_table']}" in err
+    # n = 2 reaches order 17 under the cap: C(25, 8) = 1081575 triples
+    data = base_config(n=2, generator="p1^2", jet_order=17,
+                       points=[{"x": [0.1] * 2, "p": [0.5] * 2}])
+    with pytest.raises(Reached):
+        cli.main(["star", "--config", write_config(tmp_path, data), "x1", "p1", "x2"])
 
 
 def _strict(token):

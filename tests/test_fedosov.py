@@ -4,9 +4,12 @@ flat sections, the star product against the Poisson bracket, and the
 curvature trace form."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from starquant import fedosov as fd
 from starquant.errors import StarquantError
@@ -482,6 +485,54 @@ def test_star_first_order_antisymmetric_part(curved):
     c_gf = fd.star_product(g, f, curved)
     pb = poisson_bracket(as_generator(f), as_generator(g), PT2).value
     assert abs((c_fg[1] - c_gf[1]) - 1j * pb) <= 1e-9
+
+
+def flat_exponential_product(f_src, g_src, pt, r_max):
+    """C_r(f, g) = (1/r!) (i/2)^r lam^{a1 b1} .. lam^{ar br} e_a1..ar f e_b1..br g
+    for H = |p|^2 / 2, with sympy on the closed-form oblique frame."""
+    n = pt.n
+    coords = sp.symbols(f"x1:{n + 1}") + sp.symbols(f"p1:{n + 1}")
+    names = {str(c): c for c in coords}
+    f, g = (sp.sympify(src.replace("^", "**"), locals=names) for src in (f_src, g_src))
+    eye, zero = sp.eye(n), sp.zeros(n)
+    # one frame vector per row: e_i = d/dx^i, e_{n+b} = d/dp_b - d/dx^b
+    E = sp.Matrix(sp.BlockMatrix([[eye, zero], [-eye, eye]]))
+    theta = E * sp.Matrix(sp.BlockMatrix([[zero, -eye], [eye, zero]])) * E.T
+    lam = theta - sp.I * (E * E.T).inv()  # the lift metric is I in coordinates
+
+    def along(h, alphas):
+        for al in alphas:
+            h = sum(E[al, A] * sp.diff(h, coords[A]) for A in range(2 * n))
+        return h
+
+    at = dict(zip(coords, pt.x + pt.p))
+    out = []
+    for r in range(r_max + 1):
+        words = list(itertools.product(range(2 * n), repeat=r))
+        df = {w: along(f, w).subs(at) for w in words}
+        dg = {w: along(g, w).subs(at) for w in words}
+        total = sum(sp.prod([lam[a, b] for a, b in zip(wa, wb)]) * df[wa] * dg[wb]
+                    for wa in words for wb in words)
+        out.append(complex((sp.I / 2) ** r / math.factorial(r) * total))
+    return out
+
+
+@pytest.mark.parametrize("pt, d_max, f, g", [
+    (PhasePoint([0.5], [0.4]), 6, "x1^2*p1 + 2*p1^3", "x1^3 + x1*p1^2 + p1^3"),
+    (PT2, 6, "x1*p1*p2 + x2^2*p2 + p1^3", "p1*p2^2 + x1^2*x2 + x1^3"),
+])
+def test_star_on_flat_is_the_exponential_product(pt, d_max, f, g):
+    # connection and curvature vanish on flat, so every complete order of
+    # the Fedosov product is the constant-coefficient exponential product
+    n = pt.n
+    flat_h = parse(" + ".join(f"0.5*p{k + 1}^2" for k in range(n)), n)
+    state = fd.build_state(flat_h, pt, d_max)
+    got = fd.star_product(parse(f, n), parse(g, n), state)
+    want = flat_exponential_product(f, g, pt, d_max // 2)
+    assert len(got) == len(want) == d_max // 2 + 1
+    assert abs(want[-1]) > 1e-2  # the top order is probed, not zero
+    for r, (a, b) in enumerate(zip(got, want)):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (r, a, b)
 
 
 def test_star_first_order_exp_family(exp1):

@@ -1,5 +1,5 @@
-"""Byte-identity regression: three small runs, one per quantizing or
-inspecting command, against reports stored under tests/golden/.
+"""Byte-identity regression: four small runs, one per command, against
+reports stored under tests/golden/.
 
 A change that moves any byte of these reports must say why and
 regenerate the file; a refactor must leave them untouched.
@@ -23,6 +23,10 @@ CASES = {
     "check_exp_conformal": ("check", {"n": 1, "generator": {"family": "exp-conformal"},
                                       "points": [{"x": [0.3], "p": [-0.7]}], "D_max": 3,
                                       "flow": {"t_end": 0.5, "dt": 1e-2}}),
+    "flow_exp_conformal": ("flow", {"n": 1, "generator": {"family": "exp-conformal"},
+                                    "points": [{"x": [0.3], "p": [-0.7]},
+                                               {"x": [-0.2], "p": [0.5]}],
+                                    "flow": {"t_end": 0.5, "dt": 1e-2}}),
     "star_quartic_h": ("star", {"n": 2, "generator": QUARTIC, "points": [QUARTIC_POINT],
                                 "D_max": 3, "star": {"f": "x1*p1", "g": "x1^2 + p2",
                                                      "h": "p2 - x2"}}),

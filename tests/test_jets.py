@@ -13,7 +13,6 @@ from starquant import (
     Jet,
     JetDomainError,
     PhasePoint,
-    align,
     apply_unary,
     jet_const,
     jet_matrix_inverse,
@@ -242,11 +241,14 @@ def test_domain_errors():
 
 
 def test_space_mismatch_raises():
+    # jets of one dimension combine at the lower order; dimensions do not mix
     a = jet_var(jet_space(2, 3), 0, 0.0)
     b = jet_var(jet_space(2, 4), 0, 0.0)
     c = jet_var(jet_space(3, 3), 0, 0.0)
+    assert (a + b).space is jet_space(2, 3)
+    assert (b * a).space is jet_space(2, 3)
     with pytest.raises(ValueError):
-        a + b
+        a + c
     with pytest.raises(ValueError):
         a * c
 
@@ -260,13 +262,6 @@ def test_insufficient_order():
         b.truncate(3)
     with pytest.raises(InsufficientJetOrder):
         b.coefficient((3, 0))
-
-
-def test_align_truncates_to_min():
-    a = jet_var(jet_space(2, 5), 0, 1.0)
-    b = jet_var(jet_space(2, 2), 1, 2.0)
-    a2, b2 = align(a, b)
-    assert a2.order == b2.order == 2
 
 
 def test_matrix_inverse_residual():
@@ -331,3 +326,34 @@ def test_scalar_ops_consistent(a, s):
     assert_jets_close(a + s, a + jet_const(a.space, s), tol=1e-14)
     assert_jets_close(s - a, jet_const(a.space, s) - a, tol=1e-14)
     assert_jets_close(a * s, jet_const(a.space, s) * a, tol=1e-14)
+
+
+# signed zeros among the coefficients, so a flipped -0.0 shows in the bytes
+signed_floats = st.sampled_from([0.0, -0.0]) | coeff_floats
+
+
+@st.composite
+def mixed_order_pairs(draw):
+    dim = draw(st.integers(1, 4))
+
+    def jet(order):
+        size = jet_space(dim, order).size
+        parts = draw(st.lists(st.tuples(signed_floats, signed_floats),
+                              min_size=size, max_size=size))
+        return Jet(jet_space(dim, order), [complex(re, im) for re, im in parts])
+
+    return jet(draw(st.integers(0, 5))), jet(draw(st.integers(0, 5)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(mixed_order_pairs())
+def test_mixed_orders_combine_at_the_lower_order(pair):
+    a, b = pair
+    k = min(a.order, b.order)
+    at, bt = a.truncate(k), b.truncate(k)
+    for mixed, truncated in (
+        (a + b, at + bt), (a - b, at - bt), (b - a, bt - at), (a * b, at * bt)
+    ):
+        assert mixed.order == k
+        assert mixed.space is truncated.space
+        assert mixed.coeffs.tobytes() == truncated.coeffs.tobytes()
