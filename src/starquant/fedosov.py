@@ -15,6 +15,11 @@ Conventions fixed here and relied on by the tests:
     constant frame pairing theta evaluated on the oblique frames;
   - ad(x)(a) is the deg_a-graded commutator under the Wick product;
   - division by v drops one v power and insists the v^0 part is zero.
+
+The pairing lam = theta - i g of a state is a WickPairing.  It owns the
+table of contraction weights that all of the state's Wick products read,
+so the table lives and dies with the state, and it keeps each weight at
+the highest jet order read so far (see WickPairing).
 """
 
 import math
@@ -166,12 +171,16 @@ def _accumulate(store, key, coeff):
         store[key] = cur + coeff
 
 
+def _negligible(c):
+    return np.abs(c.coeffs).max() <= PRUNE_TOL
+
+
 def _built(n, d_max, store):
     clean = {}
     for key, c in store.items():
         if 2 * key[0] + sum(key[1]) > d_max:
             continue
-        if np.abs(c.coeffs).max() <= PRUNE_TOL:
+        if _negligible(c):
             continue
         clean[key] = c
     return WickElement(n, d_max, clean)
@@ -329,31 +338,47 @@ def lifted_torsion_curvature(ctx, d_max):
 # the fiberwise product
 
 
-def wick_product(a, b, lam, cap=None):
-    """Exponential bidifferential product with matrix lam = theta - i g.
+class WickPairing:
+    """The fiber pairing lam = theta - i g of one state, with the table of
+    the contractions its Wick products make.
 
-    Each contraction pairs d/dz on the left with d/dz on the right through
-    one factor (i v / 2) lam^{alpha beta}; the wedge combines form factors
-    with sign, and the result is re-truncated at d_max.
+    A product contracts t >= 1 slots of a left term z^za with t slots of a
+    right term z^zb, one factor (i v / 2) lam^{alpha beta} per pair, so the
+    weights depend only on lam and (za, zb).  The table maps (za, zb) to
+    (za + zb, rows of (t, exponent left uncontracted, weight jet)), with
+    the rows in the order of a breadth-first walk over t.  A weight is kept
+    at the highest jet order read so far and rebuilt from lam when a read
+    needs more; by the jet order rule the stored prefix has the bits of the
+    full-order weight, so the order of the reads is invisible."""
 
-    Deg = 2 deg_v + deg_s is additive: a contraction trades two fiber
-    variables for one v, so every key a pair of terms feeds has the Deg sum
-    of that pair.  A caller that keeps only Deg <= cap passes it here, and
-    pairs above min(cap, d_max) are skipped.  The kept keys receive exactly
-    the pieces, in the same order, as without the cap, so the result equals
-    the uncapped product restricted to cap, bit for bit; the container
-    stays at d_max."""
-    a._check(b)
-    n2 = 2 * a.n
-    top = a.d_max if cap is None else min(cap, a.d_max)
-    contract_cache = {}
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.order = max(e.order for e in matrix.flat)
+        self._truncated = {}
+        self._table = {}
 
-    def contractions(za, zb):
-        """List of (t, za', zb', weight jet or scalar) for t >= 1."""
-        key = (za, zb)
-        hit = contract_cache.get(key)
-        if hit is not None:
-            return hit
+    def contractions(self, za, zb, order):
+        """(za + zb, rows) of the pair, with weights good to jet order
+        `order`."""
+        order = min(order, self.order)
+        hit = self._table.get((za, zb))
+        if hit is None or hit[0] < order:
+            hit = order, _zadd(za, zb), self._rows(za, zb, order)
+            self._table[(za, zb)] = hit
+        return hit[1], hit[2]
+
+    def _lam_at(self, order):
+        lam = self._truncated.get(order)
+        if lam is None:
+            lam = np.empty_like(self.matrix)
+            for idx, e in np.ndenumerate(self.matrix):
+                lam[idx] = e.truncate(min(order, e.order))
+            self._truncated[order] = lam
+        return lam
+
+    def _rows(self, za, zb, order):
+        lam = self._lam_at(order)
+        n2 = len(za)
         rows = []
         states = {(za, zb): 1.0}
         t = 0
@@ -380,10 +405,29 @@ def wick_product(a, b, lam, cap=None):
             states = new
             pref = (0.5j) ** t / math.factorial(t)
             for (sa, sb), w in states.items():
-                rows.append((t, sa, sb, w * pref))
-        contract_cache[key] = rows
+                rows.append((t, _zadd(sa, sb), w * pref))
         return rows
 
+
+def _zadd(za, zb):
+    return tuple(x + y for x, y in zip(za, zb))
+
+
+def wick_product(a, b, lam, cap=None):
+    """Exponential bidifferential product with the pairing lam, a
+    WickPairing, whose table gives the contractions of each pair of terms;
+    the wedge combines form factors with sign, and the result is
+    re-truncated at d_max.
+
+    Deg = 2 deg_v + deg_s is additive: a contraction trades two fiber
+    variables for one v, so every key a pair of terms feeds has the Deg sum
+    of that pair.  A caller that keeps only Deg <= cap passes it here, and
+    pairs above min(cap, d_max) are skipped.  The kept keys receive exactly
+    the pieces, in the same order, as without the cap, so the result equals
+    the uncapped product restricted to cap, bit for bit; the container
+    stays at d_max."""
+    a._check(b)
+    top = a.d_max if cap is None else min(cap, a.d_max)
     out = {}
     for (ra, za, fa), ca in a.terms.items():
         deg_a_term = 2 * ra + sum(za)
@@ -395,20 +439,41 @@ def wick_product(a, b, lam, cap=None):
                 continue
             sign, form = merged
             base = ca * cb * sign
-            _accumulate(out, (ra + rb, _zadd(za, zb), form), base)
-            for t, sa, sb, w in contractions(za, zb):
-                _accumulate(out, (ra + rb + t, _zadd(sa, sb), form), base * w)
+            z, rows = lam.contractions(za, zb, base.order)
+            _accumulate(out, (ra + rb, z, form), base)
+            for t, zt, w in rows:
+                _accumulate(out, (ra + rb + t, zt, form), base * w)
     return _built(a.n, a.d_max, out)
 
 
 def wick_scalar_parts(a, b, lam, v_max):
-    """scalar_parts(v_max) of a o b.  The scalar key (r, 0, ()) has Deg 2 r,
-    so the product is capped at 2 v_max."""
-    return wick_product(a, b, lam, cap=2 * v_max).scalar_parts(v_max)
+    """scalar_parts(v_max) of a o b, without forming the product.
 
-
-def _zadd(za, zb):
-    return tuple(x + y for x, y in zip(za, zb))
+    The scalar key (r, 0, ()) has Deg 2 r, and only a form-free pair with
+    |za| = |zb| = s reaches it, through the row that contracts all s slots.
+    So only such pairs with 2 (ra + rb + s) <= min(2 v_max, d_max) are
+    visited, in wick_product's order, and the result equals
+    wick_product(a, b, lam, cap=2 v_max).scalar_parts(v_max) bit for bit."""
+    a._check(b)
+    top = min(2 * v_max, a.d_max)
+    out = {}
+    for (ra, za, fa), ca in a.terms.items():
+        s = sum(za)
+        if fa or 2 * (ra + s) > top:
+            continue
+        for (rb, zb, fb), cb in b.terms.items():
+            if fb or sum(zb) != s or 2 * (ra + rb + s) > top:
+                continue
+            # the wedge sign of two empty forms: a complex multiply by 1
+            # can turn -0.0 into +0.0, so it stays
+            base = ca * cb * 1
+            if s == 0:
+                _accumulate(out, ra + rb, base)
+                continue
+            _, rows = lam.contractions(za, zb, base.order)
+            t, _, w = rows[-1]
+            _accumulate(out, ra + rb + t, base * w)
+    return {r: out[r] for r in sorted(out) if not _negligible(out[r])}
 
 
 def ad_wick(x, a, lam, cap=None):
@@ -466,13 +531,17 @@ class FedosovState:
     wick_scalar_parts at 2 r, since the key (r, 0, ()) has Deg 2 r, and the
     test references of the closure (the fresh square in recursion_residual,
     the flat connection in tau_flatness and flat_connection_defect) at the
-    degrees they read.  The containers themselves stay at d_alg."""
+    degrees they read.  The containers themselves stay at d_alg.
+
+    lam is the state's own WickPairing: every Wick product at this point
+    reads the contraction weights from its table, which stores each weight
+    at the highest jet order read so far and goes with the state."""
 
     geometry: GeometryAtPoint
     d_max: int
     d_alg: int
     ctx: ConnectionContext
-    lam: np.ndarray
+    lam: WickPairing
     torsion_lift: WickElement
     curvature_lift: WickElement
     r: WickElement = None  # set by fedosov_r
@@ -499,6 +568,7 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10):
     for al in range(n2):
         for be in range(n2):
             lam[al, be] = ginv[al, be] * (-1j) + ctx.theta_low[al, be]
+    lam = WickPairing(lam)
     d_alg = d_max + 2
     t_lift, r_lift = lifted_torsion_curvature(ctx, d_alg)
     state = FedosovState(

@@ -20,6 +20,7 @@ from starquant.jets import PhasePoint, jet_const
 PT2 = PhasePoint([0.3, -0.1], [0.7, 0.4])
 PT1 = PhasePoint([0.3], [0.7])
 
+FLAT1 = parse("0.5 * p1^2", 1)
 FLAT2 = parse("0.5*(p1^2 + p2^2)", 2)
 QUARTIC2 = parse("0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2", 2)
 EXP1 = parse("0.5 * exp(2*x1) * p1^2", 1)
@@ -176,7 +177,7 @@ def flat_lam(space):
     for a in range(2):
         for b in range(2):
             lam[a, b] = jet_const(space, vals[a][b])
-    return lam
+    return fd.WickPairing(lam)
 
 
 def test_wick_single_contraction():
@@ -339,28 +340,102 @@ def same_bits(got, want):
     )
 
 
-def test_capped_product_is_the_restricted_product(curved):
+# the inputs of the scalar reads: a module fixture by name, or what to build
+PRODUCT_STATES = {
+    "flat-1": (FLAT1, PT1, 4),
+    "flat-2": "flat",
+    "exp-conformal": "exp1",
+    "quartic-3": (QUARTIC2, PT2, 3),
+    "quartic-4": "curved",
+    "quartic-5": (QUARTIC2, PT2, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_STATES))
+def test_capped_product_is_the_restricted_product(name, request):
+    spec = PRODUCT_STATES[name]
+    state = request.getfixturevalue(spec) if isinstance(spec, str) else fd.build_state(*spec)
+    n, lam = state.n, state.lam
     # forms of both parities, jet coefficients that vary over the chart,
-    # and a Deg 0 term so that every cap keeps something
-    x1 = fd.WickElement.from_jet(curved.geometry.base_jets[0], 2, curved.d_alg)
-    a = x1 + curved.r_components[2] + curved.r_components[3]
-    lifted, _ = fd.tau_lift(parse("x1 * p1", 2), curved)
-    b = (lifted + fd.extended_D(lifted, curved.ctx)).restrict(2)
+    # fiber terms, and a Deg 0 term so that every cap keeps something
+    x1 = fd.WickElement.from_jet(state.geometry.base_jets[0], n, state.d_alg)
+    lifted, _ = fd.tau_lift(parse("x1 * p1", n), state)
+    other, _ = fd.tau_lift(parse("x1^2 + p1", n), state)
+    a = (other.restrict(1) + fd.extended_D(x1, state.ctx)
+         + state.r_components[2] + state.r_components[3])
+    b = (lifted + fd.extended_D(lifted, state.ctx)).restrict(2)
     assert {len(f) for (_, _, f) in a.terms} == {0, 1}
     assert {len(f) for (_, _, f) in b.terms} == {0, 1}
     for product in (fd.wick_product, fd.ad_wick):
-        full = product(a, b, curved.lam)
+        full = product(a, b, lam)
         assert full.terms
-        for cap in range(curved.d_alg + 2):
-            capped = product(a, b, curved.lam, cap)
-            assert capped.d_max == curved.d_alg
+        for cap in range(state.d_alg + 2):
+            capped = product(a, b, lam, cap)
+            assert capped.d_max == state.d_alg
             assert same_bits(capped, full.restrict(cap)), (product.__name__, cap)
-    full = fd.wick_product(a, b, curved.lam)
-    for v_max in range(3):
-        parts = fd.wick_scalar_parts(a, b, curved.lam, v_max)
-        want = full.scalar_parts(v_max)
-        assert parts.keys() == want.keys() and parts
-        assert all(parts[r].coeffs.tobytes() == want[r].coeffs.tobytes() for r in parts)
+    # the scalar reads of star: two lifts, in both orders; v_max runs past
+    # d_alg / 2, where the container caps the read below 2 v_max
+    for left, right in ((a, b), (lifted, other), (other, lifted)):
+        full = fd.wick_product(left, right, lam)
+        for v_max in range(state.d_max // 2 + 3):
+            parts = fd.wick_scalar_parts(left, right, lam, v_max)
+            want = full.scalar_parts(v_max)
+            assert list(parts) == list(want) and parts, v_max
+            assert all(parts[r].coeffs.tobytes() == want[r].coeffs.tobytes()
+                       for r in parts), v_max
+
+
+def jets_cut_to(a, order):
+    return fd.WickElement(a.n, a.d_max, {k: c.truncate(min(order, c.order))
+                                         for k, c in a.terms.items()})
+
+
+def test_contraction_table_fill_order_is_invisible(curved):
+    x1 = fd.WickElement.from_jet(curved.geometry.base_jets[0], 2, curved.d_alg)
+    a = x1 + curved.r_components[2] + curved.r_components[3]
+    b, _ = fd.tau_lift(parse("x1^2 + p2", 2), curved)
+    pairs = {"low": (jets_cut_to(a, 2), jets_cut_to(b, 2)), "high": (a, b)}
+    matrix = curved.lam.matrix
+    fresh = {k: fd.wick_product(*pair, fd.WickPairing(matrix)) for k, pair in pairs.items()}
+    za = next(z for (_, z, _) in a.terms if sum(z) == 2)
+    zb = next(z for (_, z, _) in b.terms if sum(z) == 2)
+    stored = lambda pairing: {w.order for _, _, w in pairing.contractions(za, zb, 0)[1]}
+    orders = []
+    for first, second in (("low", "high"), ("high", "low")):
+        pairing = fd.WickPairing(matrix)
+        assert same_bits(fd.wick_product(*pairs[first], pairing), fresh[first])
+        orders.append(stored(pairing))
+        assert same_bits(fd.wick_product(*pairs[second], pairing), fresh[second])
+        orders.append(stored(pairing))
+    # the deeper read rebuilt the weights; the shallower one kept them
+    low, rebuilt, high, kept = orders
+    assert low == {2} and len(high) == 1 and max(high) > 2
+    assert rebuilt == high == kept
+
+
+def test_states_do_not_share_a_table(curved):
+    other = fd.build_state(QUARTIC2, PhasePoint([-0.2, 0.25], [0.5, -0.3]), d_max=4)
+    assert other.lam is not curved.lam
+    za, zb = (1, 0, 0, 0), (0, 0, 1, 0)
+    for state in (curved, other, curved):
+        _, rows = state.lam.contractions(za, zb, state.lam.order)
+        assert [t for t, _, _ in rows] == [1]
+        want = state.lam.matrix[0, 2] * 1.0 * 1 * 0.5j
+        assert rows[0][2].coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_scalar_reads_form_no_product(curved, monkeypatch):
+    tf, _ = fd.tau_lift(parse("x1 * p1", 2), curved)
+    tg, _ = fd.tau_lift(parse("x1^2 + p2", 2), curved)
+    want = fd.wick_product(tf, tg, curved.lam).scalar_parts(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar read formed the whole product")
+
+    monkeypatch.setattr(fd, "wick_product", refuse)
+    got = fd.wick_scalar_parts(tf, tg, curved.lam, 3)
+    assert list(got) == list(want) == [0, 1, 2, 3]
+    assert all(got[r].coeffs.tobytes() == want[r].coeffs.tobytes() for r in got)
 
 
 def test_capped_callers_match_uncapped(curved, monkeypatch):

@@ -1,4 +1,4 @@
-"""Byte-identity regression: four small runs, one per command, against
+"""Byte-identity regression: six small runs, covering every command, against
 reports stored under tests/golden/.
 
 A change that moves any byte of these reports must say why and
@@ -27,6 +27,12 @@ CASES = {
                                     "points": [{"x": [0.3], "p": [-0.7]},
                                                {"x": [-0.2], "p": [0.5]}],
                                     "flow": {"t_end": 0.5, "dt": 1e-2}}),
+    "check_quartic": ("check", {"n": 2, "generator": QUARTIC, "points": [QUARTIC_POINT],
+                                "D_max": 4}),
+    # the star_curved workload of perfbench/workloads.py
+    "star_quartic": ("star", {"n": 2, "generator": QUARTIC, "points": [QUARTIC_POINT],
+                              "D_max": 4, "star": {"f": "x1*p1", "g": "x1^2 + p2"},
+                              "workers": 1}),
     "star_quartic_h": ("star", {"n": 2, "generator": QUARTIC, "points": [QUARTIC_POINT],
                                 "D_max": 3, "star": {"f": "x1*p1", "g": "x1^2 + p2",
                                                      "h": "p2 - x2"}}),
