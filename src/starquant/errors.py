@@ -49,3 +49,9 @@ class UnknownVariable(StarquantError):
 
 class NewtonDivergence(StarquantError):
     """Newton iteration for the inverse Legendre map failed to converge."""
+
+
+class FlowNotResolved(StarquantError):
+    """A fixed-step flow changed its energy by a large part of itself in
+    one step, as it does when it steps over a singularity or leaves every
+    chart; the trajectory after that step is not the flow."""

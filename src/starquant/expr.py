@@ -17,14 +17,15 @@ y1..yn (tangent bundle) for the fiber.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JetDomainError, ParseError, UnknownVariable
-from .jets import Jet, apply_unary, jet_const
+from .errors import JetDomainError, ParseError, StarquantError, UnknownVariable
+from .jets import Jet, apply_unary, jet_const, jet_space, pow_const
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -299,42 +300,107 @@ def _compile(node, jet_mode):
     JetDomainError wherever the real-valued expression is undefined.
     Operands are evaluated left to right, except that a divisor is
     evaluated (and checked) before its numerator.
+
+    In jet mode every Var-free subtree is evaluated once, here, and its
+    closure only lays out the result: a constant's jet is its coefficient
+    0 followed by one repeated signed zero, at every order >= 1.  A
+    product or quotient with a Var-free operand scales the other
+    operand's jet by that coefficient (by its reciprocal for a divisor)
+    instead of going through the product table.  Both keep the bits of
+    the plain evaluation.  A subtree whose evaluation raises, or gives a
+    zero divisor or a non-finite number, is not folded, so it fails where
+    and as it always did.  Series terms of a constant above order 1 are
+    never formed, so a constant whose higher terms overflow (1 / 1e-100 at
+    order 3) no longer fails.
     """
+    return _closure(node, jet_mode)[0]
+
+
+# what evaluating a Var-free subtree may raise; such a subtree is left
+# to raise at evaluation time
+_FOLD_ERRORS = (StarquantError, ArithmeticError, Warning)
+
+
+def _factor(fn):
+    # coefficient 0 of a Var-free closure's jet, or None; the same at
+    # every order >= 1, so order 1 in one variable serves every space
+    try:
+        c = fn((), jet_space(1, 1)).value
+    except _FOLD_ERRORS:
+        return None
+    return c if cmath.isfinite(c) else None
+
+
+def _constant(fn):
+    # a Var-free closure evaluated once: its jet at order 0, and at order
+    # 1 its coefficient 0 and the signed zero every higher coefficient
+    # repeats; None where evaluating it raises or is not finite
+    try:
+        low = fn((), jet_space(1, 0)).coeffs
+        c0, zero = fn((), jet_space(1, 1)).coeffs
+    except _FOLD_ERRORS:
+        return None
+    if not np.isfinite(np.append(low, (c0, zero))).all():
+        return None
+
+    def constant(v, s):
+        if s.order == 0:
+            return Jet(s, low.copy())
+        out = np.full(s.size, zero)
+        out[0] = c0
+        return Jet(s, out)
+
+    return constant
+
+
+def _closure(node, jet_mode):
+    # (closure, whether the subtree is Var-free), built bottom-up, so each
+    # node is classified and folded once per compile
+    fn, var_free = _build(node, jet_mode)
+    if jet_mode and var_free and not isinstance(node, Const):
+        fn = _constant(fn) or fn
+    return fn, var_free
+
+
+def _build(node, jet_mode):
     if isinstance(node, Const):
         c = node.value
         if jet_mode:
-            return lambda v, s: jet_const(s, c)
-        return lambda v, s: c
+            return (lambda v, s: jet_const(s, c)), True
+        return (lambda v, s: c), True
     if isinstance(node, Var):
         slot = node.slot
-        return lambda v, s: v[slot]
+        return (lambda v, s: v[slot]), False
     if isinstance(node, Neg):
-        a = _compile(node.arg, jet_mode)
-        return lambda v, s: -a(v, s)
+        a, const = _closure(node.arg, jet_mode)
+        return (lambda v, s: -a(v, s)), const
     if isinstance(node, (Add, Sub, Mul, Div)):
-        a = _compile(node.left, jet_mode)
-        b = _compile(node.right, jet_mode)
+        a, a_const = _closure(node.left, jet_mode)
+        b, b_const = _closure(node.right, jet_mode)
+        const = a_const and b_const
         if isinstance(node, Add):
-            return lambda v, s: a(v, s) + b(v, s)
+            return (lambda v, s: a(v, s) + b(v, s)), const
         if isinstance(node, Sub):
-            return lambda v, s: a(v, s) - b(v, s)
+            return (lambda v, s: a(v, s) - b(v, s)), const
+        if jet_mode:
+            return _jet_product(node, a, a_const, b, b_const), const
         if isinstance(node, Mul):
-            return lambda v, s: a(v, s) * b(v, s)
+            return (lambda v, s: a(v, s) * b(v, s)), const
 
         def div(v, s):
             den = b(v, s)
-            if not jet_mode and den == 0:
+            if den == 0:
                 raise JetDomainError("division by zero")
             return a(v, s) / den
 
-        return div
+        return div, const
     if isinstance(node, Pow):
-        a = _compile(node.base, jet_mode)
+        a, const = _closure(node.base, jet_mode)
         e = node.exponent
         if float(e).is_integer():
             e = int(e)
         if jet_mode:
-            return lambda v, s: a(v, s) ** e
+            return (lambda v, s: a(v, s) ** e), const
 
         def scalar_pow(v, s):
             base = a(v, s)
@@ -344,12 +410,12 @@ def _compile(node, jet_mode):
                 raise JetDomainError(f"fractional power of negative value {base}")
             return base**e
 
-        return scalar_pow
+        return scalar_pow, const
     if isinstance(node, Call):
-        a = _compile(node.arg, jet_mode)
+        a, const = _closure(node.arg, jet_mode)
         fname = node.fname
         if jet_mode:
-            return lambda v, s: apply_unary(a(v, s), fname)
+            return (lambda v, s: apply_unary(a(v, s), fname)), const
 
         def scalar_call(v, s):
             x = a(v, s)
@@ -359,8 +425,34 @@ def _compile(node, jet_mode):
                 raise JetDomainError(f"sqrt needs a non-negative value, got {x}")
             return _SCALAR_FUNCTIONS[fname](x)
 
-        return scalar_call
+        return scalar_call, const
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _jet_product(node, a, a_const, b, b_const):
+    # jet-mode closure of a Mul or Div, folding a Var-free operand.  Its
+    # value is real, so Jet.scale gives the table's bits on either side.
+    if isinstance(node, Mul):
+        c = _factor(a) if a_const else None
+        if c is not None:
+            return lambda v, s: b(v, s).scale(c)
+        c = _factor(b) if b_const else None
+        if c is not None:
+            return lambda v, s: a(v, s).scale(c)
+        return lambda v, s: a(v, s) * b(v, s)
+    # a / b is a times b^-1, so a constant divisor folds to its reciprocal
+    r = _factor(lambda v, s: pow_const(b(v, s), -1)) if b_const else None
+    if r is not None:
+        return lambda v, s: a(v, s).scale(r)
+    c = _factor(a) if a_const else None
+    if c is not None:
+        return lambda v, s: pow_const(b(v, s), -1).scale(c)
+
+    def div(v, s):
+        den = b(v, s)
+        return a(v, s) / den
+
+    return div
 
 
 def _mode(values):

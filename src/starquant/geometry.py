@@ -23,6 +23,7 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +36,19 @@ TANGENT = "tangent"
 
 
 def as_generator(obj):
-    """Accept either an AST or a callable (base_jets, fiber_jets) -> Jet."""
-    return obj if callable(obj) else jet_function(obj)
+    """Accept either an AST or a callable (base_jets, fiber_jets) -> Jet.
+
+    An AST is wrapped once: later calls with an equal AST share the
+    wrapper, and so its compiled closures.
+    """
+    # the repr tells apart constants that compare equal, 0.0 and -0.0
+    # or 2 and 2.0, whose jets may differ
+    return obj if callable(obj) else _generator_of(obj, repr(obj))
+
+
+@lru_cache(maxsize=64)
+def _generator_of(node, key):
+    return jet_function(node)
 
 
 def jsum(terms):

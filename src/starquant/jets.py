@@ -15,6 +15,13 @@ known up to the lower of their orders, so `+`, `-` and `*` truncate the
 higher-order operand to it.  Truncating first gives the same bits as
 truncating the result, since the product table lists its pairs by
 ascending left index at every order.
+
+Cost: a product of two jets is one scatter-add over the product table,
+whose pairs outnumber the coefficients (1,287 pairs for 126 coefficients
+at dim 4, order 5).  Scaling by a constant (`Jet.scale`), the first step
+of a series in `_horner`, and the derivative reads `gradient` and
+`hessian` touch each coefficient once instead, and give the bits that
+the table product, or `partial`, would give.
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ class JetSpace:
         self._mul_table = None
         self._seed_rows = None
         self._partial_tables = {}
+        self._derivative_table = None
 
     def __repr__(self):
         return f"JetSpace(dim={self.dim}, order={self.order})"
@@ -137,6 +145,26 @@ class JetSpace:
             self._partial_tables[var] = tab
         return tab
 
+    def _derivative_rows(self):
+        # Coefficient rows of the first and second partials at the point,
+        # with the factor `partial` multiplies by: d_a reads the monomial
+        # e_a times 1, and d_a d_b reads e_a + e_b times its exponent of a
+        # (then times 1).  The Hessian part is None below order 2.
+        if self._derivative_table is None:
+            units = [tuple(int(a == b) for b in range(self.dim))
+                     for a in range(self.dim)]
+            grad = np.array([self.index[u] for u in units], dtype=np.int64)
+            hess = fac = None
+            if self.order >= 2:
+                sums = [[tuple(i + j for i, j in zip(u, w)) for w in units]
+                        for u in units]
+                hess = np.array([[self.index[m] for m in row] for row in sums],
+                                dtype=np.int64)
+                fac = np.array([[m[a] for m in row] for a, row in enumerate(sums)],
+                               dtype=np.float64)
+            self._derivative_table = (grad, hess, fac)
+        return self._derivative_table
+
 
 @lru_cache(maxsize=None)
 def jet_space(dim, order):
@@ -185,7 +213,7 @@ class Jet:
         if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out[0] += other
-            return Jet(self.space, out)
+            return _wrap(self.space, out)
         return NotImplemented
 
     __radd__ = __add__
@@ -199,14 +227,14 @@ class Jet:
         if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out[0] -= other
-            return Jet(self.space, out)
+            return _wrap(self.space, out)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _SCALARS):
             out = -self.coeffs
             out[0] += other
-            return Jet(self.space, out)
+            return _wrap(self.space, out)
         return NotImplemented
 
     def __neg__(self):
@@ -228,6 +256,17 @@ class Jet:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def scale(self, c):
+        """jet_const(space, c) * self, without the product table.  For
+        finite coefficients it has that product's bits: there each
+        coefficient is c times this one, summed from +0.0, so a -0.0 turns
+        into +0.0 here too (`self * c` keeps it).  numpy may fuse a complex
+        product into FMAs, so c stays the left factor; for a real c the
+        order of the factors does not change the bits."""
+        out = c * self.coeffs
+        out += 0.0
+        return _wrap(self.space, out)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -263,6 +302,27 @@ class Jet:
         out = np.zeros(lower.size, dtype=np.complex128)
         out[dst] = self.coeffs[src] * fac
         return _wrap(lower, out)
+
+    def gradient(self):
+        """Values of the first partials at the point, one per variable, as
+        a complex vector: entry a has the bits of partial(a).value."""
+        if self.space.order == 0:
+            raise InsufficientJetOrder("cannot differentiate an order-0 jet")
+        grad, _, _ = self.space._derivative_rows()
+        return self.coeffs[grad] * 1.0
+
+    def hessian(self):
+        """Values of the second partials at the point, as a complex
+        (dim, dim) matrix: entry (a, b) has the bits of
+        partial(a).partial(b).value."""
+        if self.space.order < 2:
+            raise InsufficientJetOrder(
+                f"the Hessian needs order 2, the jet has order {self.space.order}"
+            )
+        _, hess, fac = self.space._derivative_rows()
+        # two factors, as two partials apply them: times a real factor can
+        # change the sign of a zero part of a complex number
+        return self.coeffs[hess] * fac * 1.0
 
     def truncate(self, order):
         if order == self.order:
@@ -343,9 +403,12 @@ def _int_pow(jet, n):
 
 def _horner(jet, series):
     # Compose the univariate series with the nilpotent part of the jet.
+    # The first step, the leading term times u, is a scaling.
+    if len(series) == 1:
+        return jet_const(jet.space, series[0])
     u = jet - jet.value
-    out = jet_const(jet.space, series[-1])
-    for m in range(len(series) - 2, -1, -1):
+    out = u.scale(series[-1]) + series[-2]
+    for m in range(len(series) - 3, -1, -1):
         out = out * u + series[m]
     return out
 

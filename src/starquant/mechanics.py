@@ -8,8 +8,15 @@ The two flows integrate the same dynamics in dual coordinates:
 
 and the Legendre transform maps one onto the other.  All derivatives
 come from one low-order jet evaluation of the generator per integrator
-stage; only values are kept, so a flow step costs a handful of numpy
-operations.
+stage (order 1 for the Hamilton flow, order 2 for the spray), and the
+gradient and Hessian values are read from that jet's coefficient rows,
+so a stage costs the generator's jet products and a few numpy
+operations.  The generator's constant factors are folded when it is
+compiled: a stage of the exp-conformal family multiplies jets through
+the product table 2 times on the Hamilton side and 3 on the Lagrange
+side.  After the last step the recorded energies are scanned once, and
+a step that changes the energy by more than STEP_ENERGY_CHANGE of it
+raises FlowNotResolved.
 """
 
 from __future__ import annotations
@@ -19,12 +26,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHessian, NewtonDivergence
+from .errors import DegenerateHessian, FlowNotResolved, NewtonDivergence
 from .geometry import as_generator
 from .jets import PhasePoint, jet_space
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+
+# A flow is not resolved by its step when one step changes the energy by
+# more than this part of it.  The coarsest flow in the tests (exp-conformal,
+# dt 0.5) changes it by at most 0.0096 in a step; one that steps over a
+# singularity changes it by about 1.
+STEP_ENERGY_CHANGE = 0.1
+# Energies closer to zero than this are compared with it instead: energy
+# is defined up to a constant, so a flow on a level near zero is no less
+# resolved.  A step flagged there changes the energy by more than 1e-7,
+# what the CLI's energy_drift tolerance (1e-8 per unit time) allows over
+# 10 time units.
+ENERGY_FLOOR = 1e-6
 
 
 @dataclass
@@ -62,20 +81,18 @@ class Trajectory:
 
 
 def _hessian_values(jet, n, tol, what):
-    """Fiber-fiber Hessian values of a phase-space jet, with the same
-    degeneracy guard as the jet matrix inverse."""
-    firsts = [jet.partial(n + a) for a in range(n)]
-    hess = np.empty((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            hess[a, b] = firsts[a].partial(n + b).value
-    scale = max(np.abs(hess).max(), 1e-300)
-    det = np.linalg.det(hess)
+    """Gradient and Hessian values of a phase-space jet of order >= 2,
+    read from its coefficients, with the same degeneracy guard on the
+    fiber-fiber block as the jet matrix inverse."""
+    grad, hess = jet.gradient(), jet.hessian()
+    fiber = hess[n:, n:]
+    scale = max(np.abs(fiber).max(), 1e-300)
+    det = np.linalg.det(fiber)
     if abs(det) <= tol * scale**n:
         raise DegenerateHessian(
             f"{what} fiber Hessian is singular: |det| = {abs(det):.3e}"
         )
-    return firsts, hess
+    return grad, hess
 
 
 def legendre_to_hamiltonian(L, pt_tm, hessian_tol=1e-10):
@@ -84,8 +101,8 @@ def legendre_to_hamiltonian(L, pt_tm, hessian_tol=1e-10):
     n = pt_tm.n
     _, xs, ys = pt_tm.jets(2)
     Lj = fn(xs, ys)
-    firsts, _ = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
-    p = np.array([f.value.real for f in firsts])
+    grad, _ = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
+    p = grad.real[n:].copy()
     H_value = float(p @ pt_tm.p - Lj.value.real)
     return p, H_value
 
@@ -96,8 +113,8 @@ def legendre_to_lagrangian(H, pt_ctm, hessian_tol=1e-10):
     n = pt_ctm.n
     _, xs, ps = pt_ctm.jets(2)
     Hj = fn(xs, ps)
-    firsts, _ = _hessian_values(Hj, n, hessian_tol, "Hamiltonian")
-    y = np.array([f.value.real for f in firsts])
+    grad, _ = _hessian_values(Hj, n, hessian_tol, "Hamiltonian")
+    y = grad.real[n:].copy()
     L_value = float(pt_ctm.p @ y - Hj.value.real)
     return y, L_value
 
@@ -119,7 +136,7 @@ def momentum_from_velocity(H, x, y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
         _, xs, ps = PhasePoint(x, p).jets(2)
         Hj = fn(xs, ps)
         try:
-            firsts, hess = _hessian_values(Hj, n, 1e-10, "Hamiltonian")
+            grad, hess = _hessian_values(Hj, n, 1e-10, "Hamiltonian")
         except DegenerateHessian:
             if it == 0:
                 raise
@@ -128,10 +145,10 @@ def momentum_from_velocity(H, x, y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
             raise NewtonDivergence(
                 "velocity inversion left the regular region"
             ) from None
-        resid = np.array([f.value.real for f in firsts]) - y
+        resid = grad.real[n:] - y
         if np.abs(resid).max() <= tol:
             return p
-        p = p - np.linalg.solve(hess.real, resid)
+        p = p - np.linalg.solve(hess.real[n:, n:], resid)
     raise NewtonDivergence(
         f"velocity inversion did not reach {tol:g} in {max_iter} iterations"
     )
@@ -170,7 +187,23 @@ def _integrate(deriv, state, t_end, dt):
         states.append(state)
     _, en = deriv(state)
     energy.append(en)
+    _require_resolved(times, energy)
     return times, states, energy
+
+
+def _require_resolved(times, energy):
+    """Raise FlowNotResolved at the first step whose energy change passes
+    STEP_ENERGY_CHANGE of the larger of the two energies (or of
+    ENERGY_FLOOR); a non-finite energy fails too."""
+    e = np.asarray(energy, dtype=float)
+    size = np.maximum(np.maximum(np.abs(e[:-1]), np.abs(e[1:])), ENERGY_FLOOR)
+    bad = np.flatnonzero(~(np.abs(np.diff(e)) <= STEP_ENERGY_CHANGE * size))
+    if bad.size:
+        k = bad[0]
+        raise FlowNotResolved(
+            f"flow is not resolved by dt at t={times[k]:.6g}: one step takes "
+            f"the energy from {e[k]:.6g} to {e[k + 1]:.6g}"
+        )
 
 
 def hamilton_flow(H, start, t_end, dt):
@@ -182,11 +215,8 @@ def hamilton_flow(H, start, t_end, dt):
     def deriv(state):
         seeded = space.variables(state)
         Hj = fn(seeded[:n], seeded[n:])
-        vel = np.empty(2 * n)
-        for i in range(n):
-            vel[i] = Hj.partial(n + i).value.real
-            vel[n + i] = -Hj.partial(i).value.real
-        return vel, float(Hj.value.real)
+        grad = Hj.gradient().real
+        return np.concatenate([grad[n:], -grad[:n]]), float(Hj.value.real)
 
     times, raw, energy = _integrate(deriv, start.as_array(), t_end, dt)
     states = [PhasePoint.from_array(s) for s in raw]
@@ -200,16 +230,14 @@ def _spray_values(fn, space, state, n, hessian_tol):
     y = state[n:]
     seeded = space.variables(state)
     Lj = fn(seeded[:n], seeded[n:])
-    firsts, hess = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
-    upper = np.linalg.inv(hess.real)
-    mixed = np.empty((n, n))  # mixed[j, k] = d2L/dy^j dx^k
-    lx = np.empty(n)
-    for j in range(n):
-        lx[j] = Lj.partial(j).value.real
-        for k in range(n):
-            mixed[j, k] = firsts[j].partial(k).value.real
-    G = 0.5 * upper @ (mixed @ y - lx)
-    p = np.array([f.value.real for f in firsts])
+    grad, hess = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
+    grad, hess = grad.real, hess.real
+    upper = np.linalg.inv(hess[n:, n:])
+    # contiguous copies: BLAS takes another path for a strided operand,
+    # which can round the products below differently
+    mixed = hess[n:, :n].copy()  # mixed[j, k] = d2L/dy^j dx^k
+    p = grad[n:].copy()
+    G = 0.5 * upper @ (mixed @ y - grad[:n])
     return G, float(p @ y - Lj.value.real)
 
 
@@ -243,10 +271,11 @@ def poisson_flow_check(H, f, traj):
         Hj = H_fn(xs, ps)
         fj = f_fn(xs, ps)
         fvals.append(fj.value.real)
+        dH, df = Hj.gradient().real.tolist(), fj.gradient().real.tolist()
         br = 0.0
         for k in range(n):
-            br += Hj.partial(n + k).value.real * fj.partial(k).value.real
-            br -= Hj.partial(k).value.real * fj.partial(n + k).value.real
+            br += dH[n + k] * df[k]
+            br -= dH[k] * df[n + k]
         brackets.append(br)
 
     worst = 0.0

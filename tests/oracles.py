@@ -1,10 +1,42 @@
 """Independent numerical oracles shared by the test modules.
 
-Everything here deliberately avoids the package's jet machinery so that
-agreement between the two routes means something.
+The finite-difference oracles deliberately avoid the package's jet
+machinery so that agreement between the two routes means something.
+`reference_jet` uses the jets but not the expression compiler: it is the
+plain walk the compiler must reproduce bit for bit.
 """
 
 import numpy as np
+
+from starquant.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+from starquant.jets import apply_unary, jet_const
+
+
+def reference_jet(node, values, space):
+    """Jet of an AST over a list of variable jets in `space`, by a
+    recursive walk: every Const becomes jet_const and every operation a
+    Jet operator, with a divisor evaluated before its numerator."""
+    if isinstance(node, Const):
+        return jet_const(space, node.value)
+    if isinstance(node, Var):
+        return values[node.slot]
+    if isinstance(node, Neg):
+        return -reference_jet(node.arg, values, space)
+    if isinstance(node, Div):
+        den = reference_jet(node.right, values, space)
+        return reference_jet(node.left, values, space) / den
+    if isinstance(node, (Add, Sub, Mul)):
+        a = reference_jet(node.left, values, space)
+        b = reference_jet(node.right, values, space)
+        if isinstance(node, Add):
+            return a + b
+        return a - b if isinstance(node, Sub) else a * b
+    if isinstance(node, Pow):
+        e = int(node.exponent) if float(node.exponent).is_integer() else node.exponent
+        return reference_jet(node.base, values, space) ** e
+    if isinstance(node, Call):
+        return apply_unary(reference_jet(node.arg, values, space), node.fname)
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 def nested_central(f, point, mono, step):

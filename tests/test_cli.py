@@ -203,6 +203,21 @@ def test_flow_coarse_step_fails_checks(tmp_path, capsys):
     assert not all(c["pass"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("generator", [
+    "0.5 * exp(2*x1) * p1^2",  # no dual flow: only the energy shows it
+    {"family": "exp-conformal"},  # the dual Lagrangian underflows there
+])
+def test_flow_that_blows_up_exits_3(tmp_path, capsys, generator):
+    # the exact flow from (0.1, 0.5) leaves every chart near t = 1.64
+    data = base_config(generator=generator, points=[{"x": [0.1], "p": [0.5]}],
+                       flow={"t_end": 5.0, "dt": 0.01})
+    code, out, _ = run(["flow", "--config", write_config(tmp_path, data)], capsys)
+    assert code == 3
+    error = json.loads(out)["points"][0]["error"]
+    assert error["type"] == "FlowNotResolved"
+    assert error["message"].startswith("flow is not resolved by dt at t=1.63:")
+
+
 def test_flow_tangent_bundle(tmp_path, capsys):
     data = base_config(bundle_tag="tangent",
                        generator={"family": "oscillator", "params": {"omega": 2.0}},

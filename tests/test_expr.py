@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from starquant import JetDomainError, ParseError, PhasePoint, UnknownVariable
 from starquant.expr import (
+    FUNCTION_NAMES,
     Add,
     Call,
     Const,
@@ -20,7 +23,8 @@ from starquant.expr import (
     parse,
     pretty,
 )
-from oracles import check_jet_against_fd
+from starquant.jets import Jet, jet_space
+from oracles import check_jet_against_fd, reference_jet
 
 
 def test_accepts_each_production():
@@ -206,3 +210,137 @@ def test_jet_domain_errors_propagate():
     ast = parse("1/p1", 1)
     with pytest.raises(JetDomainError):
         eval_jet(ast, PhasePoint((1.0,), (0.0,)), 2)
+
+
+# ---------------------------------------------------------------------------
+# the constant fold keeps the bits of the plain jet walk
+
+CONSTANTS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.5, 0.1, 1.7, 1e-3])
+# values whose quotients and reciprocal products often round apart
+POINT_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.3, -1.2, 2.0, 0.7, 5.0, 1.1, -2.9, 0.45, 2.6])
+
+
+def _operations(children, constant=None):
+    # with a constant subtree strategy, products and quotients by one are
+    # drawn as often as the plain operations
+    ops = [
+        st.builds(Neg, children),
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.sampled_from([0, 1, 2, 3, 0.5, -1.0, 1.5])),
+        st.builds(Call, st.sampled_from(FUNCTION_NAMES), children),
+    ]
+    if constant is not None:
+        ops += 2 * [st.builds(Mul, constant, children),
+                    st.builds(Mul, children, constant),
+                    st.builds(Div, children, constant),
+                    st.builds(Div, constant, children)]
+    return st.one_of(ops)
+
+
+def _ast_with_constant_subtrees(dim):
+    constant = st.recursive(st.builds(Const, CONSTANTS), _operations,
+                            max_leaves=3)
+    var = st.integers(0, dim - 1).map(lambda i: Var(f"v{i}", i))
+    return st.recursive(st.one_of(constant, var),
+                        lambda children: _operations(children, constant),
+                        max_leaves=6)
+
+
+def _outcome(node, values, space, evaluate_fn):
+    # the jet's bytes, or the class of what evaluating it raised, under
+    # the floating-point traps of a CLI point
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return evaluate_fn(node, values, space).coeffs.tobytes()
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+def _var_free_subtrees(node):
+    if isinstance(node, Var):
+        return False, []
+    children = [getattr(node, f) for f in ("arg", "left", "right", "base")
+                if hasattr(node, f)]
+    found, free = [], True
+    for child in children:
+        child_free, below = _var_free_subtrees(child)
+        free &= child_free
+        found += below
+    return free, ([node] if free else found)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 0), (2, 1), (2, 2), (4, 5)])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_constant_fold_keeps_the_bits(dim, order, data):
+    node = data.draw(_ast_with_constant_subtrees(dim))
+    point = data.draw(st.lists(POINT_VALUES, min_size=dim, max_size=dim))
+    space = jet_space(dim, order)
+    values = space.variables(point)
+    # a constant is folded from its value, so the series terms of order 2
+    # and up that the plain walk forms for it, and that can overflow, are
+    # never formed (test_fold_forms_no_series_of_a_constant)
+    unit = jet_space(1, 1)
+    for sub in _var_free_subtrees(node)[1]:
+        assume(isinstance(_outcome(sub, [], unit, reference_jet), bytes)
+               or not isinstance(_outcome(sub, [], space, reference_jet), bytes))
+    want = _outcome(node, values, space, reference_jet)
+    got = _outcome(node, values, space, lambda n, v, s: evaluate(n, v))
+    assert got == want
+
+
+def test_fold_forms_no_series_of_a_constant():
+    # 1e-100 ** -1 has series terms 1e100, -1e200, 1e300, -1e400: the plain
+    # walk raises at order 3, while the fold only needs the reciprocal
+    node = Div(Var("x1", 0), Const(1e-100))
+    space = jet_space(2, 5)
+    values = space.variables([0.3, -0.2])
+    with pytest.raises(JetDomainError):
+        reference_jet(node, values, space)
+    got = evaluate(node, values)
+    assert got.coeffs.tobytes() == values[0].scale(1e100).coeffs.tobytes()
+
+
+def test_zero_constant_divisor_is_not_folded():
+    space = jet_space(2, 2)
+    values = space.variables([0.3, -0.2])
+    for divisor in (Const(0.0), Neg(Const(0.0)), Sub(Const(2.0), Const(2.0))):
+        with pytest.raises(JetDomainError):
+            evaluate(Div(Var("x1", 0), divisor), values)
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_constant_jets_keep_their_signed_zeros(order):
+    # a series at order 0 returns its leading term as it is, above order 0
+    # summed from +0.0, so exp(-0) and sin(-0) differ in a zero's sign
+    space = jet_space(2, order)
+    values = space.variables([0.3, -0.2])
+    minus_zero = Neg(Const(0.0))
+    for node in (Call("exp", minus_zero), Call("sin", minus_zero),
+                 Neg(Call("exp", minus_zero)), Add(Var("x1", 0), minus_zero)):
+        want = reference_jet(node, values, space).coeffs.tobytes()
+        assert evaluate(node, values).coeffs.tobytes() == want
+
+
+def test_constants_reach_no_product_table(monkeypatch):
+    node = parse("exp(2)^3 + sqrt(2)*x1 - (1 + 2)^2 * p1 / 3", 1)
+    f = jet_function(node)
+    space, xs, ps = PhasePoint((0.3,), (-0.2,)).jets(4)
+    f(xs, ps)  # compiles, evaluating the constants once
+    products = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Jet):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    got = f(xs, ps)
+    assert products == []
+    want = reference_jet(node, xs + ps, space)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()

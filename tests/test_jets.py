@@ -20,6 +20,7 @@ from starquant import (
     jet_var,
     pow_const,
 )
+from starquant.jets import _horner
 from oracles import central_derivative, check_jet_against_fd
 
 
@@ -357,3 +358,66 @@ def test_mixed_orders_combine_at_the_lower_order(pair):
         assert mixed.order == k
         assert mixed.space is truncated.space
         assert mixed.coeffs.tobytes() == truncated.coeffs.tobytes()
+
+
+def _signed_jet(draw, dim, order):
+    size = jet_space(dim, order).size
+    parts = draw(st.lists(st.tuples(signed_floats, signed_floats),
+                          min_size=size, max_size=size))
+    return Jet(jet_space(dim, order), [complex(re, im) for re, im in parts])
+
+
+@pytest.mark.parametrize("dim,order", [(1, 2), (2, 2), (3, 3), (4, 5)])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_derivative_rows_match_partials(dim, order, data):
+    jet = _signed_jet(data.draw, dim, order)
+    grad = np.array([jet.partial(a).value for a in range(dim)])
+    hess = np.array([[jet.partial(a).partial(b).value for b in range(dim)]
+                     for a in range(dim)])
+    assert jet.gradient().tobytes() == grad.tobytes()
+    assert jet.hessian().tobytes() == hess.tobytes()
+
+
+def test_derivative_rows_need_the_order():
+    space = jet_space(2, 1)
+    first = 3.0 * jet_var(space, 0, 0.5) - jet_var(space, 1, 0.2)
+    assert first.gradient().tolist() == [3.0, -1.0]
+    with pytest.raises(InsufficientJetOrder):
+        first.hessian()
+    with pytest.raises(InsufficientJetOrder):
+        jet_const(jet_space(2, 0), 1.0).gradient()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_scaling_is_the_table_product_by_a_constant(data):
+    dim, order = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
+    jet = _signed_jet(data.draw, dim, order)
+    c = complex(*data.draw(st.tuples(signed_floats, signed_floats)))
+    const = jet_const(jet.space, c)
+    assert jet.scale(c).coeffs.tobytes() == (const * jet).coeffs.tobytes()
+    # a real constant, as the expression compiler folds, on either side
+    real = jet_const(jet.space, c.real)
+    assert jet.scale(c.real).coeffs.tobytes() == (jet * real).coeffs.tobytes()
+
+
+def _horner_from_a_constant_jet(jet, series):
+    # every step through the product table, the first from the constant
+    # jet of the leading term
+    u = jet - jet.value
+    out = jet_const(jet.space, series[-1])
+    for m in range(len(series) - 2, -1, -1):
+        out = out * u + series[m]
+    return out
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_horner_start_keeps_the_bits(data):
+    dim, order = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 5))
+    jet = _signed_jet(data.draw, dim, order)
+    series = [complex(*data.draw(st.tuples(signed_floats, signed_floats)))
+              for _ in range(order + 1)]
+    want = _horner_from_a_constant_jet(jet, series).coeffs.tobytes()
+    assert _horner(jet, series).coeffs.tobytes() == want

@@ -6,10 +6,11 @@ import io
 import numpy as np
 import pytest
 
+from starquant import cli, expr, geometry
 from starquant import mechanics as mech
-from starquant.errors import DegenerateHessian, NewtonDivergence
-from starquant.expr import parse
-from starquant.jets import PhasePoint
+from starquant.errors import DegenerateHessian, FlowNotResolved, NewtonDivergence
+from starquant.expr import Const, Mul, Var, jet_function, parse
+from starquant.jets import Jet, PhasePoint
 
 OSC_H = parse("0.5*(p1^2 + x1^2)", 1)
 OSC_L = parse("0.5*(y1^2 - x1^2)", 1, bundle="tangent")
@@ -160,6 +161,78 @@ def test_lagrange_energy_conserved():
     traj = mech.lagrange_flow(EXP_L, PhasePoint([0.3], [-0.7]), 2.0, 1e-3)
     drift = max(abs(e - traj.energy[0]) for e in traj.energy)
     assert drift <= 1e-10
+
+
+def test_flow_over_a_singularity_is_not_resolved():
+    # e^-x = e^-0.1 - 0.5526 t reaches 0 near t = 1.64: RK4 steps over it
+    with pytest.raises(FlowNotResolved, match=r"not resolved by dt at t=1\.63:"):
+        mech.hamilton_flow(EXP_H, PhasePoint([0.1], [0.5]), 5.0, 0.01)
+
+
+def test_flow_on_the_zero_energy_level_is_resolved():
+    # an oscillator shifted to energy 0: roundoff and truncation error are
+    # not blow-ups, however small the energy they change
+    H = parse("0.5*p1^2 + 0.5*x1^2 - 0.125", 1)
+    traj = mech.hamilton_flow(H, PhasePoint([0.5], [0.0]), 10.0, 1e-2)
+    assert traj.energy[0] == 0.0
+    assert 0.0 < max(abs(e) for e in traj.energy) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# work per flow stage
+
+
+def test_legendre_pushes_compile_an_ast_once(monkeypatch):
+    compiled = []
+    compile_ = expr._compile
+
+    def counted(node, jet_mode):
+        compiled.append(node)
+        return compile_(node, jet_mode)
+
+    monkeypatch.setattr(expr, "_compile", counted)
+    geometry._generator_of.cache_clear()
+    src = "0.5 * exp(0 - 2*x1) * y1^2"
+    pt = PhasePoint([0.3], [0.7])
+    first = mech.legendre_to_hamiltonian(parse(src, 1, bundle="tangent"), pt)
+    assert len(compiled) == 1
+    # an equal AST, parsed again, shares the compiled closure
+    again = mech.legendre_to_hamiltonian(parse(src, 1, bundle="tangent"), pt)
+    assert len(compiled) == 1
+    assert first[0].tobytes() == again[0].tobytes() and first[1] == again[1]
+    # constants that compare equal but may give other bits do not share
+    x = Var("x1", 0)
+    assert geometry.as_generator(Mul(x, Const(0.0))) is not geometry.as_generator(
+        Mul(x, Const(-0.0)))
+
+
+def _count_table_products(monkeypatch):
+    count = [0]
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        if isinstance(other, Jet):
+            count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    return count
+
+
+@pytest.mark.parametrize("bundle,flow,per_stage", [
+    ("cotangent", mech.hamilton_flow, 2),  # p1^2, and its product with exp
+    ("tangent", mech.lagrange_flow, 3),  # the same, and one order more of exp
+])
+def test_exp_conformal_stage_work(monkeypatch, bundle, flow, per_stage):
+    src = cli._family_source("exp-conformal", {}, 1, bundle)
+    gen = jet_function(parse(src, 1, bundle))
+    start = PhasePoint([0.3], [-0.7])
+    flow(gen, start, 1e-3, 1e-3)  # compiles the generator
+    count = _count_table_products(monkeypatch)
+    traj = flow(gen, start, 1e-3, 1e-3)
+    # one RK4 step: four stages, and one more for the energy at its end
+    assert len(traj.times) == 2
+    assert count[0] == 5 * per_stage
 
 
 # ---------------------------------------------------------------------------
