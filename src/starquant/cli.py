@@ -209,9 +209,13 @@ def effective_config(raw, command, args):
         _require("points" in raw, "config needs points (or pass --point)")
         points = raw["points"]
 
-    star = dict(raw.get("star", {}))
+    star = raw.get("star", {})
+    _require(isinstance(star, dict), "star must be an object")
+    star = dict(star)
     _require(not set(star) - {"f", "g", "h"},
              f"unknown star keys: {sorted(set(star) - {'f', 'g', 'h'})}")
+    _require(all(isinstance(v, str) for v in star.values()),
+             "star observables f, g and h must be DSL strings")
     for name in ("f", "g", "h"):
         value = getattr(args, name, None)
         if value is not None:
@@ -219,6 +223,9 @@ def effective_config(raw, command, args):
     if command == "star":
         _require("f" in star and "g" in star,
                  "star needs observables f and g (positional or config)")
+    # an integer or a boolean would open as a file descriptor
+    output = args.out if getattr(args, "out", None) is not None else raw.get("output")
+    _require(output is None or isinstance(output, str), "output must be a path string")
 
     return {
         "schema_version": SCHEMA_VERSION,
@@ -234,7 +241,7 @@ def effective_config(raw, command, args):
         "lambda": lam,
         "workers": workers,
         "timing": timing,
-        "output": args.out if getattr(args, "out", None) is not None else raw.get("output"),
+        "output": output,
         "format": getattr(args, "format", "json"),
         "star": star,
     }

@@ -1,4 +1,5 @@
-"""Parser and evaluator for the generating-function DSL.
+"""Parser of the generating-function DSL, and its compiler to closures
+that evaluate an expression on jets.
 
 Grammar (whitespace-insensitive, ASCII only)::
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JetDomainError, ParseError, StarquantError, UnknownVariable
+from .errors import ParseError, StarquantError, UnknownVariable
 from .jets import Jet, apply_unary, jet_const, jet_space, pow_const
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
@@ -282,38 +283,27 @@ def pretty(node):
     return _pp(node)[0]
 
 
-_SCALAR_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-}
-
-
-def _compile(node, jet_mode):
+def _compile(node):
     """Turn an AST into a closure f(values, space) over a flat
-    (base..., fiber...) variable list.
+    (base..., fiber...) list of jets of `space`.
 
-    Jet mode turns constants into jets of `space` and composes functions
-    through the jet series; scalar mode works on plain numbers and raises
-    JetDomainError wherever the real-valued expression is undefined.
-    Operands are evaluated left to right, except that a divisor is
-    evaluated (and checked) before its numerator.
+    Constants become jets of `space` and functions compose through the
+    jet series.  Operands are evaluated left to right, except that a
+    divisor is evaluated (and checked) before its numerator.
 
-    In jet mode every Var-free subtree is evaluated once, here, and its
-    closure only lays out the result: a constant's jet is its coefficient
-    0 followed by one repeated signed zero, at every order >= 1.  A
-    product or quotient with a Var-free operand scales the other
-    operand's jet by that coefficient (by its reciprocal for a divisor)
-    instead of going through the product table.  Both keep the bits of
-    the plain evaluation.  A subtree whose evaluation raises, or gives a
-    zero divisor or a non-finite number, is not folded, so it fails where
-    and as it always did.  Series terms of a constant above order 1 are
-    never formed, so a constant whose higher terms overflow (1 / 1e-100 at
+    Every Var-free subtree is evaluated once, here, and its closure only
+    lays out the result: a constant's jet is its coefficient 0 followed
+    by one repeated signed zero, at every order >= 1.  A product or
+    quotient with a Var-free operand scales the other operand's jet by
+    that coefficient (by its reciprocal for a divisor) instead of going
+    through the product table.  Both keep the bits of the plain
+    evaluation.  A subtree whose evaluation raises, or gives a zero
+    divisor or a non-finite number, is not folded, so it fails where and
+    as it always did.  Series terms of a constant above order 1 are never
+    formed, so a constant whose higher terms overflow (1 / 1e-100 at
     order 3) no longer fails.
     """
-    return _closure(node, jet_mode)[0]
+    return _closure(node)[0]
 
 
 # what evaluating a Var-free subtree may raise; such a subtree is left
@@ -353,85 +343,50 @@ def _constant(fn):
     return constant
 
 
-def _closure(node, jet_mode):
+def _closure(node):
     # (closure, whether the subtree is Var-free), built bottom-up, so each
     # node is classified and folded once per compile
-    fn, var_free = _build(node, jet_mode)
-    if jet_mode and var_free and not isinstance(node, Const):
+    fn, var_free = _build(node)
+    if var_free and not isinstance(node, Const):
         fn = _constant(fn) or fn
     return fn, var_free
 
 
-def _build(node, jet_mode):
+def _build(node):
     if isinstance(node, Const):
         c = node.value
-        if jet_mode:
-            return (lambda v, s: jet_const(s, c)), True
-        return (lambda v, s: c), True
+        return (lambda v, s: jet_const(s, c)), True
     if isinstance(node, Var):
         slot = node.slot
         return (lambda v, s: v[slot]), False
     if isinstance(node, Neg):
-        a, const = _closure(node.arg, jet_mode)
+        a, const = _closure(node.arg)
         return (lambda v, s: -a(v, s)), const
     if isinstance(node, (Add, Sub, Mul, Div)):
-        a, a_const = _closure(node.left, jet_mode)
-        b, b_const = _closure(node.right, jet_mode)
+        a, a_const = _closure(node.left)
+        b, b_const = _closure(node.right)
         const = a_const and b_const
         if isinstance(node, Add):
             return (lambda v, s: a(v, s) + b(v, s)), const
         if isinstance(node, Sub):
             return (lambda v, s: a(v, s) - b(v, s)), const
-        if jet_mode:
-            return _jet_product(node, a, a_const, b, b_const), const
-        if isinstance(node, Mul):
-            return (lambda v, s: a(v, s) * b(v, s)), const
-
-        def div(v, s):
-            den = b(v, s)
-            if den == 0:
-                raise JetDomainError("division by zero")
-            return a(v, s) / den
-
-        return div, const
+        return _jet_product(node, a, a_const, b, b_const), const
     if isinstance(node, Pow):
-        a, const = _closure(node.base, jet_mode)
+        a, const = _closure(node.base)
         e = node.exponent
         if float(e).is_integer():
             e = int(e)
-        if jet_mode:
-            return (lambda v, s: a(v, s) ** e), const
-
-        def scalar_pow(v, s):
-            base = a(v, s)
-            if base == 0 and e < 0:
-                raise JetDomainError("zero raised to a negative power")
-            if not isinstance(e, int) and base < 0:
-                raise JetDomainError(f"fractional power of negative value {base}")
-            return base**e
-
-        return scalar_pow, const
+        return (lambda v, s: a(v, s) ** e), const
     if isinstance(node, Call):
-        a, const = _closure(node.arg, jet_mode)
+        a, const = _closure(node.arg)
         fname = node.fname
-        if jet_mode:
-            return (lambda v, s: apply_unary(a(v, s), fname)), const
-
-        def scalar_call(v, s):
-            x = a(v, s)
-            if fname == "log" and x <= 0:
-                raise JetDomainError(f"log needs a positive value, got {x}")
-            if fname == "sqrt" and x < 0:
-                raise JetDomainError(f"sqrt needs a non-negative value, got {x}")
-            return _SCALAR_FUNCTIONS[fname](x)
-
-        return scalar_call, const
+        return (lambda v, s: apply_unary(a(v, s), fname)), const
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def _jet_product(node, a, a_const, b, b_const):
-    # jet-mode closure of a Mul or Div, folding a Var-free operand.  Its
-    # value is real, so Jet.scale gives the table's bits on either side.
+    # closure of a Mul or Div, folding a Var-free operand.  Its value is
+    # real, so Jet.scale gives the table's bits on either side.
     if isinstance(node, Mul):
         c = _factor(a) if a_const else None
         if c is not None:
@@ -455,21 +410,9 @@ def _jet_product(node, a, a_const, b, b_const):
     return div
 
 
-def _mode(values):
-    # (jet mode?, space of the first jet) for a flat variable list
-    for v in values:
-        if isinstance(v, Jet):
-            return True, v.space
-    return False, None
-
-
 def evaluate(node, values):
-    """Evaluate an AST over a flat (base..., fiber...) variable list.
-
-    Values may be jets (derivative propagation) or plain numbers.
-    """
-    jet_mode, space = _mode(values)
-    return _compile(node, jet_mode)(values, space)
+    """Evaluate an AST over a flat (base..., fiber...) list of jets."""
+    return _compile(node)(values, values[0].space)
 
 
 def eval_jet(node, point, order):
@@ -481,16 +424,16 @@ def eval_jet(node, point, order):
 def jet_function(node):
     """Wrap an AST as f(base_jets, fiber_jets) -> Jet for the geometry layer.
 
-    The AST is compiled at most once per mode for the life of the wrapper.
+    The AST is compiled on the first call, once for the life of the
+    wrapper.
     """
-    compiled = {}
+    fn = None
 
     def f(base, fiber):
+        nonlocal fn
         values = list(base) + list(fiber)
-        jet_mode, space = _mode(values)
-        fn = compiled.get(jet_mode)
         if fn is None:
-            fn = compiled[jet_mode] = _compile(node, jet_mode)
-        return fn(values, space)
+            fn = _compile(node)
+        return fn(values, values[0].space)
 
     return f

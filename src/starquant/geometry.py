@@ -1,10 +1,13 @@
 """Pointwise geometry of regular Hamiltonians and Lagrangians.
 
 Builds, at one phase-space point and through jet arithmetic, the whole
-tower: fundamental tensor, nonlinear connection, adapted frames (plain
-and oblique), metric and symplectic lifts, almost complex/product
-structures, the two canonical linear connections, and their torsion and
-curvature, up to the contracted field-equation residual.
+cotangent tower: fundamental tensor, nonlinear connection, adapted frames
+(plain and oblique), metric and symplectic lifts, the almost complex
+structure, the two canonical linear connections, and their torsion and
+curvature, up to the contracted field-equation residual.  One
+`GeometryAtPoint` per point owns all of it.  The Lagrange-side fiber
+metric, semi-spray and nonlinear connection, and the vielbein lift, are
+plain functions of a generator and a point.
 
 Conventions fixed here once and used everywhere:
 
@@ -30,9 +33,6 @@ import numpy as np
 from .errors import InsufficientJetOrder, StarquantError
 from .expr import jet_function
 from .jets import PhasePoint, jet_const, jet_matrix_inverse, jet_space
-
-COTANGENT = "cotangent"
-TANGENT = "tangent"
 
 
 def as_generator(obj):
@@ -108,53 +108,7 @@ def bracket_jets(f, g, n):
 
 
 # ---------------------------------------------------------------------------
-# result containers
-
-
-@dataclass
-class FundamentalTensor:
-    """Fiber Hessian metric; `upper` and `lower` are mutually inverse
-    n x n jet matrices.  On the cotangent side the Hessian sits in
-    `upper` (indices up), on the tangent side in `lower`."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-    bundle: str
-
-
-@dataclass
-class NConnection:
-    """Nonlinear connection coefficients: N_ij on the cotangent side
-    (symmetric for Hamiltonian input), N_i^a on the tangent side."""
-
-    bundle: str
-    coeffs: np.ndarray
-
-
-@dataclass
-class AdaptedFrame:
-    """Frame and coframe value matrices at the point; one frame vector
-    per row in coordinate components, frame @ coframe.T = I."""
-
-    frame_matrix: np.ndarray
-    coframe_matrix: np.ndarray
-    variant: str
-
-
-@dataclass
-class DConnectionCoeffs:
-    """Coefficients of a linear connection adapted to the splitting.
-
-    hL[i][j][k]: horizontal-direction coefficient (output i, source j,
-    direction k).  vC[i][j][c]: fiber-direction coefficient (output i,
-    source j, direction c).  kind is "canonical_d" or "phi_pair"; the
-    remaining blocks of the full connection are the transpose-minus
-    duals of these two.
-    """
-
-    hL: np.ndarray
-    vC: np.ndarray
-    kind: str
+# result container
 
 
 @dataclass
@@ -172,27 +126,15 @@ class CurvatureTorsion:
     anholonomy: np.ndarray  # W[gamma][alpha][beta], full frame size
 
 
-@dataclass
-class AlmostStructures:
-    """Almost complex / product / symplectic package in the coordinate
-    basis, plus Nijenhuis components sampled on frame pairs."""
-
-    J: np.ndarray
-    P: np.ndarray
-    Jtangent: np.ndarray
-    theta: np.ndarray
-    nijenhuis: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # frame construction and first-principles frame calculus (jet matrices)
 
 
-def _frame_jets(N, variant, g_upper=None):
-    """Frame/coframe jet matrices for one adapted-frame variant.
+def _frame_jets(N, g_upper=None):
+    """Frame/coframe jet matrices: the plain N-adapted pair, or with the
+    fiber metric g_upper the oblique pair.
 
-    N is the n x n jet matrix of nonlinear-connection coefficients;
-    g_upper is required for the oblique variant.
+    N is the n x n jet matrix of nonlinear-connection coefficients.
     """
     n = N.shape[0]
     ref = N[0, 0]
@@ -200,42 +142,37 @@ def _frame_jets(N, variant, g_upper=None):
     zero = jet_const(ref.space, 0.0)
     F = np.full((2 * n, 2 * n), zero, dtype=object)
     C = np.full((2 * n, 2 * n), zero, dtype=object)
-    if variant in ("n_adapted_tangent", "n_adapted_cotangent"):
-        sign = -1.0 if variant == "n_adapted_tangent" else 1.0
+    if g_upper is None:
         for i in range(n):
             F[i, i] = one
             C[i, i] = one
             F[n + i, n + i] = one
             C[n + i, n + i] = one
             for a in range(n):
-                F[i, n + a] = N[i, a] * sign
-                C[n + a, i] = N[i, a] * (-sign)
-    elif variant == "phi_adapted":
-        if g_upper is None:
-            raise ValueError("phi_adapted frames need the fiber metric")
-        gu = g_upper
-        for i in range(n):
-            F[i, i] = one
-            for a in range(n):
-                F[i, n + a] = N[i, a]
+                F[i, n + a] = N[i, a] * 1.0
+                C[n + a, i] = N[i, a] * (-1.0)
+        return F, C
+    gu = g_upper
+    for i in range(n):
+        F[i, i] = one
+        for a in range(n):
+            F[i, n + a] = N[i, a]
+    for b in range(n):
+        for j in range(n):
+            F[n + b, j] = -gu[b, j]
+        for a in range(n):
+            diag = one if a == b else zero
+            F[n + b, n + a] = diag - jsum([gu[b, i] * N[i, a] for i in range(n)])
+    for i in range(n):
+        for j in range(n):
+            diag = one if i == j else zero
+            C[i, j] = diag - jsum([gu[b, i] * N[j, b] for b in range(n)])
         for b in range(n):
-            for j in range(n):
-                F[n + b, j] = -gu[b, j]
-            for a in range(n):
-                diag = one if a == b else zero
-                F[n + b, n + a] = diag - jsum([gu[b, i] * N[i, a] for i in range(n)])
-        for i in range(n):
-            for j in range(n):
-                diag = one if i == j else zero
-                C[i, j] = diag - jsum([gu[b, i] * N[j, b] for b in range(n)])
-            for b in range(n):
-                C[i, n + b] = gu[b, i]
-        for c in range(n):
-            for j in range(n):
-                C[n + c, j] = -N[j, c]
-            C[n + c, n + c] = one
-    else:
-        raise ValueError(f"unknown frame variant {variant!r}")
+            C[i, n + b] = gu[b, i]
+    for c in range(n):
+        for j in range(n):
+            C[n + c, j] = -N[j, c]
+        C[n + c, n + c] = one
     return F, C
 
 
@@ -316,21 +253,6 @@ def _full_connection(hhh, vvv):
                 G[n + i, j, n + k] = -hhh[k, j, i]
                 G[i, n + j, k] = -vvv[k, j, i]
     return G
-
-
-def _full_from_coeffs(coeffs):
-    """Rebuild the full [output][direction][source] array from the two
-    stored coefficient blocks of a DConnectionCoeffs."""
-    hL, vC = coeffs.hL, coeffs.vC
-    n = hL.shape[0]
-    hhh = np.empty((n, n, n), dtype=object)
-    vvv = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                hhh[i, k, j] = hL[i, j, k]
-                vvv[i, k, j] = -vC[j, i, k]
-    return _full_connection(hhh, vvv)
 
 
 def _torsion_full(G, W):
@@ -524,8 +446,8 @@ class GeometryAtPoint:
         def build():
             self._need("frames")
             if kind == "canonical_d":
-                return _frame_jets(self.nconnection, "n_adapted_cotangent")
-            return _frame_jets(self.nconnection, "phi_adapted", self.g_upper)
+                return _frame_jets(self.nconnection)
+            return _frame_jets(self.nconnection, self.g_upper)
 
         return self._memo(("frames", kind), build)
 
@@ -765,13 +687,7 @@ class GeometryAtPoint:
 
 
 # ---------------------------------------------------------------------------
-# public operations
-
-
-def fundamental_tensor_hamilton(H, pt, order=2, hessian_tol=1e-10):
-    """Momentum Hessian of H and its inverse, as jet matrices."""
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    return FundamentalTensor(geo.g_upper, geo.g_lower, COTANGENT)
+# Lagrange-side objects, vielbein lifts, brackets and references
 
 
 def _velocity_hessian(L, pt, order, hessian_tol):
@@ -789,48 +705,49 @@ def _velocity_hessian(L, pt, order, hessian_tol):
 
 
 def fundamental_tensor_lagrange(L, pt, order=2, hessian_tol=1e-10):
-    """Velocity Hessian of L (lower indices) and its inverse."""
+    """(upper, lower) jet matrices: the velocity Hessian of L sits in
+    `lower` (indices down), its inverse in `upper`."""
     _, lower, upper = _velocity_hessian(L, pt, order, hessian_tol)
-    return FundamentalTensor(upper, lower, TANGENT)
+    return upper, lower
 
 
-def vielbein_lift(g_base, vielbein, pt, order=2, hessian_tol=1e-10):
-    """Fiber metric g^{ij}(x,p) = e^i_k e^j_l g^{kl}(x) built from a base
-    metric given with lower indices (x only) and vielbein entries (x, p)."""
-    n = pt.n
-    _, xs, ps = pt.jets(order)
-
-    def entry_jet(entry):
-        return as_generator(entry)(xs, ps)
-
+def _vielbein_upper(base_fns, viel_fns, xs, ps, hessian_tol=1e-10):
+    """Fiber metric E g_base^-1 E^T, indices up, from generators of the
+    base metric (lower indices) and of the vielbein entries."""
+    n = len(xs)
     base_lo = np.empty((n, n), dtype=object)
     E = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            base_lo[i, j] = entry_jet(g_base[i][j])
-            E[i, j] = entry_jet(vielbein[i][j])
+            base_lo[i, j] = base_fns[i][j](xs, ps)
+            E[i, j] = viel_fns[i][j](xs, ps)
     base_up = jet_matrix_inverse(base_lo, rel_tol=hessian_tol)
-    upper = _mm(_mm(E, base_up), _transpose(E))
-    lower = jet_matrix_inverse(upper, rel_tol=hessian_tol)
-    return FundamentalTensor(upper, lower, COTANGENT)
+    return _mm(_mm(E, base_up), _transpose(E))
+
+
+def _generators(rows):
+    return [[as_generator(e) for e in row] for row in rows]
+
+
+def vielbein_lift(g_base, vielbein, pt, order=2, hessian_tol=1e-10):
+    """(upper, lower) jet matrices of the fiber metric
+    g^{ij}(x,p) = e^i_k e^j_l g^{kl}(x) built from a base metric given
+    with lower indices (x only) and vielbein entries (x, p)."""
+    _, xs, ps = pt.jets(order)
+    upper = _vielbein_upper(_generators(g_base), _generators(vielbein), xs, ps,
+                            hessian_tol)
+    return upper, jet_matrix_inverse(upper, rel_tol=hessian_tol)
 
 
 def induced_hamiltonian(g_base, vielbein):
     """Kinetic generator (1/2) g^{ab}(x,p) p_a p_b for a vielbein lift,
     as a callable on jets."""
-    base_fns = [[as_generator(e) for e in row] for row in g_base]
-    viel_fns = [[as_generator(e) for e in row] for row in vielbein]
+    base_fns = _generators(g_base)
+    viel_fns = _generators(vielbein)
 
     def fn(xs, ps):
         n = len(xs)
-        base_lo = np.empty((n, n), dtype=object)
-        E = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                base_lo[i, j] = base_fns[i][j](xs, ps)
-                E[i, j] = viel_fns[i][j](xs, ps)
-        base_up = jet_matrix_inverse(base_lo)
-        upper = _mm(_mm(E, base_up), _transpose(E))
+        upper = _vielbein_upper(base_fns, viel_fns, xs, ps)
         quad = jsum(
             [upper[a, b] * ps[a] * ps[b] for a in range(n) for b in range(n)]
         )
@@ -856,19 +773,14 @@ def semi_spray(L, pt, order=2, hessian_tol=1e-10):
 
 
 def nconnection_tangent(L, pt, order=3, hessian_tol=1e-10):
-    """N_i^a = dG^a/dy^i for the Lagrange semi-spray."""
+    """N_i^a = dG^a/dy^i for the Lagrange semi-spray, as a jet matrix."""
     n = pt.n
     G = semi_spray(L, pt, order, hessian_tol)
     coeffs = np.empty((n, n), dtype=object)
     for i in range(n):
         for a in range(n):
             coeffs[i, a] = G[a].partial(n + i)
-    return NConnection(TANGENT, coeffs)
-
-
-def nconnection_cotangent(H, pt, order=3, hessian_tol=1e-10):
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    return NConnection(COTANGENT, geo.nconnection)
+    return coeffs
 
 
 def poisson_bracket(f, g, pt, order=1):
@@ -877,72 +789,6 @@ def poisson_bracket(f, g, pt, order=1):
     fj = as_generator(f)(xs, ps)
     gj = as_generator(g)(xs, ps)
     return bracket_jets(fj, gj, pt.n)
-
-
-def adapted_frames(nconn, gtensor, variant):
-    """Frame and coframe value matrices for the requested variant."""
-    F, C = _frame_jets(nconn.coeffs, variant, gtensor.upper)
-    return AdaptedFrame(real_values(F), real_values(C), variant)
-
-
-def metric_lift(gtensor, nconn):
-    """Lift metric in the coordinate basis, as a jet matrix."""
-    n = nconn.coeffs.shape[0]
-    variant = (
-        "n_adapted_tangent" if nconn.bundle == TANGENT else "n_adapted_cotangent"
-    )
-    _, C = _frame_jets(nconn.coeffs, variant)
-    zero = jet_const(nconn.coeffs[0, 0].space, 0.0)
-    G = np.full((2 * n, 2 * n), zero, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = gtensor.lower[i, j]
-            G[n + i, n + j] = gtensor.upper[i, j]
-    return _mm(_mm(_transpose(C), G), C)
-
-
-def almost_structures(gtensor, nconn, with_nijenhuis=True):
-    """Almost complex/product/symplectic package in the coordinate basis.
-
-    The Nijenhuis samples need one spare jet order in the inputs; pass
-    with_nijenhuis=False when only the pointwise operators are wanted.
-    """
-    n = nconn.coeffs.shape[0]
-    N = nconn.coeffs
-    F, C = _frame_jets(N, "n_adapted_cotangent")
-    ref = N[0, 0]
-    zero = jet_const(ref.space, 0.0)
-    one = jet_const(ref.space, 1.0)
-    Jf = np.full((2 * n, 2 * n), zero, dtype=object)
-    Pf = np.full((2 * n, 2 * n), zero, dtype=object)
-    Jt = np.full((2 * n, 2 * n), zero, dtype=object)
-    for i in range(n):
-        Pf[i, i] = one
-        Pf[n + i, n + i] = -one
-        Jt[i, n + i] = one
-        Jt[n + i, i] = -one
-        for a in range(n):
-            Jf[i, n + a] = gtensor.upper[a, i]
-            Jf[n + a, i] = -gtensor.lower[i, a]
-    thetaf = _theta_on_frames(F, n)
-    Ft = _transpose(F)
-
-    def to_coord(O):
-        return _mm(_mm(Ft, O), C)
-
-    J_coord = to_coord(Jf)
-    theta_coord = _mm(_mm(_transpose(C), thetaf), C)
-    if with_nijenhuis:
-        nij = _nijenhuis_values(F, C, J_coord)
-    else:
-        nij = np.zeros((2 * n, 2 * n, 2 * n), dtype=np.complex128)
-    return AlmostStructures(
-        real_values(J_coord),
-        real_values(to_coord(Pf)),
-        real_values(to_coord(Jt)),
-        real_values(theta_coord),
-        nij,
-    )
 
 
 def dtheta_residual(geo):
@@ -989,57 +835,6 @@ def dtheta_check(H, pt, step=1e-4):
     return worst
 
 
-def _coeffs_from(geo, kind):
-    G = geo.connection(kind)
-    n = geo.n
-    hL = np.empty((n, n, n), dtype=object)
-    vC = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                hL[i, j, k] = G[i, k, j]
-                vC[i, j, k] = G[i, n + k, j]
-    return DConnectionCoeffs(hL, vC, kind)
-
-
-def canonical_dconnection(H, pt, order=3, hessian_tol=1e-10):
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    return _coeffs_from(geo, "canonical_d")
-
-
-def phi_connection(H, pt, order=4, hessian_tol=1e-10):
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    return _coeffs_from(geo, "phi_pair")
-
-
-def torsion_curvature(coeffs, nconn, gtensor, pt=None):
-    """Torsion and curvature blocks of a stored connection.
-
-    Everything is rebuilt from the jet matrices, which already carry the
-    point; `pt` is accepted for signature symmetry and not consulted.
-    The inputs must have been built with enough spare jet order (seed 4
-    for torsion values, 5 for oblique curvature values).
-    """
-    del pt
-    N = nconn.coeffs
-    if N[0, 0].order < 1:
-        raise InsufficientJetOrder(
-            "torsion_curvature needs nonlinear-connection jets of order >= 1; "
-            "rebuild the inputs with a higher seed order"
-        )
-    variant = "n_adapted_cotangent" if coeffs.kind == "canonical_d" else "phi_adapted"
-    F, C = _frame_jets(N, variant, gtensor.upper)
-    W = _anholonomy(F, C)
-    G = _full_from_coeffs(coeffs)
-    F_phi = F
-    if variant != "phi_adapted":
-        F_phi, _ = _frame_jets(N, "phi_adapted", gtensor.upper)
-    return _curvature_torsion_blocks(
-        coeffs.kind, _omega_jets(N, F_phi), _torsion_full(G, W),
-        _curvature_full(G, W, F), W,
-    )
-
-
 def _curvature_torsion_blocks(kind, omega, T, R, W):
     """Slice full-frame torsion T and curvature R jets into the reported
     component blocks, as values."""
@@ -1068,20 +863,6 @@ def _curvature_torsion_blocks(kind, omega, T, R, W):
     return CurvatureTorsion(
         values(omega), T_hij, S_abc, P_aic, R_ijkm, P_ijkc, S_ijbc, values(W)
     )
-
-
-def ricci_scalar_phi(H, pt, order=5, hessian_tol=1e-10):
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    return values(geo.ricci_phi), geo.scalar_phi.value.real
-
-
-def einstein_residual(H, pt, lam=0.0, order=5, hessian_tol=1e-10):
-    return GeometryAtPoint(H, pt, order, hessian_tol).einstein_residual(lam)
-
-
-def nijenhuis_sample(H, pt, order=4, hessian_tol=1e-10):
-    geo = GeometryAtPoint(H, pt, order, hessian_tol)
-    return geo.nijenhuis
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,11 @@ from starquant.expr import jet_function, parse
 from starquant.geometry import (
     GeometryAtPoint,
     anholonomy_closed_form_residual,
-    canonical_dconnection,
     dtheta_check,
     frame_identity_residuals,
-    fundamental_tensor_hamilton,
     metric_compat_residual,
-    nconnection_cotangent,
-    phi_connection,
     poisson_bracket,
     theta_compat_residual,
-    torsion_curvature,
     values,
 )
 from starquant.jets import PhasePoint, jet_const
@@ -91,13 +86,12 @@ def test_criterion_1_flat_degeneracy():
     pt = PhasePoint([0.4, -0.2], [0.6, 0.3])
     geo = GeometryAtPoint(FLAT2, pt, 5)
     worst = float(np.abs(values(geo.nconnection)).max())
-    gt = fundamental_tensor_hamilton(FLAT2, pt, order=5)
-    nc = nconnection_cotangent(FLAT2, pt, order=5)
-    for builder in (canonical_dconnection, phi_connection):
-        coeffs = builder(FLAT2, pt, order=5)
-        worst = max(worst, float(np.abs(values(coeffs.hL)).max()),
-                    float(np.abs(values(coeffs.vC)).max()))
-        tc = torsion_curvature(coeffs, nc, gt)
+    for kind in ("canonical_d", "phi_pair"):
+        gam = values(geo.connection(kind))
+        # the blocks hL[i][j][k] = gam[i][k][j] and vC[i][j][c] = gam[i][n+c][j]
+        worst = max(worst, float(np.abs(gam[:2, :2, :2]).max()),
+                    float(np.abs(gam[:2, 2:, :2]).max()))
+        tc = geo.curvature_torsion(kind)
         for block in (tc.Omega, tc.T_hij, tc.S_abc, tc.P_aic,
                       tc.R_ijkm, tc.P_ijkc, tc.S_ijbc):
             worst = max(worst, float(np.abs(block).max()))
@@ -133,9 +127,7 @@ def test_criterion_3_connection_compatibility():
                 compat_worst = max(compat_worst,
                                    metric_compat_residual(geo, kind),
                                    theta_compat_residual(geo, kind))
-            gt = fundamental_tensor_hamilton(H, pt, order=5)
-            nc = nconnection_cotangent(H, pt, order=5)
-            tc = torsion_curvature(canonical_dconnection(H, pt, order=5), nc, gt)
+            tc = geo.curvature_torsion("canonical_d")
             torsion_worst = max(torsion_worst,
                                 float(np.abs(tc.T_hij).max()),
                                 float(np.abs(tc.S_abc).max()))

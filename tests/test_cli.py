@@ -54,12 +54,33 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         base_config(generator={"family": "flat", "params": {"omega": 2.0}}),
         base_config(**{"lambda": float("nan")}),  # written as the token NaN
         base_config(**{"lambda": 10 ** 400}),  # beyond float range
+        # an integer or a boolean would open as a file descriptor
+        base_config(output=2),
+        base_config(output=True),
+        base_config(output=["a"]),
     ]
     for data in bad:
         path = write_config(tmp_path, data)
-        code, _, err = run(["inspect", "--config", path], capsys)
+        code, out, err = run(["inspect", "--config", path], capsys)
         assert code == 2, data
+        assert out == ""
         assert err.startswith("starquant:")
+
+
+@pytest.mark.parametrize("command", ["inspect", "flow", "star", "check"])
+@pytest.mark.parametrize("star", [
+    "s", 3, 2.5, True, None, [1],
+    {"f": 3, "g": "p1"},
+    {"f": "x1", "g": None},
+    {"f": "x1", "g": "p1", "h": None},
+    {"f": "x1", "g": "p1", "h": 2},
+])
+def test_star_must_be_an_object_of_dsl_strings(tmp_path, capsys, command, star):
+    path = write_config(tmp_path, base_config(star=star))
+    code, out, err = run([command, "--config", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("starquant:")
 
 
 def test_tangent_bundle_only_flows(tmp_path, capsys):

@@ -175,32 +175,13 @@ def test_eval_matches_finite_differences():
     check_jet_against_fd(jet, f, pt.as_array(), max_order=3, tol=1e-6)
 
 
-def test_scalar_evaluation():
-    ast = parse("sqrt(1+x1^2)*log(2+p1^2) / (x1*p1 + 4)", 1)
-    x, p = 0.3, -0.8
-    got = evaluate(ast, [x, p])
-    want = np.sqrt(1 + x**2) * np.log(2 + p**2) / (x * p + 4)
-    assert got == pytest.approx(want, rel=1e-14)
-
-
-def test_scalar_domain_errors():
-    with pytest.raises(JetDomainError):
-        evaluate(parse("1/x1", 1), [0.0, 1.0])
-    with pytest.raises(JetDomainError):
-        evaluate(parse("log(x1)", 1), [-1.0, 0.0])
-    with pytest.raises(JetDomainError):
-        evaluate(parse("x1^0.5", 1), [-1.0, 0.0])
-
-
-def test_jet_function_serves_jets_and_numbers():
+def test_jet_function_serves_jets():
     ast = parse("0.5*exp(2*x1)*p1^2 - 3/(1+x1^2)", 1)
     f = jet_function(ast)
     pt = PhasePoint((0.2,), (-0.6,))
     _, xs, ps = pt.jets(3)
     for _ in range(2):  # a second call reuses the compiled wrapper
         assert np.array_equal(f(xs, ps).coeffs, eval_jet(ast, pt, 3).coeffs)
-        assert f([0.2], [-0.6]) == evaluate(ast, [0.2, -0.6])
-    assert f([0.2], [-0.6]) == pytest.approx(f(xs, ps).value.real, rel=1e-15)
 
 
 def test_jet_domain_errors_propagate():

@@ -186,9 +186,9 @@ def test_legendre_pushes_compile_an_ast_once(monkeypatch):
     compiled = []
     compile_ = expr._compile
 
-    def counted(node, jet_mode):
+    def counted(node):
         compiled.append(node)
-        return compile_(node, jet_mode)
+        return compile_(node)
 
     monkeypatch.setattr(expr, "_compile", counted)
     geometry._generator_of.cache_clear()
