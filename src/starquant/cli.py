@@ -46,7 +46,7 @@ from .geometry import (
     theta_compat_residual,
     values,
 )
-from .jets import PhasePoint
+from .jets import TABLE_CAP, PhasePoint
 from .mechanics import (
     hamilton_flow,
     lagrange_flow,
@@ -100,9 +100,9 @@ TOL = {
 
 # the most work one config may ask for; 17 = 2 * 8 + 1 is the order that
 # star with h resolves to at D_max 8; jet_table bounds the index triples of
-# the jet product table (about 60 MB of int64)
+# the jet product table
 CAPS = {"n": 4, "D_max": 8, "v_max": 8, "jet_order": 17,
-        "flow_steps": 10 ** 6, "points": 10 ** 4, "jet_table": 25 * 10 ** 5}
+        "flow_steps": 10 ** 6, "points": 10 ** 4, "jet_table": TABLE_CAP}
 
 
 class ConfigError(Exception):

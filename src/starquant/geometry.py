@@ -27,12 +27,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import InsufficientJetOrder, StarquantError
 from .expr import jet_function
-from .jets import PhasePoint, jet_const, jet_matrix_inverse, jet_space
+from .jets import (
+    Jet,
+    PhasePoint,
+    batched_mul,
+    batched_partial,
+    jet_const,
+    jet_matrix_inverse,
+    jet_space,
+)
 
 
 def as_generator(obj):
@@ -105,6 +114,71 @@ def bracket_jets(f, g, n):
     plus = jsum([f.partial(n + k) * g.partial(k) for k in range(n)])
     minus = jsum([f.partial(k) * g.partial(n + k) for k in range(n)])
     return plus - minus
+
+
+# ---------------------------------------------------------------------------
+# coefficient stacks: a tensor of jets of one space as one complex array
+# whose last axis holds each entry's coefficients
+
+
+def _min_order(jets):
+    return min(jet.order for jet in np.asarray(jets, dtype=object).flat)
+
+
+def _rows(jets, space):
+    """Coefficient rows of an array of jets, each truncated to `space`."""
+    arr = np.asarray(jets, dtype=object)
+    out = np.empty(arr.shape + (space.size,), dtype=np.complex128)
+    for idx in np.ndindex(arr.shape):
+        jet = arr[idx]
+        if jet.order < space.order:
+            raise InsufficientJetOrder(
+                f"need jet order >= {space.order}, have {jet.order}"
+            )
+        out[idx] = jet.coeffs[: space.size]
+    return out
+
+
+def _jets(space, rows):
+    """Array of jets in `space` over a stack of coefficient rows."""
+    out = np.empty(rows.shape[:-1], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = Jet(space, rows[idx])
+    return out
+
+
+def _partials(space, rows):
+    """Stack of the first partials of a stack in `space`, variable first."""
+    return np.stack([batched_partial(space, rows, a) for a in range(space.dim)])
+
+
+def _fold(terms):
+    """Left fold of a stack over its first axis: a jsum entry by entry."""
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = acc + term
+    return acc
+
+
+def _dot(space, lefts, rights):
+    """Left fold over t of lefts[t] * rights[t] in `space`: a jsum of
+    products, one batched product per t."""
+    acc = batched_mul(space, lefts[0], rights[0])
+    for t in range(1, len(lefts)):
+        acc = acc + batched_mul(space, lefts[t], rights[t])
+    return acc
+
+
+def _along(space, frame, partials):
+    """frame_deriv over stacks, in `space`: the fold over A of
+    frame[..., A, :] times partials[A]."""
+    return _dot(space, np.moveaxis(frame, -2, 0), partials)
+
+
+def _max_abs(vals):
+    """Largest modulus of a complex array, taken as a loop would take it:
+    Python's abs (numpy's can differ in the last bit) and max from 0.0."""
+    return float(max([0.0, *map(abs, vals.ravel().tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +262,26 @@ def _theta_on_frames(F, n):
 
 
 def _anholonomy(F, C):
-    """W[gamma][alpha][beta] from jet brackets of the frame fields."""
+    """W[gamma][alpha][beta] from the brackets of the frame fields, as a
+    (space, rows) stack: W[g, a, b] = C[g, B] [F_a, F_b]^B."""
     n2 = F.shape[0]
-    W = np.empty((n2, n2, n2), dtype=object)
-    min_order = None
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            br = vector_bracket(list(F[a]), list(F[b]))
-            for g in range(n2):
-                w = jsum([C[g, B] * br[B] for B in range(n2)])
-                W[g, a, b] = w
-                W[g, b, a] = -w
-                min_order = w.order if min_order is None else min(min_order, w.order)
-    zero = jet_const(jet_space(n2, min_order if min_order is not None else 0), 0.0)
-    for g in range(n2):
-        for a in range(n2):
-            W[g, a, a] = zero
-    return W
+    top = jet_space(n2, _min_order(F))
+    space = jet_space(n2, min(top.order - 1, _min_order(C)))
+    Fr = _rows(F, top)
+    dF = _partials(top, Fr)
+    a, b = np.triu_indices(n2, 1)
+    # [F_a, F_b]^B = e_a(F_b^B) - e_b(F_a^B) over the pairs a < b
+    br = (_along(space, Fr[a, None], dF[:, b])
+          - _along(space, Fr[b, None], dF[:, a]))
+    C = _rows(C, space)
+    w = _dot(space, np.moveaxis(C, 1, 0)[:, :, None], np.moveaxis(br, 1, 0)[:, None])
+    W = np.zeros((n2, n2, n2, space.size), dtype=np.complex128)
+    W[:, a, b] = w
+    W[:, b, a] = -w
+    return space, W
 
 
-def _koszul_block(rows, m, minv, w_low):
+def _koszul_block(space, frame, m, minv, w_low):
     """Metric compatibility plus vanishing torsion on one index block.
 
     2 Gamma_{s,jk} = e_j(m_ks) + e_k(m_js) - e_s(m_jk)
@@ -215,96 +289,67 @@ def _koszul_block(rows, m, minv, w_low):
     with j the direction and k the source; w_low[s][j][k] = W_{s,jk} are
     the frame-metric-lowered anholonomy coefficients of the block (None
     when the block is holonomic up to components outside the block).
-    Returns Gamma[out][dir][src].
+    All arguments are stacks: `frame` holds the block's frame rows, and
+    the metric m and its inverse are at least one order above `space`.
+    Returns the stack of Gamma[out][dir][src] in `space`.
     """
-    n = len(rows)
-    dm = [
-        [[frame_deriv(m[k, s], rows[j]) for s in range(n)] for k in range(n)]
-        for j in range(n)
-    ]
-    out = np.empty((n, n, n), dtype=object)
-    low = np.empty((n, n, n), dtype=object)
-    for s in range(n):
-        for j in range(n):
-            for k in range(n):
-                terms = [dm[j][k][s], dm[k][j][s], -dm[s][j][k]]
-                if w_low is not None:
-                    terms += [w_low[s][j][k], -w_low[k][j][s], -w_low[j][k][s]]
-                low[s, j, k] = jsum(terms) * 0.5
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i, j, k] = jsum([minv[i, s] * low[s, j, k] for s in range(n)])
-    return out
+    up = jet_space(space.dim, space.order + 1)
+    # dm[j, k, s] = e_j(m_ks)
+    dm = _along(space, frame[:, None, None], _partials(up, m)[:, None])
+    # the fold of the terms in the order above, indexed [s, j, k]
+    low = dm.transpose(2, 0, 1, 3) + dm.transpose(2, 1, 0, 3) - dm
+    if w_low is not None:
+        low = (low + w_low - w_low.transpose(2, 1, 0, 3)
+               - w_low.transpose(2, 0, 1, 3))
+    low = low * 0.5
+    return _dot(space, np.moveaxis(minv, 1, 0)[:, :, None, None], low[:, None])
 
 
 def _full_connection(hhh, vvv):
-    """Assemble the 2n-frame coefficient array from the two Koszul blocks,
+    """Assemble the 2n-frame coefficient stack from the two Koszul blocks,
     filling the mixed blocks with their transpose-minus duals."""
     n = hhh.shape[0]
-    n2 = 2 * n
-    zero = jet_const(hhh[0, 0, 0].space, 0.0)
-    G = np.full((n2, n2, n2), zero, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                G[i, j, k] = hhh[i, j, k]
-                G[n + i, n + j, n + k] = vvv[i, j, k]
-                G[n + i, j, n + k] = -hhh[k, j, i]
-                G[i, n + j, k] = -vvv[k, j, i]
+    G = np.zeros((2 * n,) * 3 + hhh.shape[3:], dtype=np.complex128)
+    G[:n, :n, :n] = hhh
+    G[n:, n:, n:] = vvv
+    G[n:, :n, n:] = -hhh.transpose(2, 1, 0, 3)
+    G[:n, n:, :n] = -vvv.transpose(2, 1, 0, 3)
     return G
 
 
-def _torsion_full(G, W):
-    n2 = G.shape[0]
-    T = np.empty((n2, n2, n2), dtype=object)
-    for g in range(n2):
-        for a in range(n2):
-            for b in range(n2):
-                T[g, a, b] = G[g, a, b] - G[g, b, a] - W[g, a, b]
-    return T
-
-
 def _curvature_full(G, W, F):
+    """R[g][ph][a][b] as a (space, rows) stack from the stacks of the
+    connection G and the anholonomy W and the frame jets F:
+    e_a G_{g,b,ph} - e_b G_{g,a,ph} plus the fold over d of
+    G_{d,b,ph} G_{g,a,d} - G_{d,a,ph} G_{g,b,d} - W_{d,a,b} G_{g,d,ph}."""
+    (g_space, G), (w_space, W) = G, W
     n2 = G.shape[0]
-    R = np.empty((n2, n2, n2, n2), dtype=object)
-    min_order = None
-    for g in range(n2):
-        for ph in range(n2):
-            for a in range(n2):
-                for b in range(a + 1, n2):
-                    terms = [
-                        frame_deriv(G[g, b, ph], F[a]),
-                        -frame_deriv(G[g, a, ph], F[b]),
-                    ]
-                    for d in range(n2):
-                        terms.append(G[d, b, ph] * G[g, a, d])
-                        terms.append(-(G[d, a, ph] * G[g, b, d]))
-                        terms.append(-(W[d, a, b] * G[g, d, ph]))
-                    r = jsum(terms)
-                    R[g, ph, a, b] = r
-                    R[g, ph, b, a] = -r
-                    min_order = (
-                        r.order if min_order is None else min(min_order, r.order)
-                    )
-    zero = jet_const(jet_space(n2, min_order if min_order is not None else 0), 0.0)
-    for g in range(n2):
-        for ph in range(n2):
-            for a in range(n2):
-                R[g, ph, a, a] = zero
-    return R
+    space = jet_space(n2, min(g_space.order - 1, w_space.order, _min_order(F)))
+    Fr = _rows(F, space)
+    dG = _partials(jet_space(n2, space.order + 1), G)
+    a, b = np.triu_indices(n2, 1)
+    # entries [g, pair, ph]
+    acc = (_along(space, Fr[None, a, None], dG[:, :, b])
+           - _along(space, Fr[None, b, None], dG[:, :, a]))
+    for d in range(n2):
+        acc = acc + batched_mul(space, G[d, b][None], G[:, a, d][:, :, None])
+        acc = acc - batched_mul(space, G[d, a][None], G[:, b, d][:, :, None])
+        acc = acc - batched_mul(space, W[d, a, b][None, :, None], G[:, d][:, None])
+    R = np.zeros((n2,) * 4 + (space.size,), dtype=np.complex128)
+    R[:, :, a, b] = acc.swapaxes(1, 2)
+    R[:, :, b, a] = -acc.swapaxes(1, 2)
+    return space, R
 
 
 def _omega_jets(N, F_phi):
     """Omega_ija = e_i(N_ja) - e_j(N_ia) along the oblique horizontal frame."""
     n = N.shape[0]
-    out = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                out[i, j, a] = (frame_deriv(N[j, a], F_phi[i])
-                                - frame_deriv(N[i, a], F_phi[j]))
-    return out
+    space = jet_space(2 * n, min(_min_order(N) - 1, _min_order(F_phi[:n])))
+    up = jet_space(2 * n, space.order + 1)
+    # D[i, j, a] = e_i(N_ja)
+    D = _along(space, _rows(F_phi[:n], space)[:, None, None],
+               _partials(up, _rows(N, up))[:, None])
+    return _jets(space, D - D.swapaxes(0, 1))
 
 
 def _nijenhuis_values(F, C, J_coord):
@@ -552,71 +597,80 @@ class GeometryAtPoint:
 
     # -- anholonomy, connections, torsion, curvature --------------------------
 
-    def anholonomy(self, kind):
+    # Each of the four tensors below is built once as a (space, rows)
+    # stack, and wrapped as an array of jets only where entries are read.
+
+    def _anholonomy_stack(self, kind):
         def build():
             self._need("anholonomy")
-            F, C = self.frames(kind)
-            return _anholonomy(F, C)
+            return _anholonomy(*self.frames(kind))
 
-        return self._memo(("anholonomy", kind), build)
+        return self._memo(("anholonomy_stack", kind), build)
 
-    def connection(self, kind):
-        """Full coefficient array Gamma[output][direction][source]."""
-
+    def _connection_stack(self, kind):
         def build():
             self._need(kind)
-            n = self.n
+            n, n2 = self.n, 2 * self.n
             F, _ = self.frames(kind)
-            gl, gu = self.g_lower, self.g_upper
-            h_rows = [F[i] for i in range(n)]
-            v_rows = [F[n + a] for a in range(n)]
+            metric = jet_space(n2, _min_order(self.g_upper))
+            gl, gu = _rows(self.g_lower, metric), _rows(self.g_upper, metric)
+            order = min(_min_order(F), metric.order - 1)
             if kind == "canonical_d":
                 # plain adapted frame: the h-h bracket is purely vertical
                 # and the v-v bracket vanishes, so no corrections enter
                 w_h = w_v = None
             else:
-                W = self.anholonomy(kind)
-                w_h = [
-                    [
-                        [
-                            jsum([gl[s, m] * W[m, j, k] for m in range(n)])
-                            for k in range(n)
-                        ]
-                        for j in range(n)
-                    ]
-                    for s in range(n)
-                ]
-                w_v = [
-                    [
-                        [
-                            jsum([gu[c, m] * W[n + m, n + a, n + b] for m in range(n)])
-                            for b in range(n)
-                        ]
-                        for a in range(n)
-                    ]
-                    for c in range(n)
-                ]
-            hhh = _koszul_block(h_rows, gl, gu, w_h)
-            vvv = _koszul_block(v_rows, gu, gl, w_v)
-            return _full_connection(hhh, vvv)
+                w_space, W = self._anholonomy_stack(kind)
+                order = min(order, w_space.order)
+                # w_h[s, j, k] = g_sm W^m_jk, w_v[c, a, b] = g^cm W^m_ab
+                w_h = _dot(w_space, np.moveaxis(gl, 1, 0)[:, :, None, None],
+                           W[:n, None, :n, :n])
+                w_v = _dot(w_space, np.moveaxis(gu, 1, 0)[:, :, None, None],
+                           W[n:, None, n:, n:])
+            space = jet_space(n2, order)
+            Fr = _rows(F, space)
+            hhh = _koszul_block(space, Fr[:n], gl, gu, w_h)
+            vvv = _koszul_block(space, Fr[n:], gu, gl, w_v)
+            return space, _full_connection(hhh, vvv)
 
-        return self._memo(("connection", kind), build)
+        return self._memo(("connection_stack", kind), build)
 
-    def torsion(self, kind):
+    def _torsion_stack(self, kind):
         def build():
             self._need("torsion")
-            return _torsion_full(self.connection(kind), self.anholonomy(kind))
+            (g_space, G), (w_space, W) = (self._connection_stack(kind),
+                                          self._anholonomy_stack(kind))
+            space = g_space if g_space.order <= w_space.order else w_space
+            G = G[..., : space.size]
+            return space, G - G.swapaxes(1, 2) - W[..., : space.size]
 
-        return self._memo(("torsion", kind), build)
+        return self._memo(("torsion_stack", kind), build)
 
-    def curvature(self, kind):
+    def _curvature_stack(self, kind):
         def build():
             self._need("curvature_d" if kind == "canonical_d" else "curvature_phi")
-            return _curvature_full(
-                self.connection(kind), self.anholonomy(kind), self.frames(kind)[0]
-            )
+            return _curvature_full(self._connection_stack(kind),
+                                   self._anholonomy_stack(kind), self.frames(kind)[0])
 
-        return self._memo(("curvature", kind), build)
+        return self._memo(("curvature_stack", kind), build)
+
+    def anholonomy(self, kind):
+        """Anholonomy coefficients W[gamma][alpha][beta] of the frame."""
+        return self._memo(("anholonomy", kind),
+                          lambda: _jets(*self._anholonomy_stack(kind)))
+
+    def connection(self, kind):
+        """Full coefficient array Gamma[output][direction][source]."""
+        return self._memo(("connection", kind),
+                          lambda: _jets(*self._connection_stack(kind)))
+
+    def torsion(self, kind):
+        return self._memo(("torsion", kind),
+                          lambda: _jets(*self._torsion_stack(kind)))
+
+    def curvature(self, kind):
+        return self._memo(("curvature", kind),
+                          lambda: _jets(*self._curvature_stack(kind)))
 
     @property
     def omega(self):
@@ -630,13 +684,10 @@ class GeometryAtPoint:
     def ricci_phi(self):
         def build():
             self._need("ricci")
-            R = self.curvature("phi_pair")
-            n2 = 2 * self.n
-            ric = np.empty((n2, n2), dtype=object)
-            for b in range(n2):
-                for g in range(n2):
-                    ric[b, g] = jsum([R[a, b, g, a] for a in range(n2)])
-            return ric
+            space, R = self._curvature_stack("phi_pair")
+            diag = np.arange(2 * self.n)
+            # ric[b, g] = R[a, b, g, a], folded over a
+            return _jets(space, _fold(R[diag, :, :, diag]))
 
         return self._memo("ricci_phi", build)
 
@@ -644,11 +695,11 @@ class GeometryAtPoint:
     def scalar_phi(self):
         def build():
             ric = self.ricci_phi
-            ginv = self.metric_frame_inverse("phi_pair")
+            space = ric[0, 0].space
+            ginv = _rows(self.metric_frame_inverse("phi_pair"), space)
             n2 = 2 * self.n
-            return jsum(
-                [ginv[a, b] * ric[a, b] for a in range(n2) for b in range(n2)]
-            )
+            terms = batched_mul(space, ginv, _rows(ric, space))
+            return Jet(space, _fold(terms.reshape(n2 * n2, space.size)))
 
         return self._memo("scalar_phi", build)
 
@@ -796,15 +847,12 @@ def dtheta_residual(geo):
     read from the jets of its coordinate components at the point: the
     cyclic sum d_A theta_BC + d_B theta_CA + d_C theta_AB over A < B < C."""
     th = geo.theta_coord
-    n2 = th.shape[0]
-    worst = 0.0
-    for A in range(n2):
-        for B in range(A + 1, n2):
-            for Cc in range(B + 1, n2):
-                val = jsum([th[B, Cc].partial(A), th[Cc, A].partial(B),
-                            th[A, B].partial(Cc)]).value
-                worst = max(worst, abs(val))
-    return float(worst)
+    first = jet_space(th[0, 0].dim, 1)
+    # d[A, B, C] = d_A theta_BC at the point
+    d = _partials(first, _rows(th, first))[..., 0]
+    triples = list(combinations(range(th.shape[0]), 3))
+    A, B, C = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return _max_abs(d[A, B, C] + d[B, C, A] + d[C, A, B])
 
 
 def dtheta_check(H, pt, step=1e-4):
@@ -895,31 +943,20 @@ def anholonomy_closed_form_residual(geo):
     mixed part must match -d^c(N_ia), and every other block must vanish.
     """
     n = geo.n
-    W = values(geo.anholonomy("canonical_d"))
-    N = geo.nconnection
-    Fn, _ = geo.frames_n
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for a in range(n):
-                closed = (
-                    frame_deriv(N[j, a], Fn[i]) - frame_deriv(N[i, a], Fn[j])
-                ).value
-                worst = max(worst, abs(W[n + a, i, j] - closed))
-            for g in range(n):
-                worst = max(worst, abs(W[g, i, j]))
-    for i in range(n):
-        for c in range(n):
-            for a in range(n):
-                dn = N[i, a].partial(n + c).value
-                worst = max(worst, abs(W[n + a, i, n + c] + dn))
-            for g in range(n):
-                worst = max(worst, abs(W[g, i, n + c]))
-    for b in range(n):
-        for c in range(n):
-            for g in range(2 * n):
-                worst = max(worst, abs(W[g, n + b, n + c]))
-    return float(worst)
+    W = geo._anholonomy_stack("canonical_d")[1][..., 0]
+    value, first = jet_space(2 * n, 0), jet_space(2 * n, 1)
+    dN = _partials(first, _rows(geo.nconnection, first))
+    # D[i, j, a] = e_i(N_ja) at the point, along the plain frame
+    D = _along(value, _rows(geo.frames_n[0][:n], value)[:, None, None],
+               dN[:, None])[..., 0]
+    dN = dN[n:, ..., 0]  # dN[c, i, a] = d^c N_ia
+    return _max_abs(np.concatenate([
+        (W[n:, :n, :n].transpose(1, 2, 0) - (D - D.swapaxes(0, 1))).ravel(),
+        W[:n, :n, :n].ravel(),
+        (W[n:, :n, n:] + dN.transpose(2, 1, 0)).ravel(),
+        W[:n, :n, n:].ravel(),
+        W[:, n:, n:].ravel(),
+    ]))
 
 
 def metric_compat_residual(geo, kind):
@@ -933,16 +970,15 @@ def theta_compat_residual(geo, kind):
 
 
 def _compat_residual(geo, kind, form):
-    G = geo.connection(kind)
-    F, _ = geo.frames(kind)
+    # only the values are read, so every product is taken at order 0:
+    # e_a form_bc - G_{d,a,b} form_dc - G_{d,a,c} form_bd, folded over d
     n2 = 2 * geo.n
-    worst = 0.0
-    for a in range(n2):
-        for b in range(n2):
-            for c in range(n2):
-                terms = [frame_deriv(form[b, c], F[a])]
-                for d in range(n2):
-                    terms.append(-(G[d, a, b] * form[d, c]))
-                    terms.append(-(G[d, a, c] * form[b, d]))
-                worst = max(worst, abs(jsum(terms).value))
-    return float(worst)
+    value, first = jet_space(n2, 0), jet_space(n2, 1)
+    G = geo._connection_stack(kind)[1]
+    form = _rows(form, first)
+    acc = _along(value, _rows(geo.frames(kind)[0], value)[:, None, None],
+                 _partials(first, form)[:, None])
+    for d in range(n2):
+        acc = acc - batched_mul(value, G[d][:, :, None], form[d][None, None])
+        acc = acc - batched_mul(value, G[d][:, None], form[:, d][None, :, None])
+    return _max_abs(acc)

@@ -21,7 +21,11 @@ whose pairs outnumber the coefficients (1,287 pairs for 126 coefficients
 at dim 4, order 5).  Scaling by a constant (`Jet.scale`), the first step
 of a series in `_horner`, and the derivative reads `gradient` and
 `hessian` touch each coefficient once instead, and give the bits that
-the table product, or `partial`, would give.
+the table product, or `partial`, would give.  A tensor of jets is
+cheaper as a stack of coefficient rows: `batched_mul` multiplies whole
+stacks through one scatter-add per chunk of rows, and `batched_partial`
+differentiates them, each row with the bits of `Jet.__mul__` or
+`Jet.partial`, so the per-jet Python overhead is paid once per stack.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 # Tolerance for treating a nominally complex value as real when checking
 # domains of log/sqrt/fractional powers.
 _TINY_IMAG = 1e-12
+
+# The most index triples one product table may hold (about 60 MB of
+# int64).  A config whose table would be larger is refused, and
+# `batched_mul` forms at most this many pair products at once.
+TABLE_CAP = 25 * 10 ** 5
 
 
 def _monomials(dim, order):
@@ -350,6 +359,47 @@ class Jet:
         for a in mono:
             fact *= math.factorial(int(a))
         return self.coefficient(mono) * fact
+
+
+def batched_mul(space, a, b):
+    """Row-by-row products of two stacks of coefficient rows in `space`.
+
+    `a` and `b` have shapes (..., m) with m >= space.size; their leading
+    axes broadcast, and each row is truncated to `space` first, as the
+    order rule does.  Every output row has the bits of `Jet.__mul__` on
+    the two rows: one unbuffered scatter-add over the product table, its
+    pairs laid out row by row in table order.  Rows are taken in chunks
+    of at most TABLE_CAP pair products, so the intermediate stays as
+    bounded as one product table.
+    """
+    ii, jj, kk = space._mul()
+    size = space.size
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a = np.broadcast_to(a[..., :size], shape + (size,)).reshape(-1, size)
+    b = np.broadcast_to(b[..., :size], shape + (size,)).reshape(-1, size)
+    rows = a.shape[0]
+    out = np.zeros(rows * size, dtype=np.complex128)
+    step = max(1, TABLE_CAP // len(kk))
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        # not `*=`: numpy's in-place complex multiply can round a product
+        # differently from the out-of-place one that Jet.__mul__ takes
+        terms = a[lo:hi, ii] * b[lo:hi, jj]
+        dest = kk + size * np.arange(lo, hi)[:, None]
+        np.add.at(out, dest.ravel(), terms.ravel())
+    return out.reshape(shape + (size,))
+
+
+def batched_partial(space, a, var):
+    """Derivative by variable `var` of each row of a stack in `space`
+    (rows of at least space.size coefficients), one order lower, with
+    the bits of `Jet.partial`."""
+    if space.order == 0:
+        raise InsufficientJetOrder("cannot differentiate an order-0 jet")
+    src, dst, fac, lower = space._partial(var)
+    out = np.zeros(a.shape[:-1] + (lower.size,), dtype=np.complex128)
+    out[..., dst] = a[..., src] * fac
+    return out
 
 
 def _lower(a, b):

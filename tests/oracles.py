@@ -3,13 +3,16 @@
 The finite-difference oracles deliberately avoid the package's jet
 machinery so that agreement between the two routes means something.
 `reference_jet` uses the jets but not the expression compiler: it is the
-plain walk the compiler must reproduce bit for bit.
+plain walk the compiler must reproduce bit for bit.  `reference_curvature`
+and `reference_compat_residual` are the per-entry jet loops that the
+geometry's coefficient-tensor contractions must reproduce bit for bit.
 """
 
 import numpy as np
 
 from starquant.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
-from starquant.jets import apply_unary, jet_const
+from starquant.geometry import frame_deriv, jsum
+from starquant.jets import apply_unary, jet_const, jet_space
 
 
 def reference_jet(node, values, space):
@@ -91,3 +94,53 @@ def check_jet_against_fd(jet, f, point, max_order=3, tol=1e-5):
         worst = max(worst, err)
         assert err <= tol, f"mono {mono}: jet {got}, fd {fd_coeff}, err {err:.3e}"
     return worst
+
+
+def reference_curvature(G, W, F):
+    """R[g][ph][a][b] of the connection G with anholonomy W along the frame
+    rows F, one jet per entry: e_a G_{g,b,ph} - e_b G_{g,a,ph} plus the
+    sums over d of G_{d,b,ph} G_{g,a,d} - G_{d,a,ph} G_{g,b,d}
+    - W_{d,a,b} G_{g,d,ph}, each a left fold in that order."""
+    n2 = G.shape[0]
+    R = np.empty((n2, n2, n2, n2), dtype=object)
+    min_order = None
+    for g in range(n2):
+        for ph in range(n2):
+            for a in range(n2):
+                for b in range(a + 1, n2):
+                    terms = [
+                        frame_deriv(G[g, b, ph], F[a]),
+                        -frame_deriv(G[g, a, ph], F[b]),
+                    ]
+                    for d in range(n2):
+                        terms.append(G[d, b, ph] * G[g, a, d])
+                        terms.append(-(G[d, a, ph] * G[g, b, d]))
+                        terms.append(-(W[d, a, b] * G[g, d, ph]))
+                    r = jsum(terms)
+                    R[g, ph, a, b] = r
+                    R[g, ph, b, a] = -r
+                    min_order = (
+                        r.order if min_order is None else min(min_order, r.order)
+                    )
+    zero = jet_const(jet_space(n2, min_order if min_order is not None else 0), 0.0)
+    for g in range(n2):
+        for ph in range(n2):
+            for a in range(n2):
+                R[g, ph, a, a] = zero
+    return R
+
+
+def reference_compat_residual(G, F, form):
+    """Max component of the covariant derivative of a frame 2-tensor, one
+    jet per component: e_a form_bc - G_{d,a,b} form_dc - G_{d,a,c} form_bd."""
+    n2 = G.shape[0]
+    worst = 0.0
+    for a in range(n2):
+        for b in range(n2):
+            for c in range(n2):
+                terms = [frame_deriv(form[b, c], F[a])]
+                for d in range(n2):
+                    terms.append(-(G[d, a, b] * form[d, c]))
+                    terms.append(-(G[d, a, c] * form[b, d]))
+                worst = max(worst, abs(jsum(terms).value))
+    return float(worst)
