@@ -2,12 +2,19 @@
 exit codes, determinism, and the shape of the emitted reports."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starquant import cli
 from starquant.errors import StarquantError
@@ -690,3 +697,96 @@ def test_star_and_check_lift_each_observable_once(tmp_path, capsys, monkeypatch)
         code, _, _ = run(argv, capsys)
         assert code == 0, argv[0]
         assert calls == {**dict.fromkeys(references, 0), "lift": 2}, argv[0]
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated configs
+
+# values of a wrong type for most keys, or of the right type and out of
+# range; JSON writes the non-finite floats as NaN and Infinity tokens
+ODD_VALUES = [None, True, False, 0, -1, 2.5, float("nan"), float("inf"), 10 ** 400,
+              "", "x1", [], [1], ["a"], {}, {"a": 1}]
+
+# the keys a mutation may replace, nested ones as paths
+CONFIG_PATHS = [(key,) for key in sorted(cli._CONFIG_KEYS)] + [
+    ("flow", "t_end"), ("flow", "dt"), ("points", 0), ("points", 0, "x"),
+    ("points", 0, "p"), ("star", "f"), ("star", "g"), ("generator", "family"),
+    ("generator", "params"),
+]
+
+
+def _over_cap(key):
+    """A mutation that takes one CAPS entry one step past its cap."""
+    caps = cli.CAPS
+
+    def of_dim(cfg, n, order=None):
+        cfg.update(n=n, generator="p1^2", points=[{"x": [0.1] * n, "p": [0.5] * n}])
+        if order is not None:
+            cfg["jet_order"] = order
+
+    def mutate(cfg):
+        if key == "n":
+            of_dim(cfg, caps["n"] + 1)
+        elif key == "flow_steps":
+            cfg["flow"] = {"t_end": (caps["flow_steps"] + 1) * 1e-3, "dt": 1e-3}
+        elif key == "points":
+            cfg["points"] = [{"x": [0.3], "p": [-0.7]}] * (caps["points"] + 1)
+        elif key == "jet_table":
+            # at n = 4, order 9 holds C(25, 16) triples, under the cap, and
+            # order 10 holds C(26, 16), over it
+            assert math.comb(25, 16) <= caps["jet_table"] < math.comb(26, 16)
+            of_dim(cfg, 4, order=10)
+        else:
+            cfg[key] = caps[key] + 1
+
+    return mutate
+
+
+def _wrong_value(path, value):
+    def mutate(cfg):
+        node = cfg
+        try:
+            for step in path[:-1]:
+                node = node[step]
+            if isinstance(node, (dict, list)):
+                node[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier change cut the path
+
+    return mutate
+
+
+mutations = st.one_of(
+    st.builds(_wrong_value, st.sampled_from(CONFIG_PATHS), st.sampled_from(ODD_VALUES)),
+    st.builds(_over_cap, st.sampled_from(sorted(cli.CAPS))),
+)
+
+
+def _no_work(payload):
+    # every point a plain block: the config surface and the report
+    # assembly run, and no math does
+    _, _, index, x, p = payload
+    return index, {"index": index, "x": list(x), "p": list(p)}, [], None, False
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(command=st.sampled_from(cli._RUN_COMMANDS),
+       changes=st.lists(mutations, min_size=1, max_size=2))
+def test_generated_configs_keep_the_exit_code_contract(command, changes):
+    data = base_config(D_max=3, flow={"t_end": 0.5, "dt": 1e-2},
+                       star={"f": "x1*p1", "g": "x1^2 + p1"})
+    for change in changes:
+        change(data)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_run_point", _no_work)
+        patch.chdir(tmp)  # a string `output` writes its file here
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(data))
+        observables = ["x1", "p1"] if command == "star" else []
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--config", str(path), *observables])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if stdout.getvalue():
+        json.loads(stdout.getvalue(), parse_constant=_strict)

@@ -11,6 +11,7 @@ from starquant import geometry as geo
 from starquant.errors import DegenerateHessian, InsufficientJetOrder, StarquantError
 from starquant.expr import parse
 from starquant.jets import PhasePoint, jet_const
+from oracles import reference_compat_residual, reference_curvature
 
 
 def pt(*vals):
@@ -601,3 +602,28 @@ def test_canonical_torsion_guard_raises():
     T[0, 0, 1] = T[0, 0, 1] + 1e-6
     geo._curvature_torsion_blocks("phi_pair", G.omega, T, G.curvature("phi_pair"),
                                   G.anholonomy("phi_pair"))
+
+
+# ---------------------------------------------------------------------------
+# the contractions on coefficient stacks against the per-entry jet loops
+
+ROUGH1 = parse("sqrt(1 + x1^2) * p1^2 + log(2 + cos(x1)) * p1^2.5", 1)
+
+
+@pytest.mark.parametrize("order", [5, 7])
+@pytest.mark.parametrize("H,point", [(QUARTIC2, PT2), (CONF2, PT2), (ROUGH1, pt(0.3, 0.7))],
+                         ids=["quartic", "exp-conformal", "rough-n1"])
+def test_contractions_match_the_per_entry_references(H, point, order):
+    G = geo.GeometryAtPoint(H, point, order)
+    for kind in ("canonical_d", "phi_pair"):
+        F = G.frames(kind)[0]
+        gamma = G.connection(kind)
+        want = reference_curvature(gamma, G.anholonomy(kind), F)
+        got = G.curvature(kind)
+        for idx in np.ndindex(want.shape):
+            assert got[idx].space is want[idx].space, (kind, idx)
+            assert got[idx].coeffs.tobytes() == want[idx].coeffs.tobytes(), (kind, idx)
+        assert geo.metric_compat_residual(G, kind) == reference_compat_residual(
+            gamma, F, G.metric_frame(kind))
+        assert geo.theta_compat_residual(G, kind) == reference_compat_residual(
+            gamma, F, G.theta_frame(kind))

@@ -20,7 +20,8 @@ from starquant import (
     jet_var,
     pow_const,
 )
-from starquant.jets import _horner
+from starquant import jets
+from starquant.jets import _horner, batched_mul, batched_partial
 from oracles import central_derivative, check_jet_against_fd
 
 
@@ -421,3 +422,60 @@ def test_horner_start_keeps_the_bits(data):
               for _ in range(order + 1)]
     want = _horner_from_a_constant_jet(jet, series).coeffs.tobytes()
     assert _horner(jet, series).coeffs.tobytes() == want
+
+
+def _signed_rows(rng, shape):
+    # complex rows whose parts are about one third +0.0 or -0.0, so a
+    # flipped sign of zero shows in the bytes
+    parts = rng.uniform(-3.0, 3.0, (2,) + shape)
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts *= rng.choice([1.0, -1.0], parts.shape)
+    rows = np.empty(shape, dtype=np.complex128)
+    rows.real, rows.imag = parts
+    return rows
+
+
+# leading shapes of the two stacks: equal, an outer product, one row
+# against a stack, and a stack against one row
+STACK_SHAPES = [((3,), (3,)), ((2, 1), (1, 3)), ((), (2,)), ((2, 2), ())]
+
+# the floating-point traps every CLI point runs under
+TRAPS = dict(over="raise", invalid="raise", divide="raise")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4]), orders=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       shapes=st.sampled_from(STACK_SHAPES), seed=st.integers(0, 2 ** 32 - 1),
+       cap=st.integers(1, 200))
+def test_batched_mul_is_the_jet_product_row_by_row(dim, orders, shapes, seed, cap):
+    rng = np.random.default_rng(seed)
+    spaces = [jet_space(dim, order) for order in orders]
+    a, b = (_signed_rows(rng, shape + (sp.size,)) for shape, sp in zip(shapes, spaces))
+    space = jet_space(dim, min(orders))
+    shape = np.broadcast_shapes(*shapes)
+    with np.errstate(**TRAPS):
+        got = batched_mul(space, a, b)
+        assert got.shape == shape + (space.size,)
+        a_all = np.broadcast_to(a, shape + a.shape[-1:])
+        b_all = np.broadcast_to(b, shape + b.shape[-1:])
+        for idx in np.ndindex(shape):
+            want = Jet(spaces[0], a_all[idx]) * Jet(spaces[1], b_all[idx])
+            assert want.space is space
+            assert got[idx].tobytes() == want.coeffs.tobytes()
+        # a budget below one row's table takes the rows one at a time
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jets, "TABLE_CAP", cap)
+            assert batched_mul(space, a, b).tobytes() == got.tobytes()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(dim=st.sampled_from([2, 4]), order=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_partial_is_the_jet_partial_row_by_row(dim, order, seed):
+    space = jet_space(dim, order)
+    rows = _signed_rows(np.random.default_rng(seed), (3, space.size))
+    for var in range(dim):
+        got = batched_partial(space, rows, var)
+        for row, out in zip(rows, got):
+            assert out.tobytes() == Jet(space, row).partial(var).coeffs.tobytes()
+    with pytest.raises(InsufficientJetOrder):
+        batched_partial(jet_space(dim, 0), rows[:, :1], 0)
