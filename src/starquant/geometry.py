@@ -931,7 +931,10 @@ def frame_identity_residuals(geo):
         th = values(geo.theta_frame(kind))
         gf = values(geo.metric_frame(kind))
         out[f"{label}_theta_vs_gJ"] = float(np.abs(Jf.T @ gf - th).max())
-    P = np.diag([1.0] * geo.n + [-1.0] * geo.n)
+    # the almost product structure, +1 on the horizontal and -1 on the
+    # vertical frame vectors, taken to coordinates through the plain frame
+    Fv, Cv = (values(m) for m in geo.frames_n)
+    P = Fv.T @ np.diag([1.0] * geo.n + [-1.0] * geo.n) @ Cv
     out["product_squared"] = float(np.abs(P @ P - eye).max())
     return out
 

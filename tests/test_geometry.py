@@ -204,6 +204,18 @@ def test_frame_identities_all_families():
             assert abs(th + th.T).max() <= 1e-12
 
 
+def test_product_structure_check_reads_the_frames():
+    # P = F^T diag(1, -1) C squares to the identity only while the plain
+    # coframe is dual to the frame; a corrupted coframe fails the check
+    G = geo.GeometryAtPoint(QUARTIC2, PT2, 4)
+    assert geo.frame_identity_residuals(G)["product_squared"] <= 1e-12
+    F, C = G.frames_n
+    bad = C.copy()
+    bad[0, 0] = bad[0, 0] + 1e-3
+    G._cache[("frames", "canonical_d")] = (F, bad)
+    assert geo.frame_identity_residuals(G)["product_squared"] > 1e-4
+
+
 def test_theta_frame_is_canonical_block():
     G = geo.GeometryAtPoint(CONF2, pt(0.3, -0.2, 0.7, 0.4), 3)
     want = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
