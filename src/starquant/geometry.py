@@ -9,6 +9,18 @@ curvature, up to the contracted field-equation residual.  One
 metric, semi-spray and nonlinear connection, and the vielbein lift, are
 plain functions of a generator and a point.
 
+The anholonomy, the connections, their torsion and curvature have one
+jet order per tensor, so each is built as a coefficient stack: one
+complex array whose last axis holds an entry's coefficients.  A sum
+over a contraction index is a short loop of array additions over
+batched products (`jets.batched_mul`), taken in the order in which the
+per-entry jet sums added their terms, so every entry keeps the bits of
+those sums.  Results are computed at the order the jet order rule
+gives them, which by that rule equals multiplying at higher order and
+truncating.  The stacks are wrapped as arrays of jets only where
+entries are read.  Residuals that read only values, such as the
+compatibility checks, take their products at order 0.
+
 Conventions fixed here once and used everywhere:
 
 * the symplectic form is theta = dp_i ^ dx^i and Hamiltonian fields obey
