@@ -609,8 +609,9 @@ class GeometryAtPoint:
 
     # -- anholonomy, connections, torsion, curvature --------------------------
 
-    # Each of the four tensors below is built once as a (space, rows)
-    # stack, and wrapped as an array of jets only where entries are read.
+    # The anholonomy, connection and curvature are built once as
+    # (space, rows) stacks, and wrapped as arrays of jets only where
+    # entries are read.
 
     def _anholonomy_stack(self, kind):
         def build():
@@ -647,17 +648,6 @@ class GeometryAtPoint:
 
         return self._memo(("connection_stack", kind), build)
 
-    def _torsion_stack(self, kind):
-        def build():
-            self._need("torsion")
-            (g_space, G), (w_space, W) = (self._connection_stack(kind),
-                                          self._anholonomy_stack(kind))
-            space = g_space if g_space.order <= w_space.order else w_space
-            G = G[..., : space.size]
-            return space, G - G.swapaxes(1, 2) - W[..., : space.size]
-
-        return self._memo(("torsion_stack", kind), build)
-
     def _curvature_stack(self, kind):
         def build():
             self._need("curvature_d" if kind == "canonical_d" else "curvature_phi")
@@ -677,8 +667,16 @@ class GeometryAtPoint:
                           lambda: _jets(*self._connection_stack(kind)))
 
     def torsion(self, kind):
-        return self._memo(("torsion", kind),
-                          lambda: _jets(*self._torsion_stack(kind)))
+        def build():
+            self._need("torsion")
+            (g_space, G), (w_space, W) = (self._connection_stack(kind),
+                                          self._anholonomy_stack(kind))
+            space = g_space if g_space.order <= w_space.order else w_space
+            G = G[..., : space.size]
+            # T[g, a, b] = G[g, a, b] - G[g, b, a] - W[g, a, b]
+            return _jets(space, G - G.swapaxes(1, 2) - W[..., : space.size])
+
+        return self._memo(("torsion", kind), build)
 
     def curvature(self, kind):
         return self._memo(("curvature", kind),
