@@ -635,7 +635,7 @@ class GeometryAtPoint:
             else:
                 w_space, W = self._anholonomy_stack(kind)
                 order = min(order, w_space.order)
-                # w_h[s, j, k] = g_sm W^m_jk, w_v[c, a, b] = g^cm W^m_ab
+                # w_h[s, j, k] = g_sm W^m_jk and w_v[c, a, b] = g^cm W^(n+m)_(n+a)(n+b)
                 w_h = _dot(w_space, np.moveaxis(gl, 1, 0)[:, :, None, None],
                            W[:n, None, :n, :n])
                 w_v = _dot(w_space, np.moveaxis(gu, 1, 0)[:, :, None, None],
