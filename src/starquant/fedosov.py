@@ -20,13 +20,30 @@ The pairing lam = theta - i g of a state is a WickPairing.  It owns the
 table of contraction weights that all of the state's Wick products read,
 so the table lives and dies with the state, and it keeps each weight at
 the highest jet order read so far (see WickPairing).
+
+The Wick product runs on arrays.  Each key (r, z, form) is one int64
+code (KeyCodes), so the key a pair of terms feeds is a sum of codes and
+a contraction row's key that sum plus the row's offset.  The pair plan
+is a mask over the grid of left and right terms (the degree cap and the
+disjoint forms), the wedge signs come from one table, and the weights of
+each (za, zb) are one stack of coefficient rows (Contractions).  The
+numbers go through jets.batched_mul, grouped by jet order, and every
+result key sums its pieces in visit order from its first piece (_Sums),
+so each coefficient has the bits of the per-jet loop: one Jet product
+and one Jet sum per piece, as tests/oracles.py keeps it.  The pairs are
+taken in chunks whose stacks stay within jets.CHUNK coefficients.  The
+element itself stays a dict of Jets; the other operators still loop
+over its terms.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
+from . import jets
 from .errors import StarquantError
 from .geometry import (
     GeometryAtPoint,
@@ -35,7 +52,7 @@ from .geometry import (
     jsum,
     values,
 )
-from .jets import Jet
+from .jets import Jet, batched_mul, jet_space
 
 PRUNE_TOL = 1e-14
 
@@ -151,9 +168,7 @@ class WickElement:
         return {r: c for r, c in parts.items() if c is not None}
 
     def max_abs(self):
-        if not self.terms:
-            return 0.0
-        return max(float(np.abs(c.coeffs).max()) for c in self.terms.values())
+        return _max(float(np.abs(c.coeffs).max()) for c in self.terms.values())
 
     def is_zero(self, tol=0.0):
         return self.max_abs() <= tol
@@ -161,6 +176,13 @@ class WickElement:
     def _check(self, other):
         if self.n != other.n or self.d_max != other.d_max:
             raise ValueError("mixed truncation settings")
+
+
+def _max(values):
+    """max(0.0, *values), but NaN when any value is NaN: the builtin max
+    keeps whichever of a NaN and a number it meets first."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def _accumulate(store, key, coeff):
@@ -335,7 +357,151 @@ def lifted_torsion_curvature(ctx, d_max):
 
 
 # ---------------------------------------------------------------------------
-# the fiberwise product
+# the fiberwise product on key codes and coefficient stacks
+
+
+class KeyCodes:
+    """Integer codes of the keys (r, z, form) of elements with n2 = 2n
+    fiber slots.  The form is an n2-bit mask in the low bits; above it
+    each z exponent, then r, has a field of `width` bits.  Codes add as
+    the keys do while no field overflows: the key of a pair of terms is
+    the sum of their codes with the masks replaced by their union, and a
+    contraction row's key is the pair's key plus the row's offset."""
+
+    def __init__(self, n2):
+        self.n2 = n2
+        self.width = (62 - n2) // (n2 + 1)
+        self.zshift = n2 + self.width * np.arange(n2, dtype=np.int64)
+        self.zplace = np.left_shift(1, self.zshift)
+        self.rshift = n2 + self.width * n2
+        self.forms = [tuple(k for k in range(n2) if m >> k & 1) for m in range(1 << n2)]
+        self.masks = {f: m for m, f in enumerate(self.forms)}
+        # the wedge sign of two disjoint masks: -1 to the number of pairs
+        # of a left index above a right one, as wedge_merge counts them
+        bits = (np.arange(1 << n2)[:, None] >> np.arange(n2)) & 1
+        above = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits
+        self.sign = np.where((above @ bits.T) % 2, -1, 1).astype(np.int8)
+
+    def keys(self, codes):
+        """The (r, z, form) keys of an array of codes."""
+        z = (codes[:, None] >> self.zshift) & ((1 << self.width) - 1)
+        forms = [self.forms[m] for m in (codes & ((1 << self.n2) - 1)).tolist()]
+        return list(zip((codes >> self.rshift).tolist(), map(tuple, z.tolist()), forms))
+
+
+class _Stack:
+    """The terms of one element as arrays, in the element's order: the
+    code of each key without its form, the form mask, r, |z| and Deg, an
+    index into the distinct z exponents (and their |z|), and the
+    coefficients as one stack of rows padded with zeros past each jet's
+    order."""
+
+    def __init__(self, a, codes):
+        if a.d_max >= 1 << codes.width:
+            raise ValueError(f"Deg {a.d_max} overflows the {codes.width}-bit key fields")
+        keys, coeffs = list(a.terms), list(a.terms.values())
+        dims = {c.dim for c in coeffs}
+        if len(dims) != 1:
+            raise ValueError(f"jets of dimensions {sorted(dims)} do not combine")
+        (self.dim,) = dims
+        z = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), codes.n2)
+        self.r = np.array([k[0] for k in keys], dtype=np.int64)
+        self.s = z.sum(axis=1)
+        self.deg = 2 * self.r + self.s
+        self.mask = np.array([codes.masks[k[2]] for k in keys], dtype=np.int64)
+        self.code = (self.r << codes.rshift) + z @ codes.zplace
+        zs = {}
+        self.zidx = np.array([zs.setdefault(k[1], len(zs)) for k in keys], dtype=np.int64)
+        self.zs = list(zs)
+        self.zs_deg = self.s[np.unique(self.zidx, return_index=True)[1]]
+        self.order = np.array([c.order for c in coeffs], dtype=np.int64)
+        self.coeffs = np.zeros((len(coeffs), max(c.space.size for c in coeffs)), np.complex128)
+        for row, c in zip(self.coeffs, coeffs):
+            row[: c.space.size] = c.coeffs
+
+
+def _stacks(a, b, lam):
+    """The operands of a product as _Stacks, checked to have their jets
+    and the pairing's in one dimension."""
+    A, B = _Stack(a, lam.codes), _Stack(b, lam.codes)
+    if not A.dim == B.dim == lam.dim:
+        raise ValueError(f"jets of dimensions {A.dim}, {B.dim} and a pairing of "
+                         f"dimension {lam.dim} do not combine")
+    return A, B
+
+
+def _sizes(dim, orders):
+    """Coefficient counts of the jet spaces of an array of orders: the
+    monomials of degree <= o in dim variables."""
+    counts = [math.comb(dim + o, o) for o in range(int(orders.max(initial=0)) + 1)]
+    return np.array(counts, dtype=np.int64)[orders]
+
+
+def _mul_grouped(dim, orders, left, right, width):
+    """Row-by-row products of two stacks, each pair in the jet space of its
+    order, through batched_mul; padded with zeros to `width`."""
+    out = np.zeros((len(orders), width), np.complex128)
+    # not np.unique: without its optional outputs it imports numpy.ma
+    uniq = np.flatnonzero(np.bincount(orders)).tolist()
+    for o in uniq:
+        space = jet_space(dim, int(o))
+        sel = slice(None) if len(uniq) == 1 else np.nonzero(orders == o)[0]
+        out[sel, : space.size] = batched_mul(space, left[sel], right[sel])
+    return out
+
+
+class _Sums:
+    """Contributions summed into keys as _accumulate sums jets: the keys in
+    the order they are first visited, each kept at the lowest jet order of
+    its contributions.  A key starts from its first contribution, so a
+    -0.0 there survives, and every later one is added by an unbuffered
+    scatter-add in visit order: the left fold of jet sums, element by
+    element.  The keys (ints, or rows of ints) and jet orders of all the
+    contributions are given up front; their values are added chunk by
+    chunk, in visit order."""
+
+    def __init__(self, keys, orders, dim):
+        _, first, inv = np.unique(keys, axis=0 if keys.ndim > 1 else None,
+                                  return_index=True, return_inverse=True)
+        visit = np.argsort(first, kind="stable")
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[visit] = np.arange(len(first))
+        self.visited = first[visit]  # the first contribution of each key
+        self.slot = rank[inv.reshape(-1)]
+        self.first = np.zeros(len(self.slot), dtype=bool)
+        self.first[first] = True
+        self.order = np.full(len(first), np.iinfo(np.int64).max)
+        np.minimum.at(self.order, self.slot, orders)
+        self.size = _sizes(dim, self.order)
+        self.rows = np.zeros((len(first), self.size.max()), np.complex128)
+
+    def add(self, lo, values):
+        """Add the contributions lo .. lo + len(values), in visit order."""
+        slot, first = self.slot[lo : lo + len(values)], self.first[lo : lo + len(values)]
+        width = self.rows.shape[1]
+        cut = min(width, values.shape[1])  # a key is never wider than its contributions
+        starts = np.nonzero(first)[0]
+        self.rows[slot[starts], :cut] = values[starts, :cut]
+        cols = np.arange(values.shape[1])
+        later = ~first[:, None] & (cols < self.size[slot][:, None])
+        np.add.at(self.rows.reshape(-1), (slot[:, None] * width + cols)[later], values[later])
+
+    def done(self):
+        """The summed rows, zero past each key's jet order."""
+        self.rows[np.arange(self.rows.shape[1]) >= self.size[:, None]] = 0.0
+        return self.rows
+
+
+class Contractions(NamedTuple):
+    """The contraction rows of one pair of fiber monomials (za, zb), in the
+    order of the breadth-first walk over t: t contracted pairs, the key
+    code offset from the pair's key to the row's, the weights as a stack
+    of coefficient rows padded with zeros, and each row's jet order."""
+
+    t: np.ndarray
+    offsets: np.ndarray
+    weights: np.ndarray
+    orders: np.ndarray
 
 
 class WickPairing:
@@ -345,72 +511,247 @@ class WickPairing:
     A product contracts t >= 1 slots of a left term z^za with t slots of a
     right term z^zb, one factor (i v / 2) lam^{alpha beta} per pair, so the
     weights depend only on lam and (za, zb).  The table maps (za, zb) to
-    (za + zb, rows of (t, exponent left uncontracted, weight jet)), with
-    the rows in the order of a breadth-first walk over t.  A weight is kept
-    at the highest jet order read so far and rebuilt from lam when a read
-    needs more; by the jet order rule the stored prefix has the bits of the
-    full-order weight, so the order of the reads is invisible."""
+    its Contractions: a stack of weight rows with their t, key code
+    offsets (see KeyCodes) and jet orders, in the order of a breadth-first
+    walk over t.  The walk runs on stacks, for all the entries one product
+    lacks at once, with the operations of the per-jet walk in its order:
+    each state's weight is the left factor of lam times 1.0, the pieces of
+    a state are summed in visit order (see _Sums), and a row is its
+    state's weight times (i/2)^t / t!.  An entry is kept at the highest
+    jet order read so far and rebuilt from lam when a read needs more; by
+    the jet order rule the stored prefix has the bits of the full-order
+    weight, so the order of the reads is invisible."""
 
     def __init__(self, matrix):
         self.matrix = matrix
+        self.codes = KeyCodes(matrix.shape[0])
         self.order = max(e.order for e in matrix.flat)
-        self._truncated = {}
+        self.dim = matrix.flat[0].dim
+        self._lam = np.zeros(matrix.shape + (jet_space(self.dim, self.order).size,),
+                             np.complex128)
+        self._lam_order = np.empty(matrix.shape, dtype=np.int64)
+        for idx, e in np.ndenumerate(matrix):
+            self._lam[idx][: e.space.size] = e.coeffs * 1.0
+            self._lam_order[idx] = e.order
         self._table = {}
 
     def contractions(self, za, zb, order):
-        """(za + zb, rows) of the pair, with weights good to jet order
+        """The Contractions of the pair, with weights good to jet order
         `order`."""
-        order = min(order, self.order)
-        hit = self._table.get((za, zb))
-        if hit is None or hit[0] < order:
-            hit = order, _zadd(za, zb), self._rows(za, zb, order)
-            self._table[(za, zb)] = hit
-        return hit[1], hit[2]
+        return self._read([(tuple(za), tuple(zb))], [order])[0]
 
-    def _lam_at(self, order):
-        lam = self._truncated.get(order)
-        if lam is None:
-            lam = np.empty_like(self.matrix)
-            for idx, e in np.ndenumerate(self.matrix):
-                lam[idx] = e.truncate(min(order, e.order))
-            self._truncated[order] = lam
-        return lam
+    def _read(self, pairs, orders):
+        entries, todo = [], []
+        for k, (pair, order) in enumerate(zip(pairs, orders)):
+            order = min(order, self.order)
+            hit = self._table.get(pair)
+            if hit is None or hit[0] < order:
+                todo.append((k, pair, order))
+            entries.append(hit and hit[1])
+        # walked in groups whose weight rows stack at most jets.CHUNK
+        # coefficients
+        rows = np.array([_walk_rows(za, zb) for _, (za, zb), _ in todo], dtype=np.int64)
+        orders = np.array([o for _, _, o in todo], dtype=np.int64)
+        for lo, hi in _chunks(rows, _sizes(self.dim, orders)):
+            group = todo[lo:hi]
+            built = self._walk([p for _, p, _ in group], [o for _, _, o in group])
+            for (k, pair, order), entry in zip(group, built):
+                self._table[pair] = order, entry
+                entries[k] = entry
+        return entries
 
-    def _rows(self, za, zb, order):
-        lam = self._lam_at(order)
-        n2 = len(za)
-        rows = []
-        states = {(za, zb): 1.0}
+    def _walk(self, pairs, caps):
+        codes, dim = self.codes, self.dim
+        za, zb = (np.array([p[side] for p in pairs], dtype=np.int64).reshape(len(pairs), -1)
+                  for side in (0, 1))
+        entry, sa, sb, w_order = np.arange(len(pairs)), za, zb, np.array(caps)
+        levels = []
         t = 0
-        while states and t < min(sum(za), sum(zb)):
+        while True:
+            i, al, be = np.nonzero((sa[:, :, None] > 0) & (sb[:, None, :] > 0))
+            if not len(i):
+                break
             t += 1
-            new = {}
-            for (sa, sb), w in states.items():
-                for al in range(n2):
-                    if sa[al] == 0:
-                        continue
-                    for be in range(n2):
-                        if sb[be] == 0:
-                            continue
-                        factor = sa[al] * sb[be]
-                        piece = lam[al, be] * (w if np.isscalar(w) else 1.0)
-                        if not np.isscalar(w):
-                            piece = w * piece
-                        nk = (_bump(sa, al, -1), _bump(sb, be, -1))
-                        cur = new.get(nk)
-                        if cur is None:
-                            new[nk] = piece * factor
-                        else:
-                            new[nk] = cur + piece * factor
-            states = new
+            order = np.minimum(w_order[i], self._lam_order[al, be])
+            factor = sa[i, al] * sb[i, be]
+            hop = np.arange(len(i))
+            na, nb = sa[i], sb[i]
+            na[hop, al] -= 1
+            nb[hop, be] -= 1
+            sums = _Sums(np.column_stack([entry[i], na, nb]), order, dim)
+            sizes = _sizes(dim, order)
+            for lo, hi in _chunks(np.ones(len(i), np.int64), sizes):
+                if t == 1:
+                    size = sizes[lo:hi]
+                    lam = self._lam[al[lo:hi], be[lo:hi], : size.max()]
+                    piece = np.where(np.arange(lam.shape[1]) < size[:, None], lam, 0.0)
+                else:
+                    piece = _mul_grouped(dim, order[lo:hi], w[i[lo:hi]],
+                                         self._lam[al[lo:hi], be[lo:hi], : w.shape[1]],
+                                         w.shape[1])
+                sums.add(lo, piece * factor[lo:hi, None])
+            w, w_order = sums.done(), sums.order
+            entry, sa, sb = entry[i][sums.visited], na[sums.visited], nb[sums.visited]
             pref = (0.5j) ** t / math.factorial(t)
-            for (sa, sb), w in states.items():
-                rows.append((t, _zadd(sa, sb), w * pref))
-        return rows
+            levels.append((entry, t, sa + sb, w * pref, w_order))
+        if not levels:
+            none = np.zeros(0, dtype=np.int64)
+            return [Contractions(none, none, np.zeros((0, 0), np.complex128), none)] * len(pairs)
+        entry = np.concatenate([lv[0] for lv in levels])
+        rank = np.argsort(entry, kind="stable")
+        t = np.concatenate([np.full(len(lv[0]), lv[1]) for lv in levels])
+        zt = np.concatenate([lv[2] for lv in levels])
+        offsets = (t << codes.rshift) + (zt - (za + zb)[entry]) @ codes.zplace
+        orders = np.concatenate([lv[4] for lv in levels])
+        weights = _padded([lv[3] for lv in levels])
+        del levels  # the weights live on in the padded stack only
+        # each entry keeps a copy of its weights, cut to the widest of its rows
+        tops = np.zeros(len(pairs), dtype=np.int64)
+        np.maximum.at(tops, entry, _sizes(dim, orders))
+        t, offsets, orders = t[rank], offsets[rank], orders[rank]
+        out, lo = [], 0
+        for hi, top in zip(np.cumsum(np.bincount(entry, minlength=len(pairs))).tolist(),
+                           tops.tolist()):
+            out.append(Contractions(t[lo:hi], offsets[lo:hi], weights[rank[lo:hi], :top],
+                                    orders[lo:hi]))
+            lo = hi
+        return out
+
+    def _gather(self, A, B, i, j, order, last=False):
+        """The contraction rows of the pairs (A[i], B[j]), each read at its
+        jet order `order`, or only each pair's last row (all slots
+        contracted).  Returns _Rows over the distinct (za, zb) and, per
+        pair, its (za, zb), first row and row count."""
+        nb = len(B.zs)
+        uniq, combo = np.unique(A.zidx[i] * nb + B.zidx[j], return_inverse=True)
+        combo = combo.reshape(-1)
+        need = np.zeros(len(uniq), dtype=np.int64)
+        np.maximum.at(need, combo, order)
+        live = np.nonzero((A.zs_deg[uniq // nb] > 0) & (B.zs_deg[uniq % nb] > 0))[0]
+        read = self._read([(A.zs[c // nb], B.zs[c % nb]) for c in uniq[live].tolist()],
+                          need[live].tolist())
+        none = Contractions(*(np.zeros((0,) * k, np.int64) for k in (1, 1, 2, 1)))
+        entries = [none] * len(uniq)
+        for k, e in zip(live.tolist(), read):
+            entries[k] = Contractions(*(x[-1:] for x in e)) if last else e
+        counts = np.array([len(e.t) for e in entries], dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        rows = _Rows([e.weights for e in entries], starts, counts,
+                     np.concatenate([e.offsets for e in entries] + [np.zeros(1, np.int64)]),
+                     np.concatenate([e.orders for e in entries]
+                                    + [np.full(1, np.iinfo(np.int64).max)]))
+        return rows, combo, starts[combo], counts[combo]
 
 
-def _zadd(za, zb):
-    return tuple(x + y for x, y in zip(za, zb))
+class _Rows(NamedTuple):
+    """The contraction rows a product reads, numbered across its distinct
+    (za, zb) in order: the weights of each (za, zb), the number of its
+    first row, and every row's key code offset and jet order.  A final
+    row with offset 0 and no order bound, number -1, stands for "no
+    contraction"."""
+
+    weights: list
+    starts: np.ndarray
+    counts: np.ndarray
+    offsets: np.ndarray
+    orders: np.ndarray
+
+    def stack(self, combos, rows, width):
+        """The weights of rows `rows` of the (za, zb) `combos` as a stack
+        `width` wide; only the (za, zb) they name are gathered, so a
+        chunk holds the weights it reads and no more."""
+        used = np.flatnonzero(np.bincount(combos))
+        first = np.zeros(len(self.weights), dtype=np.int64)
+        first[used] = np.cumsum(self.counts[used]) - self.counts[used]
+        return _padded([self.weights[c][:, :width] for c in used.tolist()])[
+            first[combos] + rows - self.starts[combos]]
+
+
+def _chunks(count, size):
+    """(lo, hi) runs of consecutive items, item k stacking count[k] rows
+    of size[k] coefficients, whose rows padded to the run's widest size
+    make at most jets.CHUNK coefficients; one item at least."""
+    rows = np.cumsum(count)
+    lo = 0
+    while lo < len(rows):
+        stacked = (rows[lo:] - (rows[lo - 1] if lo else 0)) * np.maximum.accumulate(size[lo:])
+        hi = lo + max(1, int(np.searchsorted(stacked, jets.CHUNK, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+@lru_cache(maxsize=None)
+def _submultisets(z):
+    """counts[k]: the sub-multisets of size k of the multiset with
+    multiplicities z."""
+    counts = [1]
+    for m in z:
+        counts = [sum(counts[max(0, k - m) : k + 1]) for k in range(len(counts) + m)]
+    return counts
+
+
+def _walk_rows(za, zb):
+    """The rows of the walk of (za, zb): at level t, every pair of a
+    sub-multiset of za and one of zb, each t smaller."""
+    ca, cb = _submultisets(za), _submultisets(zb)
+    sa, sb = len(ca) - 1, len(cb) - 1
+    return sum(ca[sa - t] * cb[sb - t] for t in range(1, min(sa, sb) + 1))
+
+
+def _padded(stacks):
+    """The rows of 2-D stacks, one after the other, padded with zeros to
+    the widest."""
+    out = np.zeros((sum(len(x) for x in stacks), max(x.shape[1] for x in stacks)),
+                   np.complex128)
+    at = 0
+    for x in stacks:
+        out[at : at + len(x), : x.shape[1]] = x
+        at += len(x)
+    return out
+
+
+def _contract(A, B, i, j, sign, masks, rows, combo, start, count, base):
+    """The sums of a pair plan.  Pair k = (A[i[k]], B[j[k]]) has the base
+    A-coefficient times B-coefficient times sign[k]; it contributes that
+    base if base[k], then the base times each of the count[k] rows of
+    `rows` (a _Rows, where the pair's (za, zb) is combo[k]) from start[k]
+    on.  The pairs are taken in visit order, in chunks of whole pairs
+    whose contributions stack at most jets.CHUNK coefficients.  Returns
+    the keys in visit order, their jet orders, and the summed rows."""
+    order = np.minimum(A.order[i], B.order[j])
+    per = base + count
+    cpair = np.repeat(np.arange(len(i)), per)
+    step = np.arange(len(cpair)) - np.repeat(np.cumsum(per) - per, per) - base[cpair]
+    crow = np.where(step >= 0, start[cpair] + step, -1)
+    corder = np.minimum(order[cpair], rows.orders[crow])
+    keys = A.code[i[cpair]] + B.code[j[cpair]] + masks[cpair] + rows.offsets[crow]
+    sums = _Sums(keys, corder, A.dim)
+    sizes = _sizes(A.dim, order)
+    ends = np.cumsum(per)
+    for p0, p1 in _chunks(per, sizes):
+        c0, c1 = (int(ends[p0 - 1]) if p0 else 0), int(ends[p1 - 1])
+        # the stacks are as wide as the chunk's highest order needs
+        width = int(sizes[p0:p1].max())
+        values = _mul_grouped(A.dim, order[p0:p1], A.coeffs[i[p0:p1], :width],
+                              B.coeffs[j[p0:p1], :width], width) * sign[p0:p1, None]
+        values = values[cpair[c0:c1] - p0]
+        weighted = np.nonzero(crow[c0:c1] >= 0)[0]
+        if len(weighted):
+            at = c0 + weighted
+            values[weighted] = _mul_grouped(A.dim, corder[at], values[weighted],
+                                            rows.stack(combo[cpair[at]], crow[at], width),
+                                            width)
+        sums.add(c0, values)
+    return keys[sums.visited], sums.order, sums.done()
+
+
+def _jets_of(dim, orders, rows):
+    """(jet, not negligible) for each summed row; each jet owns a copy
+    of its coefficients, so the stack is freed with the product."""
+    sizes = _sizes(dim, orders).tolist()
+    keep = ~(np.abs(rows).max(axis=1) <= PRUNE_TOL)
+    return [(Jet(jet_space(dim, o), row[:size].copy()), k)
+            for o, size, row, k in zip(orders.tolist(), sizes, rows, keep.tolist())]
 
 
 def wick_product(a, b, lam, cap=None):
@@ -425,25 +766,29 @@ def wick_product(a, b, lam, cap=None):
     pairs above min(cap, d_max) are skipped.  The kept keys receive exactly
     the pieces, in the same order, as without the cap, so the result equals
     the uncapped product restricted to cap, bit for bit; the container
-    stays at d_max."""
+    stays at d_max.
+
+    The pairs are visited left term major, and each feeds its base
+    coefficient product (times the wedge sign) and then that base times
+    each contraction row; the keys of the result are in first-visit order
+    and each sums its pieces in visit order (see _contract)."""
     a._check(b)
     top = a.d_max if cap is None else min(cap, a.d_max)
-    out = {}
-    for (ra, za, fa), ca in a.terms.items():
-        deg_a_term = 2 * ra + sum(za)
-        for (rb, zb, fb), cb in b.terms.items():
-            if deg_a_term + 2 * rb + sum(zb) > top:
-                continue
-            merged = wedge_merge(fa, fb)
-            if merged is None:
-                continue
-            sign, form = merged
-            base = ca * cb * sign
-            z, rows = lam.contractions(za, zb, base.order)
-            _accumulate(out, (ra + rb, z, form), base)
-            for t, zt, w in rows:
-                _accumulate(out, (ra + rb + t, zt, form), base * w)
-    return _built(a.n, a.d_max, out)
+    if not a.terms or not b.terms:
+        return WickElement(a.n, a.d_max, {})
+    codes = lam.codes
+    A, B = _stacks(a, b, lam)
+    i, j = np.nonzero((A.deg[:, None] + B.deg <= top) & ((A.mask[:, None] & B.mask) == 0))
+    if not len(i):
+        return WickElement(a.n, a.d_max, {})
+    order = np.minimum(A.order[i], B.order[j])
+    rows, combo, start, count = lam._gather(A, B, i, j, order)
+    keys, orders, summed = _contract(A, B, i, j, codes.sign[A.mask[i], B.mask[j]],
+                                     A.mask[i] | B.mask[j], rows, combo, start, count,
+                                     np.ones(len(i), dtype=bool))
+    terms = {key: jet for key, (jet, keep) in zip(codes.keys(keys),
+                                                  _jets_of(A.dim, orders, summed)) if keep}
+    return WickElement(a.n, a.d_max, terms)
 
 
 def wick_scalar_parts(a, b, lam, v_max):
@@ -456,24 +801,23 @@ def wick_scalar_parts(a, b, lam, v_max):
     wick_product(a, b, lam, cap=2 v_max).scalar_parts(v_max) bit for bit."""
     a._check(b)
     top = min(2 * v_max, a.d_max)
-    out = {}
-    for (ra, za, fa), ca in a.terms.items():
-        s = sum(za)
-        if fa or 2 * (ra + s) > top:
-            continue
-        for (rb, zb, fb), cb in b.terms.items():
-            if fb or sum(zb) != s or 2 * (ra + rb + s) > top:
-                continue
-            # the wedge sign of two empty forms: a complex multiply by 1
-            # can turn -0.0 into +0.0, so it stays
-            base = ca * cb * 1
-            if s == 0:
-                _accumulate(out, ra + rb, base)
-                continue
-            _, rows = lam.contractions(za, zb, base.order)
-            t, _, w = rows[-1]
-            _accumulate(out, ra + rb + t, base * w)
-    return {r: out[r] for r in sorted(out) if not _negligible(out[r])}
+    if not a.terms or not b.terms:
+        return {}
+    codes = lam.codes
+    A, B = _stacks(a, b, lam)
+    i, j = np.nonzero((A.mask == 0)[:, None] & (B.mask == 0) & (A.s[:, None] == B.s)
+                      & (2 * (A.r[:, None] + B.r + A.s[:, None]) <= top))
+    if not len(i):
+        return {}
+    order = np.minimum(A.order[i], B.order[j])
+    rows, combo, start, count = lam._gather(A, B, i, j, order, last=True)
+    # the wedge sign of two empty forms: a complex multiply by 1 can turn
+    # -0.0 into +0.0, so it stays
+    sign = np.ones(len(i), dtype=np.int8)
+    keys, orders, summed = _contract(A, B, i, j, sign, np.zeros(len(i), np.int64), rows,
+                                     combo, start, count, count == 0)
+    parts = dict(zip((keys >> codes.rshift).tolist(), _jets_of(A.dim, orders, summed)))
+    return {r: parts[r][0] for r in sorted(parts) if parts[r][1]}
 
 
 def ad_wick(x, a, lam, cap=None):
@@ -495,11 +839,9 @@ def ad_wick(x, a, lam, cap=None):
 
 def v_divide(a, tol=1e-12):
     """Drop one power of v; the v^0 part must already vanish."""
-    floor = max(
-        (float(np.abs(c.coeffs).max()) for (r, _, _), c in a.terms.items() if r == 0),
-        default=0.0,
-    )
-    if floor > tol * max(1.0, a.max_abs()):
+    floor = _max(float(np.abs(c.coeffs).max()) for (r, _, _), c in a.terms.items() if r == 0)
+    # a NaN floor fails too: the v^0 part is not known to vanish
+    if not floor <= tol * max(1.0, a.max_abs()):
         raise StarquantError(
             f"v-division of an element with v^0 part of size {floor:.3g}"
         )
@@ -590,13 +932,13 @@ def _solve_degrees(total, x, degrees, source):
     A step is exact where src_m is delta-closed, so the largest defect
     |delta x[m] - src_m| is the residual of the whole equation on Deg m - 1
     for each m.  Returns (total + the sum of the x[m], that defect)."""
-    defect = 0.0
+    defects = []
     for m in degrees:
         src = source(m)
         x[m] = delta_inv_pair(src)
         total = total + x[m]
-        defect = max(defect, (delta_pair(x[m]) - src).max_abs())
-    return total, defect
+        defects.append((delta_pair(x[m]) - src).max_abs())
+    return total, _max(defects)
 
 
 def fedosov_r(state):

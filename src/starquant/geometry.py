@@ -37,6 +37,7 @@ Conventions fixed here once and used everywhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -189,7 +190,10 @@ def _along(space, frame, partials):
 
 def _max_abs(vals):
     """Largest modulus of a complex array, taken as a loop would take it:
-    Python's abs (numpy's can differ in the last bit) and max from 0.0."""
+    Python's abs (numpy's can differ in the last bit) and max from 0.0.
+    NaN when any entry has a NaN part, which the builtin max can drop."""
+    if np.isnan(vals).any():
+        return math.nan
     return float(max([0.0, *map(abs, vals.ravel().tolist())]))
 
 

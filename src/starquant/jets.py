@@ -47,9 +47,16 @@ _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 _TINY_IMAG = 1e-12
 
 # The most index triples one product table may hold (about 60 MB of
-# int64).  A config whose table would be larger is refused, and
-# `batched_mul` forms at most this many pair products at once.
+# int64).  A config whose table would be larger is refused.
 TABLE_CAP = 25 * 10 ** 5
+
+# The chunk budget of the stacked kernels: the most pair products one
+# scatter-add of `batched_mul` forms, and the most coefficients a chunk of
+# a Wick product's pair plan stacks.  A pair product holds about 72 bytes
+# while its chunk is alive (two gathered factors, their product, its
+# destination and the scatter's copy), so a chunk stays near 0.3 MB; a
+# larger budget saves no time and raises the peak resident memory.
+CHUNK = 2 ** 12
 
 
 def _monomials(dim, order):
@@ -369,17 +376,16 @@ def batched_mul(space, a, b):
     order rule does.  Every output row has the bits of `Jet.__mul__` on
     the two rows: one unbuffered scatter-add over the product table, its
     pairs laid out row by row in table order.  Rows are taken in chunks
-    of at most TABLE_CAP pair products, so the intermediate stays as
-    bounded as one product table.
+    of at most CHUNK pair products (one row at least), so the
+    intermediates stay bounded whatever the stack's length.
     """
     ii, jj, kk = space._mul()
     size = space.size
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a = np.broadcast_to(a[..., :size], shape + (size,)).reshape(-1, size)
-    b = np.broadcast_to(b[..., :size], shape + (size,)).reshape(-1, size)
+    a, b = _row_stack(a, shape, size), _row_stack(b, shape, size)
     rows = a.shape[0]
     out = np.zeros(rows * size, dtype=np.complex128)
-    step = max(1, TABLE_CAP // len(kk))
+    step = max(1, CHUNK // len(kk))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         # not `*=`: numpy's in-place complex multiply can round a product
@@ -388,6 +394,15 @@ def batched_mul(space, a, b):
         dest = kk + size * np.arange(lo, hi)[:, None]
         np.add.at(out, dest.ravel(), terms.ravel())
     return out.reshape(shape + (size,))
+
+
+def _row_stack(a, shape, size):
+    # the rows of `a` broadcast to `shape`, as one 2-D stack; the table
+    # reads only the first `size` columns, so a stack that needs no
+    # broadcasting is used in place, and one that does is cut first
+    if a.shape[:-1] == shape and a.flags.c_contiguous:
+        return a.reshape(-1, a.shape[-1])
+    return np.broadcast_to(a[..., :size], shape + (size,)).reshape(-1, size)
 
 
 def batched_partial(space, a, var):

@@ -6,11 +6,19 @@ machinery so that agreement between the two routes means something.
 plain walk the compiler must reproduce bit for bit.  `reference_curvature`
 and `reference_compat_residual` are the per-entry jet loops that the
 geometry's coefficient-tensor contractions must reproduce bit for bit.
+`reference_contraction_rows`, `reference_wick_product` and
+`reference_wick_scalar_parts` are the per-jet loops of the Wick algebra,
+one Jet product and one Jet sum per piece, that its key codes and
+coefficient stacks must reproduce bit for bit.
 """
+
+import math
+import weakref
 
 import numpy as np
 
 from starquant.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
+from starquant.fedosov import WickElement, wedge_merge
 from starquant.geometry import frame_deriv, jsum
 from starquant.jets import apply_unary, jet_const, jet_space
 
@@ -144,3 +152,107 @@ def reference_compat_residual(G, F, form):
                     terms.append(-(G[d, a, c] * form[b, d]))
                 worst = max(worst, abs(jsum(terms).value))
     return float(worst)
+
+
+def _accumulate(store, key, coeff):
+    cur = store.get(key)
+    store[key] = coeff if cur is None else cur + coeff
+
+
+def _negligible(c, tol=1e-14):
+    return np.abs(c.coeffs).max() <= tol
+
+
+def _bump(z, slot, by):
+    return z[:slot] + (z[slot] + by,) + z[slot + 1 :]
+
+
+def _zadd(za, zb):
+    return tuple(x + y for x, y in zip(za, zb))
+
+
+def reference_contraction_rows(matrix, za, zb, order):
+    """Rows (t, z left uncontracted, weight jet) of contracting z^za with
+    z^zb through the pairing matrix of jets truncated to `order`, by the
+    breadth-first walk over t with one jet per state."""
+    lam = np.empty_like(matrix)
+    for idx, e in np.ndenumerate(matrix):
+        lam[idx] = e.truncate(min(order, e.order))
+    n2 = len(za)
+    rows = []
+    states = {(za, zb): 1.0}
+    t = 0
+    while states and t < min(sum(za), sum(zb)):
+        t += 1
+        new = {}
+        for (sa, sb), w in states.items():
+            for al in range(n2):
+                if sa[al] == 0:
+                    continue
+                for be in range(n2):
+                    if sb[be] == 0:
+                        continue
+                    piece = lam[al, be] * (w if t == 1 else 1.0)
+                    if t > 1:
+                        piece = w * piece
+                    _accumulate(new, (_bump(sa, al, -1), _bump(sb, be, -1)),
+                                piece * (sa[al] * sb[be]))
+        states = new
+        pref = (0.5j) ** t / math.factorial(t)
+        for (sa, sb), w in states.items():
+            rows.append((t, _zadd(sa, sb), w * pref))
+    return rows
+
+
+# rows already walked, per pairing and (za, zb, order)
+_ROWS = weakref.WeakKeyDictionary()
+
+
+def _rows_of(lam, za, zb, order):
+    memo = _ROWS.setdefault(lam, {})
+    key = (za, zb, min(order, lam.order))
+    if key not in memo:
+        memo[key] = reference_contraction_rows(lam.matrix, za, zb, key[2])
+    return memo[key]
+
+
+def reference_wick_product(a, b, lam, cap=None):
+    """wick_product by the loop over pairs of terms: per pair one Jet
+    product for the base, one per contraction row, and one Jet sum per
+    piece, in visit order."""
+    top = a.d_max if cap is None else min(cap, a.d_max)
+    out = {}
+    for (ra, za, fa), ca in a.terms.items():
+        for (rb, zb, fb), cb in b.terms.items():
+            if 2 * ra + sum(za) + 2 * rb + sum(zb) > top:
+                continue
+            merged = wedge_merge(fa, fb)
+            if merged is None:
+                continue
+            sign, form = merged
+            base = ca * cb * sign
+            _accumulate(out, (ra + rb, _zadd(za, zb), form), base)
+            for t, zt, w in _rows_of(lam, za, zb, base.order):
+                _accumulate(out, (ra + rb + t, zt, form), base * w)
+    return WickElement(a.n, a.d_max, {k: c for k, c in out.items() if not _negligible(c)})
+
+
+def reference_wick_scalar_parts(a, b, lam, v_max):
+    """wick_scalar_parts by the loop over the form-free pairs with
+    |za| = |zb| that reach a scalar key at most 2 v_max."""
+    top = min(2 * v_max, a.d_max)
+    out = {}
+    for (ra, za, fa), ca in a.terms.items():
+        s = sum(za)
+        if fa or 2 * (ra + s) > top:
+            continue
+        for (rb, zb, fb), cb in b.terms.items():
+            if fb or sum(zb) != s or 2 * (ra + rb + s) > top:
+                continue
+            base = ca * cb * 1
+            if s == 0:
+                _accumulate(out, ra + rb, base)
+                continue
+            t, _, w = _rows_of(lam, za, zb, base.order)[-1]
+            _accumulate(out, ra + rb + t, base * w)
+    return {r: out[r] for r in sorted(out) if not _negligible(out[r])}

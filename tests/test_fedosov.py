@@ -6,16 +6,23 @@ curvature trace form."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from oracles import (
+    reference_contraction_rows,
+    reference_wick_product,
+    reference_wick_scalar_parts,
+)
 from starquant import fedosov as fd
+from starquant import jets
 from starquant.errors import StarquantError
 from starquant.expr import parse
 from starquant.geometry import as_generator, poisson_bracket
-from starquant.jets import PhasePoint, jet_const
+from starquant.jets import Jet, PhasePoint, jet_const
 
 PT2 = PhasePoint([0.3, -0.1], [0.7, 0.4])
 PT1 = PhasePoint([0.3], [0.7])
@@ -351,19 +358,28 @@ PRODUCT_STATES = {
 }
 
 
-@pytest.mark.parametrize("name", list(PRODUCT_STATES))
-def test_capped_product_is_the_restricted_product(name, request):
-    spec = PRODUCT_STATES[name]
-    state = request.getfixturevalue(spec) if isinstance(spec, str) else fd.build_state(*spec)
-    n, lam = state.n, state.lam
-    # forms of both parities, jet coefficients that vary over the chart,
-    # fiber terms, and a Deg 0 term so that every cap keeps something
+def state_of(spec, request):
+    return request.getfixturevalue(spec) if isinstance(spec, str) else fd.build_state(*spec)
+
+
+def product_operands(state):
+    """Forms of both parities, jet coefficients that vary over the chart,
+    fiber terms, and a Deg 0 term so that every cap keeps something."""
+    n = state.n
     x1 = fd.WickElement.from_jet(state.geometry.base_jets[0], n, state.d_alg)
     lifted, _ = fd.tau_lift(parse("x1 * p1", n), state)
     other, _ = fd.tau_lift(parse("x1^2 + p1", n), state)
     a = (other.restrict(1) + fd.extended_D(x1, state.ctx)
          + state.r_components[2] + state.r_components[3])
     b = (lifted + fd.extended_D(lifted, state.ctx)).restrict(2)
+    return a, b, lifted, other
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_STATES))
+def test_capped_product_is_the_restricted_product(name, request):
+    state = state_of(PRODUCT_STATES[name], request)
+    lam = state.lam
+    a, b, lifted, other = product_operands(state)
     assert {len(f) for (_, _, f) in a.terms} == {0, 1}
     assert {len(f) for (_, _, f) in b.terms} == {0, 1}
     for product in (fd.wick_product, fd.ad_wick):
@@ -390,6 +406,108 @@ def jets_cut_to(a, order):
                                          for k, c in a.terms.items()})
 
 
+def jets_mixed(a):
+    """a with its terms cut to jet orders 1, 2, 3, 1, ... in turn."""
+    return fd.WickElement(a.n, a.d_max, {k: c.truncate(min(1 + m % 3, c.order))
+                                         for m, (k, c) in enumerate(a.terms.items())})
+
+
+def with_signed_zeros(a):
+    """a with every other coefficient of every other term set to -0.0 in
+    both parts, and its first term all -0.0."""
+    terms = {}
+    for m, (k, c) in enumerate(a.terms.items()):
+        coeffs = c.coeffs.copy()
+        if m == 0:
+            coeffs[:] = complex(-0.0, -0.0)
+        elif m % 2:
+            coeffs[::2] = complex(-0.0, -0.0)
+        terms[k] = Jet(c.space, coeffs)
+    return fd.WickElement(a.n, a.d_max, terms)
+
+
+def same_terms(got, want):
+    """Same keys in the same order, each jet of the same order and bits."""
+    return list(got) == list(want) and all(
+        got[k].order == want[k].order and got[k].coeffs.tobytes() == want[k].coeffs.tobytes()
+        for k in got)
+
+
+# the floating-point traps every CLI point runs under
+TRAPS = dict(over="raise", invalid="raise", divide="raise")
+
+QUARTIC3 = parse("0.5*(p1^2 + p2^2 + p3^2) + x3^2 * p1^2 / 2", 3)
+PT3 = PhasePoint([0.3, -0.1, 0.2], [0.7, 0.4, -0.5])
+ORACLE_STATES = {**PRODUCT_STATES, "quartic-n3": (QUARTIC3, PT3, 3)}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_STATES))
+def test_products_match_the_per_jet_loops(name, request):
+    # wick_product and wick_scalar_parts on key codes and coefficient
+    # stacks against one Jet product and one Jet sum per piece
+    state = state_of(ORACLE_STATES[name], request)
+    lam = state.lam
+    a, b, _, _ = product_operands(state)
+    variants = {"plain": (a, b), "cut": (jets_cut_to(a, 2), b),
+                "mixed": (jets_mixed(a), jets_mixed(b)),
+                "signed zeros": (with_signed_zeros(a), with_signed_zeros(b))}
+    with np.errstate(**TRAPS):
+        for label, (x, y) in variants.items():
+            # every cap on the plain operands; no cap and a binding one on
+            # the others
+            caps = range(state.d_alg + 2) if label == "plain" else (state.d_max,)
+            for left, right in ((x, y), (y, x)):
+                for cap in (None, *caps):
+                    got = fd.wick_product(left, right, lam, cap)
+                    want = reference_wick_product(left, right, lam, cap)
+                    assert same_terms(got.terms, want.terms), (label, cap)
+                for v_max in range(state.d_max // 2 + 3):
+                    got = fd.wick_scalar_parts(left, right, lam, v_max)
+                    want = reference_wick_scalar_parts(left, right, lam, v_max)
+                    assert same_terms(got, want), (label, v_max)
+    # every entry the products left in the table, against the per-jet walk
+    codes = lam.codes
+    for (za, zb), (order, entry) in lam._table.items():
+        rows = reference_contraction_rows(lam.matrix, za, zb, order)
+        assert entry.t.tolist() == [t for t, _, _ in rows]
+        assert entry.orders.tolist() == [w.order for _, _, w in rows]
+        base = (np.add(za, zb) @ codes.zplace) + entry.offsets
+        assert codes.keys(base) == [(t, zt, ()) for t, zt, _ in rows]
+        for got, (_, _, w) in zip(entry.weights, rows):
+            assert got[: w.coeffs.size].tobytes() == w.coeffs.tobytes()
+            assert not got[w.coeffs.size :].any()
+
+
+def test_chunk_budget_is_invisible(curved, monkeypatch):
+    # a budget of one pair product takes the pair plans, the walks and the
+    # jet products one pair, one state and one row at a time
+    a, b, lifted, other = product_operands(curved)
+    runs = []
+    for budget in (jets.CHUNK, 1):
+        monkeypatch.setattr(jets, "CHUNK", budget)
+        pairing = fd.WickPairing(curved.lam.matrix)
+        runs.append((fd.wick_product(a, b, pairing).terms,
+                     fd.wick_product(b, a, pairing, curved.d_max).terms,
+                     fd.wick_scalar_parts(lifted, other, pairing, 2)))
+    for got, want in zip(*runs):
+        assert same_terms(got, want)
+
+
+def test_largest_star_product_stays_small(curved):
+    # the largest Wick product of a star run on the quartic at D_max 4, the
+    # recursion's 78 x 28 terms, on a fresh table: its walk is traced too
+    a, b = curved.r_components[3], curved.r_components[2]
+    assert (len(a.terms), len(b.terms)) == (78, 28)
+    pairing = fd.WickPairing(curved.lam.matrix)
+    tracemalloc.start()
+    try:
+        fd.wick_product(a, b, pairing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_contraction_table_fill_order_is_invisible(curved):
     x1 = fd.WickElement.from_jet(curved.geometry.base_jets[0], 2, curved.d_alg)
     a = x1 + curved.r_components[2] + curved.r_components[3]
@@ -399,7 +517,7 @@ def test_contraction_table_fill_order_is_invisible(curved):
     fresh = {k: fd.wick_product(*pair, fd.WickPairing(matrix)) for k, pair in pairs.items()}
     za = next(z for (_, z, _) in a.terms if sum(z) == 2)
     zb = next(z for (_, z, _) in b.terms if sum(z) == 2)
-    stored = lambda pairing: {w.order for _, _, w in pairing.contractions(za, zb, 0)[1]}
+    stored = lambda pairing: set(pairing.contractions(za, zb, 0).orders.tolist())
     orders = []
     for first, second in (("low", "high"), ("high", "low")):
         pairing = fd.WickPairing(matrix)
@@ -418,10 +536,11 @@ def test_states_do_not_share_a_table(curved):
     assert other.lam is not curved.lam
     za, zb = (1, 0, 0, 0), (0, 0, 1, 0)
     for state in (curved, other, curved):
-        _, rows = state.lam.contractions(za, zb, state.lam.order)
-        assert [t for t, _, _ in rows] == [1]
+        rows = state.lam.contractions(za, zb, state.lam.order)
+        assert rows.t.tolist() == [1]
         want = state.lam.matrix[0, 2] * 1.0 * 1 * 0.5j
-        assert rows[0][2].coeffs.tobytes() == want.coeffs.tobytes()
+        assert rows.orders.tolist() == [want.order]
+        assert rows.weights[0].tobytes() == want.coeffs.tobytes()
 
 
 def test_scalar_reads_form_no_product(curved, monkeypatch):
@@ -506,6 +625,34 @@ def test_lift_defect_sees_a_corrupted_connection(curved):
     lifted, defect = fd.tau_lift(parse("x1 * p1", 2), broken)
     assert defect > 1.0
     assert abs(defect - fd.tau_flatness(lifted, broken)) <= 1e-12
+
+
+def test_maxima_keep_nan(curved):
+    space = curved.geometry.space
+    nan = float("nan")
+    a = fd.WickElement(2, curved.d_alg, {(0, (1, 0, 0, 0), ()): jet_const(space, 1.0),
+                                         (0, (0, 1, 0, 0), ()): jet_const(space, nan)})
+    assert math.isnan(a.max_abs())
+    # a NaN v^0 part is not known to vanish
+    with pytest.raises(StarquantError, match="nan"):
+        fd.v_divide(a.vshift(1) + a)
+    assert set(fd.v_divide(a.vshift(1)).terms) == set(a.terms)
+    # the defect of the degree solver
+    _, defect = fd._solve_degrees(a, {}, [1], lambda m: a)
+    assert math.isnan(defect)
+
+
+def test_nan_in_r_reaches_the_closure_defect(curved):
+    # a NaN in one v^1 term of r reaches the closure defect through delta,
+    # D and r o r; the v^0 part that v_divide guards stays finite
+    terms = dict(curved.r.terms)
+    key = next(k for k in terms if k[0] == 1)
+    coeffs = terms[key].coeffs.copy()
+    coeffs[0] = float("nan")
+    terms[key] = Jet(terms[key].space, coeffs)
+    broken = dataclasses.replace(curved, r=fd.WickElement(2, curved.d_alg, terms))
+    assert fd.recursion_residual(curved) <= 1e-12
+    assert math.isnan(fd.recursion_residual(broken))
 
 
 def test_state_stores_the_closure_residual():

@@ -639,3 +639,16 @@ def test_contractions_match_the_per_entry_references(H, point, order):
             gamma, F, G.metric_frame(kind))
         assert geo.theta_compat_residual(G, kind) == reference_compat_residual(
             gamma, F, G.theta_frame(kind))
+
+
+def test_residual_maxima_keep_nan():
+    assert np.isnan(geo._max_abs(np.array([1.0, float("nan")])))
+    assert geo._max_abs(np.array([1.0, -2.0 + 0.5j])) == abs(-2.0 + 0.5j)
+    # one NaN coefficient in the cached connection stack reaches the residual
+    G = geo.GeometryAtPoint(QUARTIC2, PT2, 5)
+    assert np.isfinite(geo.metric_compat_residual(G, "canonical_d"))
+    space, gamma = G._connection_stack("canonical_d")
+    gamma = gamma.copy()
+    gamma[0, 0, 0, 0] = float("nan")
+    G._cache[("connection_stack", "canonical_d")] = space, gamma
+    assert np.isnan(geo.metric_compat_residual(G, "canonical_d"))

@@ -464,7 +464,7 @@ def test_batched_mul_is_the_jet_product_row_by_row(dim, orders, shapes, seed, ca
             assert got[idx].tobytes() == want.coeffs.tobytes()
         # a budget below one row's table takes the rows one at a time
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(jets, "TABLE_CAP", cap)
+            patch.setattr(jets, "CHUNK", cap)
             assert batched_mul(space, a, b).tobytes() == got.tobytes()
 
 
