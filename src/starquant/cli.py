@@ -37,6 +37,7 @@ from .fedosov import (
 )
 from .geometry import (
     GeometryAtPoint,
+    _max_abs,
     anholonomy_closed_form_residual,
     bracket_jets,
     dtheta_residual,
@@ -49,9 +50,10 @@ from .geometry import (
 from .jets import TABLE_CAP, PhasePoint
 from .mechanics import (
     hamilton_flow,
-    lagrange_flow,
-    legendre_to_hamiltonian,
-    legendre_to_lagrangian,
+    hamilton_flows,
+    lagrange_flows,
+    legendre_momenta,
+    legendre_velocities,
 )
 
 SCHEMA_VERSION = 1
@@ -103,6 +105,18 @@ TOL = {
 # the jet product table
 CAPS = {"n": 4, "D_max": 8, "v_max": 8, "jet_order": 17,
         "flow_steps": 10 ** 6, "points": 10 ** 4, "jet_table": TABLE_CAP}
+
+# The most bytes one stack of a flow run keeps per point, summed over its
+# points: the recorded states and energies of its flow and dual flow, and
+# the coefficients of its sampled Legendre pushes.  A flow run integrates
+# its points in stacks of as many as fit, one point at least.  The
+# per-stage jets of a stack are smaller than its pushes, so they stay
+# within the budget too.
+STACK_BYTES = 2 ** 24
+
+# samples of the dual flow that the duality check pushes through the
+# fiber derivative, besides the last one
+DUALITY_SAMPLES = 256
 
 
 class ConfigError(Exception):
@@ -465,7 +479,7 @@ def _geometry_checks(geo):
         checks.append(_check(f"theta_compat_{label}",
                              theta_compat_residual(geo, kind), TOL["compat"]))
     tc = geo.curvature_torsion("canonical_d")
-    worst = max(abs(tc.T_hij).max(), abs(tc.S_abc).max())
+    worst = _max_abs((abs(tc.T_hij).max(), abs(tc.S_abc).max()))
     checks.append(_check("canonical_torsion_blocks", worst, TOL["canonical_torsion"]))
     return checks
 
@@ -497,70 +511,90 @@ def _inspect_point(cfg, gen, pt):
     return block, checks
 
 
-def _flow_duality(hamiltonian, lagrangian, primary, cfg):
-    """Sup distance between the two flows of one closed-form family.
+def _flow_duality(hamiltonian, lagrangian, primaries, cfg):
+    """Sup distance between the two flows of one closed-form family, per
+    trajectory of a stack; the dual flows run as one stack too.
 
     Positions are compared directly; momenta are compared after pushing
     the Lagrangian samples through the fiber derivative of L, which is
-    a pointwise jet read, not a Newton solve.
+    a pointwise jet read, not a Newton solve.  The samples of every
+    trajectory are pushed in one stacked evaluation.
     """
     t_end, dt = cfg["flow"]["t_end"], cfg["flow"]["dt"]
-    start = primary.states[0]
+    starts = np.array([t.states.array[0] for t in primaries])
+    n = starts.shape[1] // 2
     if cfg["bundle_tag"] == "cotangent":
-        y0, _ = legendre_to_lagrangian(hamiltonian, start)
-        ct, tm = primary, lagrange_flow(lagrangian, PhasePoint(start.x, y0), t_end, dt)
+        ys = legendre_velocities(hamiltonian, starts)
+        duals = lagrange_flows(lagrangian, np.hstack([starts[:, :n], ys]), t_end, dt)
+        cts, tms = primaries, duals
     else:
-        p0, _ = legendre_to_hamiltonian(lagrangian, start)
-        ct = hamilton_flow(hamiltonian, PhasePoint(start.x, p0), t_end, dt)
-        tm = primary
-    m = len(ct.states)
-    stride = max(1, (m - 1) // 256)
-    worst = 0.0
-    for k in [*range(0, m, stride), m - 1]:
-        sc, st = ct.states[k], tm.states[k]
-        worst = max(worst, float(np.abs(np.subtract(sc.x, st.x)).max()))
-        push, _ = legendre_to_hamiltonian(lagrangian, st)
-        worst = max(worst, float(np.abs(np.subtract(sc.p, push)).max()))
-    return worst
+        ps = legendre_momenta(lagrangian, starts)
+        cts = hamilton_flows(hamiltonian, np.hstack([starts[:, :n], ps]), t_end, dt)
+        tms = primaries
+    m = len(cts[0].times)
+    stride = max(1, (m - 1) // DUALITY_SAMPLES)
+    ks = [*range(0, m, stride), m - 1]
+    ct = np.array([t.states.array[ks] for t in cts])
+    tm = np.array([t.states.array[ks] for t in tms])
+    push = legendre_momenta(lagrangian, tm.reshape(-1, 2 * n)).reshape(ct.shape[:2] + (n,))
+    return [
+        _max_abs(np.concatenate([np.abs(c[:, :n] - t[:, :n]), np.abs(c[:, n:] - q)], axis=1))
+        for c, t, q in zip(ct, tm, push)
+    ]
 
 
-def _flow_checks(cfg, gen, dual, traj):
-    """Energy drift along the trajectory of gen, and its distance to the
-    flow of the dual generator when the family has one."""
-    energy = np.asarray(traj.energy)
-    drift = float(np.abs(energy - energy[0]).max())
-    checks = [_check("energy_drift", drift,
-                     TOL["energy_drift"] * max(1.0, cfg["flow"]["t_end"]))]
+def _flow_checks(cfg, gen, dual, trajs):
+    """Per trajectory of a stack of flows of gen: its energy drift, and
+    its distance to the flow of the dual generator when the family has
+    one."""
+    tol = TOL["energy_drift"] * max(1.0, cfg["flow"]["t_end"])
+    checks = [[_check("energy_drift", float(np.abs(t.energy - t.energy[0]).max()), tol)]
+              for t in trajs]
     if dual is not None:
         pair = (gen, dual) if cfg["bundle_tag"] == "cotangent" else (dual, gen)
-        checks.append(_check("flow_duality", _flow_duality(*pair, traj, cfg),
-                             TOL["flow_duality"]))
+        for point_checks, distance in zip(checks, _flow_duality(*pair, trajs, cfg)):
+            point_checks.append(_check("flow_duality", distance, TOL["flow_duality"]))
     return checks
 
 
-def _flow_point(cfg, gen, dual, pt, keep_trajectory):
+def _flow_stack(cfg, gen, dual, points, keep_trajectory):
+    """(block, checks, trajectory or None) per point of a stack, whose
+    flows are integrated in lockstep."""
     t_end, dt = cfg["flow"]["t_end"], cfg["flow"]["dt"]
-    if cfg["bundle_tag"] == "cotangent":
-        traj = hamilton_flow(gen, pt, t_end, dt)
-    else:
-        traj = lagrange_flow(gen, pt, t_end, dt)
-    checks = _flow_checks(cfg, gen, dual, traj)
-    energy = traj.energy
-    last = traj.states[-1]
-    block = {
-        "index": None,
-        "x": list(pt.x),
-        "p": list(pt.p),
-        "t_end": t_end,
-        "dt": dt,
-        "steps": len(traj.times) - 1,
-        "energy": {"initial": float(energy[0]),
-                   "final": float(energy[-1]),
-                   "drift": checks[0]["residual"]},
-        "final_state": {"x": last.x, "p": last.p},
-    }
-    extra = traj if keep_trajectory else None
-    return block, checks, extra
+    n = cfg["n"]
+    flows = hamilton_flows if cfg["bundle_tag"] == "cotangent" else lagrange_flows
+    trajs = flows(gen, np.array([x + p for x, p in points], dtype=float), t_end, dt)
+    out = []
+    for (x, p), traj, checks in zip(points, trajs, _flow_checks(cfg, gen, dual, trajs)):
+        energy = traj.energy
+        last = traj.states.array[-1].tolist()
+        block = {
+            "index": None,
+            "x": list(x),
+            "p": list(p),
+            "t_end": t_end,
+            "dt": dt,
+            "steps": len(traj.times) - 1,
+            "energy": {"initial": float(energy[0]),
+                       "final": float(energy[-1]),
+                       "drift": checks[0]["residual"]},
+            "final_state": {"x": last[:n], "p": last[n:]},
+        }
+        out.append((block, checks, traj if keep_trajectory else None))
+    return out
+
+
+def _stack_points(cfg, dual):
+    """Points per stack of a flow run: as many as STACK_BYTES holds, one
+    at least."""
+    n = cfg["n"]
+    samples = int(cfg["flow"]["t_end"] / cfg["flow"]["dt"]) + 2
+    flows = 1 if dual is None else 2
+    per_point = 8 * samples * (2 * n + 1) * flows
+    if dual is not None:
+        pushed = min(samples, DUALITY_SAMPLES + 2)
+        per_point += 16 * pushed * math.comb(2 * n + 2, 2)
+    return max(1, STACK_BYTES // per_point)
 
 
 def _coeff_values(coeffs, v_max):
@@ -669,7 +703,7 @@ def _check_point(cfg, gen, dual, pt, first):
     checks = _geometry_checks(state.geometry)
     if first:
         traj = hamilton_flow(gen, pt, cfg["flow"]["t_end"], cfg["flow"]["dt"])
-        checks += _flow_checks(cfg, gen, dual, traj)
+        checks += _flow_checks(cfg, gen, dual, [traj])[0]
     # the star checks read c0 and c1 only
     checks += _quantization_probes(state, _PROBE_F, _PROBE_G, 1, ("tau_flat_probe",))[0]
     block = {"index": None, "x": list(pt.x), "p": list(pt.p)}
@@ -679,43 +713,69 @@ def _check_point(cfg, gen, dual, pt, first):
 _MATH_ERRORS = (StarquantError, np.linalg.LinAlgError)
 
 
-def _run_point(payload):
-    """Worker entry: everything in the payload is picklable, and the
-    generator is rebuilt here so process pools never ship closures."""
-    command, cfg, index, x, p = payload
-    gen, dual, _ = resolve_generator(cfg)
+def _stack_work(command, cfg, gen, dual, stack):
+    """(block, checks, extra) per point of a stack of (index, (x, p))
+    items; only flows take more than one point at a time."""
+    if command == "flow":
+        keep = cfg["format"] == "csv"
+        return _flow_stack(cfg, gen, dual, [point for _, point in stack], keep)
+    (index, (x, p)), = stack
     pt = PhasePoint(x, p)
-    extra = None
+    if command == "inspect":
+        block, checks = _inspect_point(cfg, gen, pt)
+    elif command == "star":
+        block, checks = _star_point(cfg, gen, pt)
+    else:
+        block, checks = _check_point(cfg, gen, dual, pt, index == 0)
+    return [(block, checks, None)]
+
+
+def _run_stack(command, cfg, gen, dual, stack):
+    """(index, block, checks, extra, failed) per point of a stack.  When
+    a stack of several points raises, its points run again one at a
+    time, so each point's error block is the one its own run gives."""
     try:
         # a non-finite number makes the point an error block, whether numpy
         # makes it (underflow stays silent: flows underflow legitimately)
         # or it reaches the results
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if command == "inspect":
-                block, checks = _inspect_point(cfg, gen, pt)
-            elif command == "flow":
-                keep = cfg["format"] == "csv"
-                block, checks, extra = _flow_point(cfg, gen, dual, pt, keep)
-            elif command == "star":
-                block, checks = _star_point(cfg, gen, pt)
-            else:
-                block, checks = _check_point(cfg, gen, dual, pt, index == 0)
-        block, checks = jsonable([block, checks])
+            done = _stack_work(command, cfg, gen, dual, stack)
+        done = [(*jsonable([block, checks]), extra) for block, checks, extra in done]
     except (*_MATH_ERRORS, FloatingPointError) as exc:
+        if len(stack) > 1:
+            return [row for item in stack for row in _run_stack(command, cfg, gen, dual, [item])]
         message = str(exc)
         if isinstance(exc, FloatingPointError):
             message = f"non-finite number: {message}"
+        index, (x, p) = stack[0]
         block = {
             "index": index,
             "x": list(x),
             "p": list(p),
             "error": {"type": type(exc).__name__, "message": message},
         }
-        return index, block, [], extra, True
-    block["index"] = index
-    for c in checks:
-        c["point"] = index
-    return index, block, checks, extra, False
+        return [(index, block, [], None, True)]
+    rows = []
+    for (index, _), (block, checks, extra) in zip(stack, done):
+        block["index"] = index
+        for c in checks:
+            c["point"] = index
+        rows.append((index, block, checks, extra, False))
+    return rows
+
+
+def _run_slice(payload):
+    """Worker entry: one contiguous slice of the run's points, as
+    (index, block, checks, extra, failed) per point.  Everything in the
+    payload is picklable, and the generator is rebuilt here so process
+    pools never ship closures.  A flow slice runs in stacks of
+    `_stack_points` points; every other command runs point by point."""
+    command, cfg, first, points = payload
+    gen, dual, _ = resolve_generator(cfg)
+    items = list(enumerate(points, first))
+    size = _stack_points(cfg, dual) if command == "flow" else 1
+    return [row for lo in range(0, len(items), size)
+            for row in _run_stack(command, cfg, gen, dual, items[lo:lo + size])]
 
 
 # ---------------------------------------------------------------------------
@@ -796,16 +856,17 @@ def _cmd_run(command, args):
             if key in cfg["star"]:
                 parse(cfg["star"][key], cfg["n"])
 
-    payloads = [(command, cfg, i, x, p) for i, (x, p) in enumerate(points)]
     # the pool forks every worker up front, so more than one per point or
     # per CPU only costs processes; the echo keeps the configured value
-    pool_size = min(cfg["workers"], len(payloads), os.cpu_count() or 1)
+    pool_size = min(cfg["workers"], len(points), os.cpu_count() or 1)
+    # one contiguous slice of the points per worker
+    cuts = [len(points) * k // pool_size for k in range(pool_size + 1)]
+    payloads = [(command, cfg, lo, points[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     if pool_size > 1:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_run_point, payloads))
+            results = [row for rows in pool.map(_run_slice, payloads) for row in rows]
     else:
-        results = [_run_point(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
+        results = _run_slice(payloads[0])
 
     blocks, checks, extras = [], [], []
     any_error = False

@@ -47,6 +47,7 @@ from . import jets
 from .errors import StarquantError
 from .geometry import (
     GeometryAtPoint,
+    _max_abs,
     as_generator,
     frame_deriv,
     jsum,
@@ -168,7 +169,7 @@ class WickElement:
         return {r: c for r, c in parts.items() if c is not None}
 
     def max_abs(self):
-        return _max(float(np.abs(c.coeffs).max()) for c in self.terms.values())
+        return _max_abs(float(np.abs(c.coeffs).max()) for c in self.terms.values())
 
     def is_zero(self, tol=0.0):
         return self.max_abs() <= tol
@@ -176,13 +177,6 @@ class WickElement:
     def _check(self, other):
         if self.n != other.n or self.d_max != other.d_max:
             raise ValueError("mixed truncation settings")
-
-
-def _max(values):
-    """max(0.0, *values), but NaN when any value is NaN: the builtin max
-    keeps whichever of a NaN and a number it meets first."""
-    values = list(values)
-    return math.nan if any(v != v for v in values) else max(values, default=0.0)
 
 
 def _accumulate(store, key, coeff):
@@ -839,7 +833,7 @@ def ad_wick(x, a, lam, cap=None):
 
 def v_divide(a, tol=1e-12):
     """Drop one power of v; the v^0 part must already vanish."""
-    floor = _max(float(np.abs(c.coeffs).max()) for (r, _, _), c in a.terms.items() if r == 0)
+    floor = _max_abs(float(np.abs(c.coeffs).max()) for (r, _, _), c in a.terms.items() if r == 0)
     # a NaN floor fails too: the v^0 part is not known to vanish
     if not floor <= tol * max(1.0, a.max_abs()):
         raise StarquantError(
@@ -938,7 +932,7 @@ def _solve_degrees(total, x, degrees, source):
         x[m] = delta_inv_pair(src)
         total = total + x[m]
         defects.append((delta_pair(x[m]) - src).max_abs())
-    return total, _max(defects)
+    return total, _max_abs(defects)
 
 
 def fedosov_r(state):
@@ -1117,7 +1111,7 @@ def chern_weyl_closedness(state):
     W = state.ctx.anholonomy
     F = state.ctx.frames
     gamma = _chern_jets(state)
-    worst = 0.0
+    components = []
     for a in range(n2):
         for b in range(a + 1, n2):
             for c in range(b + 1, n2):
@@ -1130,5 +1124,5 @@ def chern_weyl_closedness(state):
                     pieces.append(-(W[d, a, b] * gamma[d, c]))
                     pieces.append(W[d, a, c] * gamma[d, b])
                     pieces.append(-(W[d, b, c] * gamma[d, a]))
-                worst = max(worst, abs(jsum(pieces).value))
-    return worst
+                components.append(jsum(pieces).value)
+    return _max_abs(components)

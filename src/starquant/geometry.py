@@ -189,12 +189,20 @@ def _along(space, frame, partials):
 
 
 def _max_abs(vals):
-    """Largest modulus of a complex array, taken as a loop would take it:
-    Python's abs (numpy's can differ in the last bit) and max from 0.0.
-    NaN when any entry has a NaN part, which the builtin max can drop."""
-    if np.isnan(vals).any():
-        return math.nan
-    return float(max([0.0, *map(abs, vals.ravel().tolist())]))
+    """Largest modulus of an array or an iterable of numbers, taken as a
+    loop would take it: Python's abs (numpy's can differ in the last bit
+    of a complex entry) and max from 0.0.  NaN when any entry has a NaN
+    part, which the builtin max can drop.  Every residual fold of the
+    package goes through it."""
+    if isinstance(vals, np.ndarray):
+        if np.isnan(vals).any():
+            return math.nan
+        vals = vals.ravel().tolist()
+    else:
+        vals = list(vals)
+        if any(v != v for v in vals):
+            return math.nan
+    return float(max([0.0, *map(abs, vals)]))
 
 
 # ---------------------------------------------------------------------------
@@ -888,13 +896,10 @@ def dtheta_check(H, pt, step=1e-4):
         minus = base.copy()
         minus[A] -= step
         grad[A] = (theta_at(plus) - theta_at(minus)) / (2 * step)
-    worst = 0.0
-    for A in range(n2):
-        for B in range(A + 1, n2):
-            for Cc in range(B + 1, n2):
-                val = grad[A][B, Cc] + grad[B][Cc, A] + grad[Cc][A, B]
-                worst = max(worst, abs(val))
-    return worst
+    return _max_abs(
+        grad[A][B, Cc] + grad[B][Cc, A] + grad[Cc][A, B]
+        for A, B, Cc in combinations(range(n2), 3)
+    )
 
 
 def _curvature_torsion_blocks(kind, omega, T, R, W):
@@ -906,7 +911,7 @@ def _curvature_torsion_blocks(kind, omega, T, R, W):
     if kind == "canonical_d":
         # vanishing of these two blocks is a theorem for the canonical
         # connection; a violation (NaN included) means corrupted inputs
-        worst = max(abs(T_hij).max(), abs(S_abc).max())
+        worst = _max_abs((abs(T_hij).max(), abs(S_abc).max()))
         if not worst <= 1e-10:
             raise StarquantError(
                 f"canonical d-connection torsion blocks T_hij, S_abc reach "

@@ -26,6 +26,18 @@ cheaper as a stack of coefficient rows: `batched_mul` multiplies whole
 stacks through one scatter-add per chunk of rows, and `batched_partial`
 differentiates them, each row with the bits of `Jet.__mul__` or
 `Jet.partial`, so the per-jet Python overhead is paid once per stack.
+
+Stacked jets: a `Jet` may carry a leading row axis, coefficients of
+shape (rows, size), one row per expansion point; `JetSpace.variables`
+seeds them from a (rows, dim) array.  Sums, differences, scaling and the
+derivative reads broadcast over the rows, a product of stacked jets
+goes through `batched_mul`, and the series of `exp`, `log`, `sin`,
+`cos`, `sqrt` and `pow_const` are built row by row with the scalar
+arithmetic of a single jet, its domain checks included.  Every row
+then has the bits the same evaluation gives on that row alone, so a
+compiled DSL expression evaluates many points in one pass.  A constant
+jet without row axes combines with a stack as with each of its rows,
+and a stack adds or subtracts an array of per-row values at order 0.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ import numpy as np
 from .errors import DegenerateHessian, InsufficientJetOrder, JetDomainError
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
+# what a jet adds at order 0: a scalar, or a stack's array of per-row values
+_VALUES = _SCALARS + (np.ndarray,)
 
 # Tolerance for treating a nominally complex value as real when checking
 # domains of log/sqrt/fractional powers.
@@ -94,6 +108,7 @@ class JetSpace:
         # graded ordering.
         self.prefix = np.searchsorted(self.degrees, np.arange(self.order + 1), side="right")
         self._mul_table = None
+        self._scatter_dest = None
         self._seed_rows = None
         self._partial_tables = {}
         self._derivative_table = None
@@ -102,17 +117,28 @@ class JetSpace:
         return f"JetSpace(dim={self.dim}, order={self.order})"
 
     def variables(self, values):
-        """Seed one first-order-identity jet per variable at the point."""
-        vals = np.asarray(values, dtype=np.complex128).ravel()
-        if vals.shape != (self.dim,):
+        """Seed one first-order-identity jet per variable at the point.  A
+        (rows, dim) array of points seeds stacked jets instead, each of
+        shape (rows, size)."""
+        vals = np.asarray(values, dtype=np.complex128)
+        stacked = vals.ndim == 2
+        if not stacked:
+            vals = vals.ravel()
+        if vals.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} values, got {vals.shape}")
         if self._seed_rows is None:
             # first-order identity parts of the coordinate jets, built once
             self._seed_rows = np.array(
                 [jet_var(self, i, 0.0).coeffs for i in range(self.dim)]
             )
-        rows = self._seed_rows.copy()
-        rows[:, 0] = vals
+        if stacked:
+            # variable-major, so each variable's stack is contiguous
+            rows = np.empty((self.dim, len(vals), self.size), dtype=np.complex128)
+            rows[...] = self._seed_rows[:, None, :]
+            rows[:, :, 0] = vals.T
+        else:
+            rows = self._seed_rows.copy()
+            rows[:, 0] = vals
         return [_wrap(self, row) for row in rows]
 
     def _mul(self):
@@ -140,6 +166,16 @@ class JetSpace:
                 np.concatenate(kk),
             )
         return self._mul_table
+
+    def _scatter(self):
+        # (rows per chunk, flat destinations of a full chunk's pair
+        # products, row by row in table order); a chunk of fewer rows reads
+        # a prefix.  Built again only when CHUNK changes.
+        _, _, kk = self._mul()
+        step = max(1, CHUNK // len(kk))
+        if self._scatter_dest is None or self._scatter_dest[0] != step:
+            self._scatter_dest = (step, (kk + self.size * np.arange(step)[:, None]).ravel())
+        return self._scatter_dest
 
     def _partial(self, var):
         tab = self._partial_tables.get(var)
@@ -188,7 +224,8 @@ def jet_space(dim, order):
 
 
 class Jet:
-    """One truncated Taylor expansion.  Treat instances as immutable.
+    """One truncated Taylor expansion, or a stack of them along a leading
+    row axis.  Treat instances as immutable.
 
     Combining two jets of one dimension works at the lower of their
     orders; jets of different dimensions do not combine."""
@@ -200,14 +237,18 @@ class Jet:
 
     def __init__(self, space, coeffs):
         arr = np.asarray(coeffs, dtype=np.complex128)
-        if arr.shape != (space.size,):
+        if arr.shape[-1:] != (space.size,):
             raise ValueError(f"expected {space.size} coefficients, got {arr.shape}")
         self.space = space
         self.coeffs = arr
 
     @property
     def value(self):
-        return complex(self.coeffs[0])
+        """The value at the point; for a stack, a complex array of the
+        row values."""
+        if self.coeffs.ndim == 1:
+            return complex(self.coeffs[0])
+        return self.coeffs[:, 0].copy()
 
     @property
     def dim(self):
@@ -218,6 +259,8 @@ class Jet:
         return self.space.order
 
     def __repr__(self):
+        if self.coeffs.ndim > 1:
+            return f"Jet(dim={self.dim}, order={self.order}, rows={self.coeffs.shape[:-1]})"
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value:.6g})"
 
     def __add__(self, other):
@@ -225,10 +268,10 @@ class Jet:
             if other.space is self.space:
                 return _wrap(self.space, self.coeffs + other.coeffs)
             space = _lower(self, other)
-            return _wrap(space, self.coeffs[: space.size] + other.coeffs[: space.size])
-        if isinstance(other, _SCALARS):
+            return _wrap(space, self.coeffs[..., : space.size] + other.coeffs[..., : space.size])
+        if isinstance(other, _VALUES):
             out = self.coeffs.copy()
-            out[0] += other
+            out.T[0] += other  # coefficient 0 of every row
             return _wrap(self.space, out)
         return NotImplemented
 
@@ -239,17 +282,17 @@ class Jet:
             if other.space is self.space:
                 return _wrap(self.space, self.coeffs - other.coeffs)
             space = _lower(self, other)
-            return _wrap(space, self.coeffs[: space.size] - other.coeffs[: space.size])
-        if isinstance(other, _SCALARS):
+            return _wrap(space, self.coeffs[..., : space.size] - other.coeffs[..., : space.size])
+        if isinstance(other, _VALUES):
             out = self.coeffs.copy()
-            out[0] -= other
+            out.T[0] -= other
             return _wrap(self.space, out)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _SCALARS):
+        if isinstance(other, _VALUES):
             out = -self.coeffs
-            out[0] += other
+            out.T[0] += other
             return _wrap(self.space, out)
         return NotImplemented
 
@@ -259,6 +302,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             space = self.space if other.space is self.space else _lower(self, other)
+            if self.coeffs.ndim > 1 or other.coeffs.ndim > 1:
+                return _wrap(space, batched_mul(space, self.coeffs, other.coeffs))
             # the lower order's table only indexes coefficients it keeps
             ii, jj, kk = space._mul()
             # unbuffered scatter-add: each output sums its terms one by one
@@ -268,7 +313,7 @@ class Jet:
             np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
             return _wrap(space, out)
         if isinstance(other, _SCALARS):
-            return Jet(self.space, self.coeffs * other)
+            return _wrap(self.space, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -279,7 +324,10 @@ class Jet:
         coefficient is c times this one, summed from +0.0, so a -0.0 turns
         into +0.0 here too (`self * c` keeps it).  numpy may fuse a complex
         product into FMAs, so c stays the left factor; for a real c the
-        order of the factors does not change the bits."""
+        order of the factors does not change the bits.  A stack may take
+        an array of per-row factors."""
+        if isinstance(c, np.ndarray):
+            c = c[:, None]
         out = c * self.coeffs
         out += 0.0
         return _wrap(self.space, out)
@@ -288,7 +336,7 @@ class Jet:
         if isinstance(other, Jet):
             return self * pow_const(other, -1)
         if isinstance(other, _SCALARS):
-            return Jet(self.space, self.coeffs / other)
+            return _wrap(self.space, self.coeffs / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -315,22 +363,26 @@ class Jet:
         if space.order == 0:
             raise InsufficientJetOrder("cannot differentiate an order-0 jet")
         src, dst, fac, lower = space._partial(var)
+        if self.coeffs.ndim > 1:
+            return _wrap(lower, batched_partial(space, self.coeffs, var))
         out = np.zeros(lower.size, dtype=np.complex128)
         out[dst] = self.coeffs[src] * fac
         return _wrap(lower, out)
 
     def gradient(self):
         """Values of the first partials at the point, one per variable, as
-        a complex vector: entry a has the bits of partial(a).value."""
+        a complex vector (one per row of a stack): entry a has the bits of
+        partial(a).value."""
         if self.space.order == 0:
             raise InsufficientJetOrder("cannot differentiate an order-0 jet")
         grad, _, _ = self.space._derivative_rows()
-        return self.coeffs[grad] * 1.0
+        coeffs = self.coeffs
+        return (coeffs[grad] if coeffs.ndim == 1 else coeffs.take(grad, axis=1)) * 1.0
 
     def hessian(self):
         """Values of the second partials at the point, as a complex
-        (dim, dim) matrix: entry (a, b) has the bits of
-        partial(a).partial(b).value."""
+        (dim, dim) matrix (one per row of a stack): entry (a, b) has the
+        bits of partial(a).partial(b).value."""
         if self.space.order < 2:
             raise InsufficientJetOrder(
                 f"the Hessian needs order 2, the jet has order {self.space.order}"
@@ -338,7 +390,8 @@ class Jet:
         _, hess, fac = self.space._derivative_rows()
         # two factors, as two partials apply them: times a real factor can
         # change the sign of a zero part of a complex number
-        return self.coeffs[hess] * fac * 1.0
+        coeffs = self.coeffs
+        return (coeffs[hess] if coeffs.ndim == 1 else coeffs.take(hess, axis=1)) * fac * 1.0
 
     def truncate(self, order):
         if order == self.order:
@@ -348,7 +401,7 @@ class Jet:
                 f"cannot extend an order-{self.order} jet to order {order}"
             )
         tgt = jet_space(self.dim, order)
-        return _wrap(tgt, self.coeffs[: tgt.size].copy())
+        return _wrap(tgt, self.coeffs[..., : tgt.size].copy())
 
     def coefficient(self, mono):
         mono = tuple(int(a) for a in mono)
@@ -381,18 +434,24 @@ def batched_mul(space, a, b):
     """
     ii, jj, kk = space._mul()
     size = space.size
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a, b = _row_stack(a, shape, size), _row_stack(b, shape, size)
-    rows = a.shape[0]
+    if a.ndim == b.ndim == 2 and len(a) == len(b):
+        shape = a.shape[:1]  # two stacks of rows, nothing to broadcast
+    else:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a, b = _row_stack(a, shape, size), _row_stack(b, shape, size)
+    rows = len(a)
+    step, dest = space._scatter()
     out = np.zeros(rows * size, dtype=np.complex128)
-    step = max(1, CHUNK // len(kk))
+    # not `*=`: numpy's in-place complex multiply can round a product
+    # differently from the out-of-place one that Jet.__mul__ takes
     for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        # not `*=`: numpy's in-place complex multiply can round a product
-        # differently from the out-of-place one that Jet.__mul__ takes
-        terms = a[lo:hi, ii] * b[lo:hi, jj]
-        dest = kk + size * np.arange(lo, hi)[:, None]
-        np.add.at(out, dest.ravel(), terms.ravel())
+        if rows > step:
+            a_rows, b_rows = a[lo:lo + step], b[lo:lo + step]
+        else:
+            a_rows, b_rows = a, b
+        terms = a_rows.take(ii, axis=1) * b_rows.take(jj, axis=1)
+        at = dest[: terms.size]
+        np.add.at(out, at + size * lo if lo else at, terms.ravel())
     return out.reshape(shape + (size,))
 
 
@@ -426,7 +485,7 @@ def _lower(a, b):
 
 def _wrap(space, coeffs):
     # Constructor for internal results: `coeffs` is already a complex128
-    # vector of length space.size, so the checks of Jet() are skipped.
+    # array of rows of length space.size, so the checks of Jet() are skipped.
     jet = object.__new__(Jet)
     jet.space = space
     jet.coeffs = coeffs
@@ -466,16 +525,39 @@ def _int_pow(jet, n):
         base = base * base
 
 
+def _row_series(jet, make, *args):
+    # make(c, *args) -> the series at the value c.  A stack gets one
+    # series per row, each from the scalar arithmetic a single jet takes,
+    # as an array whose entry m holds term m of every row.
+    if jet.coeffs.ndim == 1:
+        return make(jet.value, *args)
+    rows = [make(c, *args) for c in jet.coeffs[:, 0].tolist()]
+    return np.array(rows, dtype=np.complex128).T
+
+
 def _horner(jet, series):
-    # Compose the univariate series with the nilpotent part of the jet.
-    # The first step, the leading term times u, is a scaling.
+    # Compose the univariate series with the nilpotent part u of the jet,
+    # on coefficient arrays: u is the jet minus its value, the first step
+    # scales u by the leading term, as Jet.scale does, and each later step
+    # is a table product by u; every step then adds its term at order 0,
+    # as Jet + scalar does.  The terms are scalars, or per-row arrays for
+    # a stack.
+    space = jet.space
     if len(series) == 1:
-        return jet_const(jet.space, series[0])
-    u = jet - jet.value
-    out = u.scale(series[-1]) + series[-2]
+        out = np.zeros(np.shape(series[0]) + (space.size,), dtype=np.complex128)
+        out.T[0] = series[0]
+        return _wrap(space, out)
+    u = jet.coeffs.copy()
+    u.T[0] -= jet.coeffs.T[0]
+    lead = series[-1]
+    out = (lead[:, None] if isinstance(lead, np.ndarray) else lead) * u
+    out += 0.0
+    out.T[0] += series[-2]
+    u = _wrap(space, u)
     for m in range(len(series) - 3, -1, -1):
-        out = out * u + series[m]
-    return out
+        out = (_wrap(space, out) * u).coeffs
+        out.T[0] += series[m]
+    return _wrap(space, out)
 
 
 def _require_positive_real(fn, c):
@@ -494,7 +576,11 @@ def pow_const(jet, exponent):
     """
     if isinstance(exponent, (int, np.integer)) and exponent >= 0:
         return _int_pow(jet, int(exponent))
-    c = jet.value
+    return _horner(jet, _row_series(jet, _pow_series, exponent, jet.order))
+
+
+def _pow_series(c, exponent, order):
+    # the binomial series of c**exponent to `order`, after the domain checks
     if abs(c) == 0.0:
         raise JetDomainError(f"power {exponent} of a jet whose value vanishes")
     is_int = float(exponent).is_integer()
@@ -508,23 +594,28 @@ def pow_const(jet, exponent):
     except OverflowError:
         raise JetDomainError(f"power {exponent} of {c} overflows") from None
     series = [term]
-    for m in range(1, jet.order + 1):
+    for m in range(1, order + 1):
         term = term * (r - m + 1) / (m * c)
         series.append(term)
     # complex arithmetic returns inf or nan where it does not raise
     if not all(map(cmath.isfinite, series)):
         raise JetDomainError(f"power {exponent} of {c} leaves the finite range")
-    return _horner(jet, series)
+    return series
 
 
 def apply_unary(jet, fn):
     """Compose a named scalar function with a jet.
 
     Supported names: sin, cos, exp, log, sqrt.  log and sqrt require a
-    positive real value at the expansion point.
+    positive real value at the expansion point (at every row of a stack).
     """
-    c = jet.value
-    K = jet.order
+    if fn not in ("exp", "sin", "cos", "log", "sqrt"):
+        raise ValueError(f"unknown function {fn!r}")
+    return _horner(jet, _row_series(jet, _unary_series, fn, jet.order))
+
+
+def _unary_series(c, fn, K):
+    # the Taylor series of fn at the value c to order K
     if fn == "exp":
         base = np.exp(c)
         series = [base / math.factorial(m) for m in range(K + 1)]
@@ -537,12 +628,10 @@ def apply_unary(jet, fn):
         series = [np.log(c)]
         for m in range(1, K + 1):
             series.append((-1.0) ** (m - 1) / (m * c**m))
-    elif fn == "sqrt":
-        _require_positive_real("sqrt", c)
-        return pow_const(jet, 0.5)
     else:
-        raise ValueError(f"unknown function {fn!r}")
-    return _horner(jet, series)
+        _require_positive_real("sqrt", c)
+        series = _pow_series(c, 0.5, K)
+    return series
 
 
 def _obj_matmul(A, B):
@@ -565,29 +654,38 @@ def jet_matrix_inverse(matrix, rel_tol=1e-10):
     or below rel_tol * scale^n (scale = largest entry magnitude) the
     matrix is declared degenerate.  Otherwise the truncation-exact
     iteration X <- X0 - (X0 Delta) X runs `order` times, which is enough
-    because Delta is nilpotent in the truncated algebra.
+    because Delta is nilpotent in the truncated algebra.  Entries may be
+    stacked jets: each row is then inverted as it would be alone, and the
+    first degenerate row raises.
     """
     mat = np.asarray(matrix, dtype=object)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     n = mat.shape[0]
     space = mat[0, 0].space
-    M0 = np.array([[mat[a, b].value for b in range(n)] for a in range(n)])
-    scale = max(float(np.abs(M0).max()), 1e-300)
+    lead = np.broadcast_shapes(*(jet.coeffs.shape[:-1] for jet in mat.flat))
+    M0 = np.empty(lead + (n, n), dtype=np.complex128)
+    for a, b in np.ndindex(n, n):
+        M0[..., a, b] = mat[a, b].value
     det = np.linalg.det(M0)
-    if abs(det) <= rel_tol * scale**n:
-        raise DegenerateHessian(
-            f"matrix value part is singular: |det| = {abs(det):.3e} "
-            f"against scale^{n} = {scale**n:.3e}"
-        )
+    for row_scale, row_det in zip(np.abs(M0).max(axis=(-2, -1)).flat, det.flat):
+        scale = max(float(row_scale), 1e-300)
+        if abs(row_det) <= rel_tol * scale**n:
+            raise DegenerateHessian(
+                f"matrix value part is singular: |det| = {abs(row_det):.3e} "
+                f"against scale^{n} = {scale**n:.3e}"
+            )
     X0v = np.linalg.inv(M0)
-    X0 = np.array(
-        [[jet_const(space, X0v[a, b]) for b in range(n)] for a in range(n)],
-        dtype=object,
-    )
-    delta = np.array(
-        [[mat[a, b] - M0[a, b] for b in range(n)] for a in range(n)], dtype=object
-    )
+    X0 = np.empty((n, n), dtype=object)
+    delta = np.empty((n, n), dtype=object)
+    for a, b in np.ndindex(n, n):
+        const = np.zeros(lead + (space.size,), dtype=np.complex128)
+        const[..., 0] = X0v[..., a, b]
+        X0[a, b] = _wrap(space, const)
+        entry = mat[a, b]
+        shifted = np.broadcast_to(entry.coeffs, lead + entry.coeffs.shape[-1:]).copy()
+        shifted[..., 0] -= M0[..., a, b]
+        delta[a, b] = _wrap(entry.space, shifted)
     X = X0
     for _ in range(space.order):
         X = X0 - _obj_matmul(_obj_matmul(X0, delta), X)

@@ -17,18 +17,34 @@ the product table 2 times on the Hamilton side and 3 on the Lagrange
 side.  After the last step the recorded energies are scanned once, and
 a step that changes the energy by more than STEP_ENERGY_CHANGE of it
 raises FlowNotResolved.
+
+Lockstep: `hamilton_flows` and `lagrange_flows` integrate a (rows, 2n)
+array of starting points at once.  Each stage seeds stacked jets, one
+row per point, so the compiled generator runs once per stage for all
+of them, with the table products of one point, each over every row;
+the fiber Hessians' determinants and inverses come from one call on
+the (rows, n, n) stack, and the matrix-vector products are matmuls on
+column vectors.  Every operation keeps the bits it has on one row
+alone, so each trajectory equals its single-point flow bit for bit,
+and the single-point functions are the same code on a state without
+the row axis.  States and energies are recorded into arrays allocated
+before the first step, (samples, rows, 2n) and (samples, rows), and a
+Trajectory holds its point's slices of them.  The memory this takes
+grows with the points of a stack times the samples of a flow; the CLI
+bounds it with its per-stack byte budget, `cli.STACK_BYTES`.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateHessian, FlowNotResolved, NewtonDivergence
-from .geometry import as_generator
-from .jets import PhasePoint, jet_space
+from .geometry import _max_abs, as_generator
+from .jets import PhasePoint, _wrap, jet_space
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -46,24 +62,47 @@ STEP_ENERGY_CHANGE = 0.1
 ENERGY_FLOOR = 1e-6
 
 
+class PhaseStates(Sequence):
+    """The states of a trajectory, kept as one (samples, 2n) float array;
+    an index reads a PhasePoint, and a slice a list of them."""
+
+    def __init__(self, states):
+        if isinstance(states, np.ndarray):
+            self.array = states
+        else:
+            self.array = np.array([s.as_array() for s in states], dtype=float)
+
+    def __len__(self):
+        return len(self.array)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [PhasePoint.from_array(a) for a in self.array[k]]
+        return PhasePoint.from_array(self.array[k])
+
+
 @dataclass
 class Trajectory:
     """Sampled flow: times, phase-space states and generator values,
-    all the same length, times strictly increasing."""
+    all the same length, times strictly increasing.  The times and
+    energies are float arrays and the states a PhaseStates array."""
 
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
+    times: np.ndarray = field(default_factory=list)
+    states: PhaseStates = field(default_factory=list)
+    energy: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.energy = np.asarray(self.energy, dtype=float)
+        if not isinstance(self.states, PhaseStates):
+            self.states = PhaseStates(self.states)
         if not (len(self.times) == len(self.states) == len(self.energy)):
             raise ValueError("trajectory fields must have equal length")
-        ts = np.asarray(self.times)
-        if ts.size > 1 and not (np.diff(ts) > 0).all():
+        if self.times.size > 1 and not (np.diff(self.times) > 0).all():
             raise ValueError("trajectory times must be strictly increasing")
 
     def write_csv(self, fileobj, fiber_label="p"):
-        n = self.states[0].n
+        n = self.states.array.shape[1] // 2
         writer = csv.writer(fileobj)
         header = (
             ["t"]
@@ -72,51 +111,84 @@ class Trajectory:
             + ["H"]
         )
         writer.writerow(header)
-        for t, st, en in zip(self.times, self.states, self.energy):
-            row = [f"{t:.17g}"]
-            row += [f"{v:.17g}" for v in st.x]
-            row += [f"{v:.17g}" for v in st.p]
-            row.append(f"{en:.17g}")
-            writer.writerow(row)
+        rows = zip(self.times.tolist(), self.states.array.tolist(), self.energy.tolist())
+        for t, st, en in rows:
+            writer.writerow([f"{v:.17g}" for v in (t, *st, en)])
+
+
+def _stage_jet(fn, space, state):
+    """The generator's jet at a state (2n,), or at each row of a stack of
+    states (rows, 2n) from one stacked evaluation.  A generator free of
+    the variables comes back without rows, and is broadcast to them."""
+    n = space.dim // 2
+    seeded = space.variables(state)
+    jet = fn(seeded[:n], seeded[n:])
+    if jet.coeffs.ndim < state.ndim:
+        jet = _wrap(space, np.broadcast_to(jet.coeffs, state.shape[:-1] + (space.size,)))
+    return jet
 
 
 def _hessian_values(jet, n, tol, what):
     """Gradient and Hessian values of a phase-space jet of order >= 2,
     read from its coefficients, with the same degeneracy guard on the
-    fiber-fiber block as the jet matrix inverse."""
+    fiber-fiber block as the jet matrix inverse.  A stacked jet gives one
+    gradient and Hessian per row, its determinants come from one call on
+    the (rows, n, n) stack, and the first degenerate row raises."""
     grad, hess = jet.gradient(), jet.hessian()
-    fiber = hess[n:, n:]
-    scale = max(np.abs(fiber).max(), 1e-300)
+    fiber = hess[..., n:, n:]
     det = np.linalg.det(fiber)
-    if abs(det) <= tol * scale**n:
-        raise DegenerateHessian(
-            f"{what} fiber Hessian is singular: |det| = {abs(det):.3e}"
-        )
+    # numpy scalars, row by row: a stack's rows compare and overflow as
+    # single states do
+    if fiber.ndim == 2:
+        rows = ((np.abs(fiber).max(), det),)
+    else:
+        rows = zip(np.abs(fiber).max(axis=(-2, -1)), det)
+    for scale, row_det in rows:
+        scale = max(scale, 1e-300)
+        if abs(row_det) <= tol * scale**n:
+            raise DegenerateHessian(
+                f"{what} fiber Hessian is singular: |det| = {abs(row_det):.3e}"
+            )
     return grad, hess
+
+
+def _fiber_push(fn, state, tol, what):
+    """(dG/d fiber, G) at a state (2n,), or at each row of a stack of
+    states (rows, 2n): the fiber derivative and the value of a generator,
+    from one second-order jet evaluation behind the fiber Hessian's
+    guard."""
+    n = state.shape[-1] // 2
+    jet = _stage_jet(fn, jet_space(2 * n, 2), state)
+    grad, _ = _hessian_values(jet, n, tol, what)
+    return grad.real[..., n:].copy(), jet.value.real
 
 
 def legendre_to_hamiltonian(L, pt_tm, hessian_tol=1e-10):
     """Pointwise transform (x, y) -> p = dL/dy and H = p.y - L."""
-    fn = as_generator(L)
-    n = pt_tm.n
-    _, xs, ys = pt_tm.jets(2)
-    Lj = fn(xs, ys)
-    grad, _ = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
-    p = grad.real[n:].copy()
-    H_value = float(p @ pt_tm.p - Lj.value.real)
+    p, L_value = _fiber_push(as_generator(L), pt_tm.as_array(), hessian_tol, "Lagrangian")
+    H_value = float(p @ pt_tm.p - L_value)
     return p, H_value
 
 
 def legendre_to_lagrangian(H, pt_ctm, hessian_tol=1e-10):
     """Pointwise transform (x, p) -> y = dH/dp and L = p.y - H."""
-    fn = as_generator(H)
-    n = pt_ctm.n
-    _, xs, ps = pt_ctm.jets(2)
-    Hj = fn(xs, ps)
-    grad, _ = _hessian_values(Hj, n, hessian_tol, "Hamiltonian")
-    y = grad.real[n:].copy()
-    L_value = float(pt_ctm.p @ y - Hj.value.real)
+    y, H_value = _fiber_push(as_generator(H), pt_ctm.as_array(), hessian_tol, "Hamiltonian")
+    L_value = float(pt_ctm.p @ y - H_value)
     return y, L_value
+
+
+def legendre_momenta(L, states, hessian_tol=1e-10):
+    """p = dL/dy at each row (x, y) of a (rows, 2n) array of tangent
+    states, from one stacked jet evaluation; row by row, the momenta of
+    legendre_to_hamiltonian."""
+    return _fiber_push(as_generator(L), states, hessian_tol, "Lagrangian")[0]
+
+
+def legendre_velocities(H, states, hessian_tol=1e-10):
+    """y = dH/dp at each row (x, p) of a (rows, 2n) array of cotangent
+    states, from one stacked jet evaluation; row by row, the velocities
+    of legendre_to_lagrangian."""
+    return _fiber_push(as_generator(H), states, hessian_tol, "Hamiltonian")[0]
 
 
 def momentum_from_velocity(H, x, y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
@@ -169,25 +241,31 @@ def _step_sizes(t_end, dt):
 
 def _integrate(deriv, state, t_end, dt):
     """Classical RK4 with a fixed step (plus one remainder step to land
-    exactly on t_end).  deriv(state) -> (velocity, energy); the energy
-    of the k1 evaluation is recorded for the current sample."""
-    times = [0.0]
-    states = [state]
-    energy = []
+    exactly on t_end), on one state (2n,) or on a stack of states
+    (rows, 2n) in lockstep.  deriv(state) -> (velocity, energy); the
+    energy of the k1 evaluation is recorded for the current sample.
+    Returns the times, the states (samples, [rows,] 2n) and the energies
+    (samples, [rows]), recorded into arrays allocated before the first
+    step."""
+    sizes = _step_sizes(t_end, dt)
+    times = np.empty(len(sizes) + 1)
+    states = np.empty(times.shape + state.shape)
+    energy = np.empty(times.shape + state.shape[:-1])
     t = 0.0
-    for h in _step_sizes(t_end, dt):
-        k1, en = deriv(state)
-        energy.append(en)
+    times[0] = t
+    states[0] = state
+    for k, h in enumerate(sizes):
+        k1, energy[k] = deriv(state)
         k2, _ = deriv(state + 0.5 * h * k1)
         k3, _ = deriv(state + 0.5 * h * k2)
         k4, _ = deriv(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
-        times.append(t)
-        states.append(state)
-    _, en = deriv(state)
-    energy.append(en)
-    _require_resolved(times, energy)
+        times[k + 1] = t
+        states[k + 1] = state
+    _, energy[-1] = deriv(state)
+    for row in energy.reshape(len(times), -1).T:
+        _require_resolved(times, row)
     return times, states, energy
 
 
@@ -206,55 +284,90 @@ def _require_resolved(times, energy):
         )
 
 
-def hamilton_flow(H, start, t_end, dt):
-    """RK4 trajectory of dx/dt = dH/dp, dp/dt = -dH/dx."""
+def _hamilton(start, t_end, dt, H):
+    # times, states and energies of the Hamilton flow from a state or a
+    # stack of states
     fn = as_generator(H)
-    n = start.n
+    n = start.shape[-1] // 2
     space = jet_space(2 * n, 1)
 
     def deriv(state):
-        seeded = space.variables(state)
-        Hj = fn(seeded[:n], seeded[n:])
+        Hj = _stage_jet(fn, space, state)
         grad = Hj.gradient().real
-        return np.concatenate([grad[n:], -grad[:n]]), float(Hj.value.real)
+        return np.concatenate([grad[..., n:], -grad[..., :n]], axis=-1), Hj.coeffs[..., 0].real
 
-    times, raw, energy = _integrate(deriv, start.as_array(), t_end, dt)
-    states = [PhasePoint.from_array(s) for s in raw]
-    return Trajectory(times, states, energy)
+    return _integrate(deriv, start, t_end, dt)
+
+
+def hamilton_flow(H, start, t_end, dt):
+    """RK4 trajectory of dx/dt = dH/dp, dp/dt = -dH/dx."""
+    return Trajectory(*_hamilton(start.as_array(), t_end, dt, H))
+
+
+def hamilton_flows(H, starts, t_end, dt):
+    """RK4 trajectories of dx/dt = dH/dp, dp/dt = -dH/dx from each row of
+    a (rows, 2n) array of starts, integrated in lockstep: each stage is
+    one stacked jet evaluation.  One Trajectory per row, each with the
+    bits of hamilton_flow from that row."""
+    return _per_row(_hamilton, starts, t_end, dt, H)
 
 
 def _spray_values(fn, space, state, n, hessian_tol):
     """Values of the spray coefficients G^i and of the energy y.dL/dy - L
-    from one second-order jet evaluation of the Lagrangian at the state
-    (x, y); `space` is the order-2 jet space in 2n variables."""
-    y = state[n:]
-    seeded = space.variables(state)
-    Lj = fn(seeded[:n], seeded[n:])
+    at a state (x, y), or at each row of a stack of states, from one
+    second-order jet evaluation of the Lagrangian; `space` is the order-2
+    jet space in 2n variables.  A stack's inverses come from one call on
+    its (rows, n, n) Hessian blocks, and the products are matmuls on
+    column vectors, which keep the bits of the single-state products."""
+    Lj = _stage_jet(fn, space, state)
     grad, hess = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
     grad, hess = grad.real, hess.real
-    upper = np.linalg.inv(hess[n:, n:])
+    upper = np.linalg.inv(hess[..., n:, n:])
     # contiguous copies: BLAS takes another path for a strided operand,
     # which can round the products below differently
-    mixed = hess[n:, :n].copy()  # mixed[j, k] = d2L/dy^j dx^k
-    p = grad[n:].copy()
-    G = 0.5 * upper @ (mixed @ y - grad[:n])
-    return G, float(p @ y - Lj.value.real)
+    mixed = hess[..., n:, :n].copy()  # mixed[..., j, k] = d2L/dy^j dx^k
+    y = state[..., n:, None].copy()
+    p = grad[..., None, n:].copy()
+    G = 0.5 * upper @ (mixed @ y - grad[..., :n, None])
+    return G.squeeze(-1), (p @ y).squeeze((-2, -1)) - Lj.coeffs[..., 0].real
+
+
+def _lagrange(start, t_end, dt, L, hessian_tol):
+    # times, states and energies of the Lagrange flow from a state or a
+    # stack of states
+    fn = as_generator(L)
+    n = start.shape[-1] // 2
+    space = jet_space(2 * n, 2)
+
+    def deriv(state):
+        G, en = _spray_values(fn, space, state, n, hessian_tol)
+        return np.concatenate([state[..., n:], -2.0 * G], axis=-1), en
+
+    return _integrate(deriv, start, t_end, dt)
 
 
 def lagrange_flow(L, start, t_end, dt, hessian_tol=1e-10):
     """RK4 trajectory of dx/dt = y, dy/dt = -2 G(x, y); records the
     energy y.dL/dy - L, which the flow conserves."""
-    fn = as_generator(L)
-    n = start.n
-    space = jet_space(2 * n, 2)
+    return Trajectory(*_lagrange(start.as_array(), t_end, dt, L, hessian_tol))
 
-    def deriv(state):
-        G, en = _spray_values(fn, space, state, n, hessian_tol)
-        return np.concatenate([state[n:], -2.0 * G]), en
 
-    times, raw, energy = _integrate(deriv, start.as_array(), t_end, dt)
-    states = [PhasePoint.from_array(s) for s in raw]
-    return Trajectory(times, states, energy)
+def lagrange_flows(L, starts, t_end, dt, hessian_tol=1e-10):
+    """RK4 trajectories of dx/dt = y, dy/dt = -2 G(x, y) from each row of
+    a (rows, 2n) array of starts, integrated in lockstep; each records
+    the energy y.dL/dy - L, which the flow conserves.  One Trajectory per
+    row, each with the bits of lagrange_flow from that row."""
+    return _per_row(_lagrange, starts, t_end, dt, L, hessian_tol)
+
+
+def _per_row(flow, starts, *args):
+    # one Trajectory per row of starts; a single row runs as a plain
+    # state, whose jets take the product table directly
+    starts = np.asarray(starts, dtype=float)
+    times, states, energy = flow(starts[0] if len(starts) == 1 else starts, *args)
+    states = states.reshape(len(times), len(starts), -1)
+    energy = energy.reshape(len(times), len(starts))
+    return [Trajectory(times, states[:, r], energy[:, r]) for r in range(len(starts))]
 
 
 def poisson_flow_check(H, f, traj):
@@ -278,9 +391,8 @@ def poisson_flow_check(H, f, traj):
             br -= dH[k] * df[n + k]
         brackets.append(br)
 
-    worst = 0.0
-    times = traj.times
-    for k in range(1, len(times) - 1):
-        fd = (fvals[k + 1] - fvals[k - 1]) / (times[k + 1] - times[k - 1])
-        worst = max(worst, abs(fd - brackets[k]))
-    return worst
+    times = traj.times.tolist()
+    return _max_abs(
+        (fvals[k + 1] - fvals[k - 1]) / (times[k + 1] - times[k - 1]) - brackets[k]
+        for k in range(1, len(times) - 1)
+    )

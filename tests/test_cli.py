@@ -246,6 +246,54 @@ def test_flow_that_blows_up_exits_3(tmp_path, capsys, generator):
     assert error["message"].startswith("flow is not resolved by dt at t=1.63:")
 
 
+def _solo_runs(tmp_path, capsys, data, command="flow"):
+    """(code, report) of one run per point of `data`, each alone."""
+    out = []
+    for k, point in enumerate(data["points"]):
+        solo = dict(data, points=[point])
+        code, text, _ = run([command, "--config", write_config(tmp_path, solo, f"solo{k}.json")],
+                            capsys)
+        out.append((code, json.loads(text)))
+    return out
+
+
+def _block(report, k, index):
+    # point k's block and checks, renumbered as point `index`, as JSON text
+    block = dict(report["points"][k], index=index)
+    checks = [dict(c, point=index) for c in report["checks"] if c["point"] == k]
+    return json.dumps([block, checks], sort_keys=True)
+
+
+@pytest.mark.parametrize("data,failure", [
+    # the exact flow from (0.1, 0.5) leaves every chart near t = 1.64
+    (base_config(points=[{"x": [0.3], "p": [-0.7]}, {"x": [0.1], "p": [0.5]},
+                         {"x": [-0.2], "p": [-0.4]}], flow={"t_end": 5.0, "dt": 0.01}),
+     ("FlowNotResolved", "flow is not resolved by dt at t=1.63:")),
+    # the first stage at x1 = 3 steps x1 past 1e150, where (1 + x1^2)^200 overflows
+    (base_config(generator="0.5*p1^2*(1 + x1^2)^200",
+                 points=[{"x": [0.0], "p": [0.1]}, {"x": [3.0], "p": [0.5]},
+                         {"x": [0.01], "p": [-0.1]}], flow={"t_end": 0.1, "dt": 0.01}),
+     ("FloatingPointError", "non-finite number: overflow encountered")),
+    (base_config(generator="0.5*p1^2 + log(x1)",
+                 points=[{"x": [1.0], "p": [0.5]}, {"x": [-1.0], "p": [0.5]},
+                         {"x": [2.0], "p": [-0.3]}], flow={"t_end": 0.5, "dt": 0.01}),
+     ("JetDomainError", "log needs a positive real value")),
+])
+def test_a_failing_point_leaves_the_others_of_its_stack_alone(tmp_path, capsys, data, failure):
+    # the three points run as one stack; the middle one fails, so the stack
+    # runs again point by point, and every block is the block of its solo run
+    code, out, err = run(["flow", "--config", write_config(tmp_path, data)], capsys)
+    assert code == 3 and err == ""
+    report = json.loads(out)
+    error = report["points"][1]["error"]
+    assert error["type"] == failure[0]
+    assert error["message"].startswith(failure[1])
+    assert [b["index"] for b in report["points"]] == [0, 1, 2]
+    for k, (solo_code, solo) in enumerate(_solo_runs(tmp_path, capsys, data)):
+        assert solo_code == (3 if k == 1 else 0)
+        assert _block(report, k, 0) == _block(solo, 0, 0)
+
+
 def test_flow_tangent_bundle(tmp_path, capsys):
     data = base_config(bundle_tag="tangent",
                        generator={"family": "oscillator", "params": {"omega": 2.0}},
@@ -431,6 +479,34 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     code, out, _ = run(["inspect", "--config", path], capsys)
     assert code == 0
     assert out.encode() == first.read_bytes()
+    # a three-point flow, in JSON and in CSV, with one and with two workers:
+    # block for block and table for table the bytes of each point run alone
+    for bundle in ("cotangent", "tangent"):
+        data = base_config(bundle_tag=bundle, flow={"t_end": 0.5, "dt": 1e-2},
+                           points=[{"x": [0.3], "p": [-0.7]}, {"x": [-0.2], "p": [-0.5]},
+                                   {"x": [0.1], "p": [-0.9]}])
+        solos = _solo_runs(tmp_path, capsys, data)
+        for k, point in enumerate(data["points"]):
+            solo = write_config(tmp_path, dict(data, points=[point]), f"solo{k}.json")
+            csv_out = str(tmp_path / f"solo{k}.csv")
+            assert run(["flow", "--config", solo, "--format", "csv", "--out", csv_out],
+                       capsys)[0] == 0
+        reports = {}
+        for workers in (1, 2):
+            path = write_config(tmp_path, dict(data, workers=workers), f"w{workers}.json")
+            code, out, _ = run(["flow", "--config", path], capsys)
+            assert code == 0
+            reports[workers] = json.loads(out)
+            for k, (_, solo) in enumerate(solos):
+                assert _block(reports[workers], k, 0) == _block(solo, 0, 0)
+            csv_out = str(tmp_path / f"w{workers}.csv")
+            assert run(["flow", "--config", path, "--format", "csv", "--out", csv_out],
+                       capsys)[0] == 0
+            for k in range(3):
+                assert (tmp_path / f"w{workers}-{k}.csv").read_bytes() == (
+                    tmp_path / f"solo{k}.csv").read_bytes()
+        assert reports[1]["points"] == reports[2]["points"]
+        assert reports[1]["checks"] == reports[2]["checks"]
 
 
 def test_vielbein_lift_matches_conformal_family(tmp_path, capsys):
@@ -487,7 +563,7 @@ def test_work_caps_are_config_errors(tmp_path, capsys, monkeypatch):
     def unreachable(payload):
         raise AssertionError("a point started above a cap")
 
-    monkeypatch.setattr(cli, "_run_point", unreachable)
+    monkeypatch.setattr(cli, "_run_slice", unreachable)
     caps = cli.CAPS
 
     def of_dim(n, points=None):
@@ -539,7 +615,7 @@ def test_jet_table_cap_is_a_config_error(tmp_path, capsys, monkeypatch):
     def reached(payload):
         raise Reached
 
-    monkeypatch.setattr(cli, "_run_point", reached)
+    monkeypatch.setattr(cli, "_run_slice", reached)
     data = base_config(n=4, generator="p1^2", D_max=8,
                        points=[{"x": [0.1] * 4, "p": [0.5] * 4}])
     path = write_config(tmp_path, data)
@@ -765,8 +841,9 @@ mutations = st.one_of(
 def _no_work(payload):
     # every point a plain block: the config surface and the report
     # assembly run, and no math does
-    _, _, index, x, p = payload
-    return index, {"index": index, "x": list(x), "p": list(p)}, [], None, False
+    _, _, first, points = payload
+    return [(index, {"index": index, "x": list(x), "p": list(p)}, [], None, False)
+            for index, (x, p) in enumerate(points, first)]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -779,7 +856,7 @@ def test_generated_configs_keep_the_exit_code_contract(command, changes):
         change(data)
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_run_point", _no_work)
+        patch.setattr(cli, "_run_slice", _no_work)
         patch.chdir(tmp)  # a string `output` writes its file here
         path = Path(tmp) / "job.json"
         path.write_text(json.dumps(data))

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from starquant import fedosov as fd
 from starquant import geometry as geo
 from starquant.errors import DegenerateHessian, InsufficientJetOrder, StarquantError
 from starquant.expr import parse
-from starquant.jets import PhasePoint, jet_const
+from starquant.jets import Jet, PhasePoint, jet_const
 from oracles import reference_compat_residual, reference_curvature
 
 
@@ -652,3 +653,26 @@ def test_residual_maxima_keep_nan():
     gamma[0, 0, 0, 0] = float("nan")
     G._cache[("connection_stack", "canonical_d")] = space, gamma
     assert np.isnan(geo.metric_compat_residual(G, "canonical_d"))
+    # the folds over iterables: a NaN anywhere wins, finite values keep their bits
+    assert np.isnan(geo._max_abs([0.5, float("nan"), 2.0]))
+    assert geo._max_abs(x for x in (-3.0, 1.0)) == 3.0
+    assert geo._max_abs([]) == 0.0
+    # a NaN in S_abc alone still stops the canonical torsion blocks
+    G = geo.GeometryAtPoint(QUARTIC2, PT2, 5)
+    T = G.torsion("canonical_d").copy()
+    n = PT2.n
+    nan = T[n, n, n].coeffs.copy()
+    nan[0] = float("nan")
+    T[n, n, n] = Jet(T[n, n, n].space, nan)
+    with pytest.raises(StarquantError, match="torsion blocks"):
+        geo._curvature_torsion_blocks("canonical_d", G.omega, T, G.curvature("canonical_d"),
+                                      G.anholonomy("canonical_d"))
+    # one NaN coefficient of the curvature reaches the closedness residual
+    # of the curvature trace
+    state = fd.build_state(QUARTIC2, PT2, d_max=4)
+    assert np.isfinite(fd.chern_weyl_closedness(state))
+    R = state.ctx.curvature
+    coeffs = R[0, 1, 0, 1].coeffs.copy()
+    coeffs[0] = float("nan")
+    R[0, 1, 0, 1] = Jet(R[0, 1, 0, 1].space, coeffs)
+    assert np.isnan(fd.chern_weyl_closedness(state))

@@ -479,3 +479,39 @@ def test_batched_partial_is_the_jet_partial_row_by_row(dim, order, seed):
             assert out.tobytes() == Jet(space, row).partial(var).coeffs.tobytes()
     with pytest.raises(InsufficientJetOrder):
         batched_partial(jet_space(dim, 0), rows[:, :1], 0)
+
+
+def test_stacked_jets_have_the_bits_of_each_row():
+    # one compiled expression with every series the DSL has, evaluated on a
+    # stack of three points and on each point alone; the reads, a partial, a
+    # truncation and a stacked matrix inverse agree row by row too
+    from starquant.expr import jet_function, parse
+
+    fn = jet_function(parse("exp(x1)*sin(p1) - cos(x1*p1)/(2 + p1^2) + sqrt(3 + x1)"
+                            " * log(4 - p1) + 1/(1.5 + x1)^0.75 + x1^3*p1", 1))
+    space = jet_space(2, 3)
+    points = np.array([[0.3, -0.7], [-0.4, 0.2], [1.1, 0.9]])
+    xs, ps = space.variables(points)
+    stacked = fn([xs], [ps])
+    assert stacked.coeffs.shape == (3, space.size)
+    for row, point in zip(range(3), points):
+        x, p = space.variables(point)
+        alone = fn([x], [p])
+        assert stacked.coeffs[row].tobytes() == alone.coeffs.tobytes()
+        assert stacked.gradient()[row].tobytes() == alone.gradient().tobytes()
+        assert stacked.hessian()[row].tobytes() == alone.hessian().tobytes()
+        assert stacked.partial(1).coeffs[row].tobytes() == alone.partial(1).coeffs.tobytes()
+        assert stacked.truncate(1).coeffs[row].tobytes() == alone.truncate(1).coeffs.tobytes()
+        matrix = np.array([[stacked, xs], [ps, stacked * stacked]], dtype=object)
+        inverse = jet_matrix_inverse(matrix)
+        alone_inverse = jet_matrix_inverse(np.array([[alone, x], [p, alone * alone]],
+                                                    dtype=object))
+        for a in range(2):
+            for b in range(2):
+                assert (inverse[a, b].coeffs[row].tobytes()
+                        == alone_inverse[a, b].coeffs.tobytes())
+    # the domain checks run row by row: one bad row fails the stack
+    with pytest.raises(JetDomainError, match="log needs a positive real value"):
+        apply_unary(xs - 1.0, "log")
+    with pytest.raises(JetDomainError, match="fractional power"):
+        pow_const(xs, 0.5)

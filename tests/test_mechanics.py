@@ -235,6 +235,46 @@ def test_exp_conformal_stage_work(monkeypatch, bundle, flow, per_stage):
     assert count[0] == 5 * per_stage
 
 
+@pytest.mark.parametrize("bundle,flows,per_stage", [
+    ("cotangent", mech.hamilton_flows, 2),
+    ("tangent", mech.lagrange_flows, 3),
+])
+def test_exp_conformal_stage_work_is_per_stack(monkeypatch, bundle, flows, per_stage):
+    # three points in lockstep: every stage is one stacked evaluation, so a
+    # step costs the table products of one point however many points run
+    src = cli._family_source("exp-conformal", {}, 1, bundle)
+    gen = jet_function(parse(src, 1, bundle))
+    starts = np.array([[0.3, -0.7], [-0.2, -0.5], [0.1, -0.9]])
+    flows(gen, starts, 1e-3, 1e-3)
+    count = _count_table_products(monkeypatch)
+    trajs = flows(gen, starts, 1e-3, 1e-3)
+    assert [len(t.times) for t in trajs] == [2, 2, 2]
+    assert count[0] == 5 * per_stage
+
+
+@pytest.mark.parametrize("bundle", ["cotangent", "tangent"])
+def test_stacked_flows_have_the_bits_of_single_flows(bundle):
+    # n = 2 with a mixed Hessian block, and a fractional power and a log
+    # whose series are built row by row
+    src = {"cotangent": "0.5*(p1^2 + p2^2)*(1 + x2^2)^0.5 + log(2 + x1^2) / (3 + p1*p2)",
+           "tangent": "0.5*(y1^2 + y2^2)*exp(0.3*x1) + y1*y2*x2 + sin(x1 + x2)"}[bundle]
+    gen = jet_function(parse(src, 2, bundle))
+    flows, flow = {"cotangent": (mech.hamilton_flows, mech.hamilton_flow),
+                   "tangent": (mech.lagrange_flows, mech.lagrange_flow)}[bundle]
+    starts = np.array([[0.3, -0.2, 0.4, 0.1], [-0.5, 0.25, -0.3, 0.6], [0.1, 0.7, 0.2, -0.4]])
+    stacked = flows(gen, starts, 0.2, 0.01)
+    for start, traj in zip(starts, stacked):
+        alone = flow(gen, PhasePoint(start[:2], start[2:]), 0.2, 0.01)
+        assert traj.times.tobytes() == alone.times.tobytes()
+        assert traj.states.array.tobytes() == alone.states.array.tobytes()
+        assert traj.energy.tobytes() == alone.energy.tobytes()
+    pushed = mech.legendre_momenta(gen, starts) if bundle == "tangent" else (
+        mech.legendre_velocities(gen, starts))
+    single = mech.legendre_to_hamiltonian if bundle == "tangent" else mech.legendre_to_lagrangian
+    for start, row in zip(starts, pushed):
+        assert row.tobytes() == single(gen, PhasePoint(start[:2], start[2:]))[0].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bracket check along trajectories
 
