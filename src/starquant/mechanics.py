@@ -324,9 +324,10 @@ def _spray_values(fn, space, state, n, hessian_tol):
     grad, hess = grad.real, hess.real
     upper = np.linalg.inv(hess[..., n:, n:])
     # contiguous copies: BLAS takes another path for a strided operand,
-    # which can round the products below differently
+    # which can round the products below differently; each row of y is
+    # contiguous already
     mixed = hess[..., n:, :n].copy()  # mixed[..., j, k] = d2L/dy^j dx^k
-    y = state[..., n:, None].copy()
+    y = state[..., n:, None]
     p = grad[..., None, n:].copy()
     G = 0.5 * upper @ (mixed @ y - grad[..., :n, None])
     return G.squeeze(-1), (p @ y).squeeze((-2, -1)) - Lj.coeffs[..., 0].real
