@@ -36,8 +36,7 @@ goes through `batched_mul`, and the series of `exp`, `log`, `sin`,
 arithmetic of a single jet, its domain checks included.  Every row
 then has the bits the same evaluation gives on that row alone, so a
 compiled DSL expression evaluates many points in one pass.  A constant
-jet without row axes combines with a stack as with each of its rows,
-and a stack adds or subtracts an array of per-row values at order 0.
+jet without row axes combines with a stack as with each of its rows.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ import numpy as np
 from .errors import DegenerateHessian, InsufficientJetOrder, JetDomainError
 
 _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
-# what a jet adds at order 0: a scalar, or a stack's array of per-row values
-_VALUES = _SCALARS + (np.ndarray,)
 
 # Tolerance for treating a nominally complex value as real when checking
 # domains of log/sqrt/fractional powers.
@@ -269,7 +266,7 @@ class Jet:
                 return _wrap(self.space, self.coeffs + other.coeffs)
             space = _lower(self, other)
             return _wrap(space, self.coeffs[..., : space.size] + other.coeffs[..., : space.size])
-        if isinstance(other, _VALUES):
+        if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out.T[0] += other  # coefficient 0 of every row
             return _wrap(self.space, out)
@@ -283,14 +280,14 @@ class Jet:
                 return _wrap(self.space, self.coeffs - other.coeffs)
             space = _lower(self, other)
             return _wrap(space, self.coeffs[..., : space.size] - other.coeffs[..., : space.size])
-        if isinstance(other, _VALUES):
+        if isinstance(other, _SCALARS):
             out = self.coeffs.copy()
             out.T[0] -= other
             return _wrap(self.space, out)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _VALUES):
+        if isinstance(other, _SCALARS):
             out = -self.coeffs
             out.T[0] += other
             return _wrap(self.space, out)
@@ -324,10 +321,7 @@ class Jet:
         coefficient is c times this one, summed from +0.0, so a -0.0 turns
         into +0.0 here too (`self * c` keeps it).  numpy may fuse a complex
         product into FMAs, so c stays the left factor; for a real c the
-        order of the factors does not change the bits.  A stack may take
-        an array of per-row factors."""
-        if isinstance(c, np.ndarray):
-            c = c[:, None]
+        order of the factors does not change the bits."""
         out = c * self.coeffs
         out += 0.0
         return _wrap(self.space, out)
