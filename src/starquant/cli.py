@@ -106,12 +106,12 @@ TOL = {
 CAPS = {"n": 4, "D_max": 8, "v_max": 8, "jet_order": 17,
         "flow_steps": 10 ** 6, "points": 10 ** 4, "jet_table": TABLE_CAP}
 
-# The most bytes one stack of a flow run keeps per point, summed over its
-# points: the recorded states and energies of its flow and dual flow, and
-# the coefficients of its sampled Legendre pushes.  A flow run integrates
-# its points in stacks of as many as fit, one point at least.  The
-# per-stage jets of a stack are smaller than its pushes, so they stay
-# within the budget too.
+# The most bytes one stack of a flow run holds, summed over its points:
+# the recorded states and energies of its flows and dual flows, and the
+# jets of its largest stacked evaluation, which is the Legendre push of
+# every sampled state when the family has a dual and one stage otherwise.
+# A flow run integrates its points in stacks of as many as fit, one point
+# at least.
 STACK_BYTES = 2 ** 24
 
 # samples of the dual flow that the duality check pushes through the
@@ -586,14 +586,15 @@ def _flow_stack(cfg, gen, dual, points, keep_trajectory):
 
 def _stack_points(cfg, dual):
     """Points per stack of a flow run: as many as STACK_BYTES holds, one
-    at least."""
+    at least.  An evaluation on order-2 jets in 2n variables holds the 2n
+    seeded variables and a few intermediates, counted as 2n + 4 jets per
+    row."""
     n = cfg["n"]
     samples = int(cfg["flow"]["t_end"] / cfg["flow"]["dt"]) + 2
     flows = 1 if dual is None else 2
-    per_point = 8 * samples * (2 * n + 1) * flows
-    if dual is not None:
-        pushed = min(samples, DUALITY_SAMPLES + 2)
-        per_point += 16 * pushed * math.comb(2 * n + 2, 2)
+    rows = 1 if dual is None else min(samples, DUALITY_SAMPLES + 2)
+    jet_row = 16 * math.comb(2 * n + 2, 2) * (2 * n + 4)
+    per_point = 8 * samples * (2 * n + 1) * flows + jet_row * rows
     return max(1, STACK_BYTES // per_point)
 
 

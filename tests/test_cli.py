@@ -466,7 +466,7 @@ def test_check_degenerate_hessian(tmp_path, capsys):
 # determinism
 
 
-def test_reports_are_byte_identical(tmp_path, capsys):
+def test_reports_are_byte_identical(tmp_path, capsys, monkeypatch):
     data = base_config(points={"grid": {"x": [[-0.2, 0.3]], "p": [[-0.5]]}},
                        workers=2)
     path = write_config(tmp_path, data)
@@ -507,6 +507,18 @@ def test_reports_are_byte_identical(tmp_path, capsys):
                     tmp_path / f"solo{k}.csv").read_bytes()
         assert reports[1]["points"] == reports[2]["points"]
         assert reports[1]["checks"] == reports[2]["checks"]
+        # stacks of one and of two points, as a small byte budget makes them
+        for size in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_stack_points", lambda cfg, dual: size)
+                code, out, _ = run(["flow", "--config", write_config(tmp_path, data)], capsys)
+            assert code == 0
+            assert json.loads(out)["points"] == reports[1]["points"]
+    # the budget admits one point at least, and fewer as flows get longer
+    cfg = {"n": 4, "flow": {"t_end": 1000.0, "dt": 1e-3}}
+    assert cli._stack_points(cfg, dual=object()) == 1
+    cfg = {"n": 1, "flow": {"t_end": 0.5, "dt": 1e-2}}
+    assert cli._stack_points(cfg, None) > cli._stack_points(cfg, dual=object()) > 3
 
 
 def test_vielbein_lift_matches_conformal_family(tmp_path, capsys):
