@@ -272,6 +272,12 @@ def _jet_order(cfg):
     time, which consumes another D_max orders, and the first lift needs
     one more: 2 D_max + 1.  Inspection needs the full curvature tower
     (order 5), and flows only differentiate the generator twice per step.
+
+    The seed is the most any part of the point reads.  The Fedosov
+    state and the lifts are then cut to the orders their readers need
+    (_read_order): at read order q, degree m of a lift keeps
+    q + D_max - m orders and degree k of r keeps q + D_max - k + 1, each
+    capped at the jet's own order, so neither asks more than the seed.
     """
     jo = cfg["jet_order"]
     if jo != "auto":
@@ -288,6 +294,20 @@ def _jet_order(cfg):
     if cfg["command"] == "inspect":
         return 5
     return 3
+
+
+def _read_order(cfg):
+    """The jet order at which star and check read the scalar parts of
+    products of their lifts; the state and the lifts keep only what that
+    read needs (see fedosov.lift_order and r_order).
+
+    The coefficients, c0 and c1 are values: order 0.  The associativity
+    probe of star with h lifts the C_r(f, g) and C_r(g, h) jets again, and
+    a lift differentiates its observable D_max times, so there the read
+    is D_max; the second lifts themselves are read at values again."""
+    if cfg["command"] == "star" and cfg["star"].get("h") is not None:
+        return cfg["D_max"]
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +628,12 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
 
     The inner coefficients are re-lifted, so their jets must still carry
     d_max derivative orders; the caller provides a state seeded deeply
-    enough for that.
+    enough for that, and lifts read at order d_max (see _read_order).
+    Only the values of the products of the second lifts are read.
     """
-    left = {q: wick_scalar_parts(tau_lift(fg[q], state)[0], th, state.lam, v_max)
+    left = {q: wick_scalar_parts(tau_lift(fg[q], state, read=0)[0], th, state.lam, v_max)
             for q in sorted(fg)}
-    right = {q: wick_scalar_parts(tf, tau_lift(gh[q], state)[0], state.lam, v_max)
+    right = {q: wick_scalar_parts(tf, tau_lift(gh[q], state, read=0)[0], state.lam, v_max)
              for q in sorted(gh)}
     out = []
     for r in range(v_max + 1):
@@ -626,9 +647,10 @@ def _assoc_defects(tf, fg, gh, th, state, v_max):
     return out
 
 
-def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
+def _quantization_probes(state, f_src, g_src, v_max, flat_labels, read):
     """Probes shared by star and check.  f and g are compiled, evaluated on
-    the state's own seed jets and lifted once each; the checks read those:
+    the state's own seed jets and lifted once each, for reads of their
+    products at jet order `read`; the checks read those:
     recursion closure and flatness of the lifts named in flat_labels, both
     the closure defect their degree recursions computed, c0(f,g) = fg,
     c1(f,g) - c1(g,f) = i{f,g}, closedness of the curvature trace.
@@ -636,7 +658,8 @@ def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
     geo = state.geometry
     fj, gj = [jet_function(parse(src, geo.n))(geo.base_jets, geo.fiber_jets)
               for src in (f_src, g_src)]
-    (tf, f_defect), (tg, g_defect) = tau_lift(fj, state), tau_lift(gj, state)
+    (tf, f_defect), (tg, g_defect) = (tau_lift(fj, state, read=read),
+                                      tau_lift(gj, state, read=read))
     fg = wick_scalar_parts(tf, tg, state.lam, v_max)
     gf = wick_scalar_parts(tg, tf, state.lam, v_max)
     fv, gv = fj.value, gj.value
@@ -659,9 +682,11 @@ def _quantization_probes(state, f_src, g_src, v_max, flat_labels):
 def _star_point(cfg, gen, pt):
     n, v_max = cfg["n"], cfg["v_max"]
     h_src = cfg["star"].get("h")
-    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
+    read = _read_order(cfg)
+    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg), read=read)
     checks, (tf, tg), (fg, gf), pb = _quantization_probes(
-        state, cfg["star"]["f"], cfg["star"]["g"], v_max, ("tau_flat_f", "tau_flat_g"))
+        state, cfg["star"]["f"], cfg["star"]["g"], v_max, ("tau_flat_f", "tau_flat_g"),
+        read)
     gamma, kappa, c0_form = chern_weyl(state)
 
     block = {
@@ -683,7 +708,7 @@ def _star_point(cfg, gen, pt):
         "c0_form": c0_form,
     }
     if h_src is not None:
-        th, _ = tau_lift(parse(h_src, n), state)
+        th, _ = tau_lift(parse(h_src, n), state, read=read)
         gh = wick_scalar_parts(tg, th, state.lam, v_max)
         block["h"] = h_src
         # only the complete orders are probed: beyond D_max // 2 the
@@ -700,13 +725,15 @@ def _check_point(cfg, gen, dual, pt, first):
     """Geometry identities plus quantization probes, all read from one
     Fedosov state's geometry; flows on the first point only, since one
     trajectory already sweeps through many."""
-    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg))
+    read = _read_order(cfg)
+    state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg), read=read)
     checks = _geometry_checks(state.geometry)
     if first:
         traj = hamilton_flow(gen, pt, cfg["flow"]["t_end"], cfg["flow"]["dt"])
         checks += _flow_checks(cfg, gen, dual, [traj])[0]
     # the star checks read c0 and c1 only
-    checks += _quantization_probes(state, _PROBE_F, _PROBE_G, 1, ("tau_flat_probe",))[0]
+    checks += _quantization_probes(state, _PROBE_F, _PROBE_G, 1, ("tau_flat_probe",),
+                                   read)[0]
     block = {"index": None, "x": list(pt.x), "p": list(pt.p)}
     return block, checks
 

@@ -34,6 +34,23 @@ and one Jet sum per piece, as tests/oracles.py keeps it.  The pairs are
 taken in chunks whose stacks stay within jets.CHUNK coefficients.  The
 element itself stays a dict of Jets; the other operators still loop
 over its terms.
+
+The degree recursions keep only the jet orders their readers need.  A
+caller that reads the scalar parts of products of lifts at jet order q
+(q = 0 for values) passes read=q to build_state and tau_lift: each
+covariant derivative costs one order, and t[m] of a lift meets at most
+d_max - m more of them, so it is kept to order q + d_max - m
+(lift_order); comp[k] of r first enters the lift step k - 1, so it is
+kept to q + d_max - k + 1 (r_order).  Both are capped at the jet's own
+order, and each step cuts the factors of its Wick products to the order
+it keeps, so no product forms orders that are dropped.  By the jet order
+rule the kept prefix has the bits it would have had uncut, so what the
+caller reads does not move; only the closure defects, whose maxima run
+over the coefficients that are kept, can fall.  A term whose kept
+prefix is below PRUNE_TOL is pruned where its uncut jet would have been
+kept.  read=None keeps the full orders, which the closure references
+(recursion_residual, tau_flatness, flat_connection_defect) need, since
+they differentiate the stored components once more.
 """
 
 import math
@@ -871,7 +888,11 @@ class FedosovState:
 
     lam is the state's own WickPairing: every Wick product at this point
     reads the contraction weights from its table, which stores each weight
-    at the highest jet order read so far and goes with the state."""
+    at the highest jet order read so far and goes with the state.
+
+    A state built with a read order keeps comp[k] of r only to
+    r_order(read, d_max, k); the closure references differentiate the
+    components once more, so they need a state built without one."""
 
     geometry: GeometryAtPoint
     d_max: int
@@ -889,9 +910,15 @@ class FedosovState:
         return self.geometry.n
 
 
-def build_state(generator, point, d_max, order=None, hessian_tol=1e-10):
+def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, read=None):
     """Evaluate the oblique-frame geometry at the point and run the
-    degree recursion.  Jet order defaults to 3 + d_max (at least 5)."""
+    degree recursion.  Jet order defaults to 3 + d_max (at least 5).
+
+    read is the jet order at which the caller reads the scalar parts of
+    products of its lifts: comp[k] of r is then kept to r_order(read,
+    d_max, k), which is all that lifts read at that order need.  None
+    keeps every component at its full order, as the closure references
+    need."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
     if order is None:
@@ -916,32 +943,69 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10):
         torsion_lift=t_lift,
         curvature_lift=r_lift,
     )
-    fedosov_r(state)
+    fedosov_r(state, read)
     return state
 
 
-def _solve_degrees(total, x, degrees, source):
+def lift_order(read, d_max, m):
+    """The jet order of t[m] of a lift that a reader of its products'
+    scalar parts at order `read` needs: at most d_max - m further
+    covariant derivatives act on t[m] before the last degree."""
+    return read + d_max - m
+
+
+def r_order(read, d_max, k):
+    """The jet order of comp[k] of r that lifts read at order `read`
+    need: comp[k] first enters the lift step k - 1, whose t[k - 1] is
+    kept to lift_order(read, d_max, k - 1); the recursion of r itself
+    asks no more, since comp[k] feeds comp[k + 1] through one
+    derivative."""
+    return read + d_max - k + 1
+
+
+def _cut(a, order):
+    """a with every coefficient truncated to at most jet order `order`;
+    a itself for order None."""
+    if order is None:
+        return a
+    return a._like({k: c if c.order <= order else c.truncate(order)
+                    for k, c in a.terms.items()})
+
+
+def _solve_degrees(total, x, degrees, source, read=None):
     """Solve delta x[m] = src_m = source(m) for m in degrees, in order, by
     x[m] = delta_inv(src_m); source(m) reads only the x[k] already solved.
     A step is exact where src_m is delta-closed, so the largest defect
     |delta x[m] - src_m| is the residual of the whole equation on Deg m - 1
-    for each m.  Returns (total + the sum of the x[m], that defect)."""
+    for each m.  Returns (total + the sum of the x[m], that defect).
+
+    read(m), when given, is the highest jet order anything after step m
+    reads of x[m]: the defect is taken from the whole x[m], and x[m] is
+    then cut to that order (capped at each jet's own) before the sum and
+    the later steps read it.  The sources cut the factors of their Wick
+    products to read(m) as well: a product is kept to the lower order of
+    its factors, so the orders x[m] would drop are never formed, and the
+    kept ones have the bits of the uncut product."""
     defects = []
     for m in degrees:
         src = source(m)
         x[m] = delta_inv_pair(src)
-        total = total + x[m]
         defects.append((delta_pair(x[m]) - src).max_abs())
+        if read is not None:
+            x[m] = _cut(x[m], read(m))
+        total = total + x[m]
     return total, _max_abs(defects)
 
 
-def fedosov_r(state):
+def fedosov_r(state, read=None):
     """Degree-by-degree solution of the flatness equation
     delta r = T_lift + R_lift + D r - (i/v) r o r:  comp[2] = delta_inv
     T_lift, comp[3] picks up the curvature lift, and each later degree m
     solves comp[m] = delta_inv(D comp[m-1] - (i/v) sum_{a+b=m+1} comp[a] o
-    comp[b]).  The closure defect, on Deg 1 .. d_max - 1, is state.residual."""
+    comp[b]).  The closure defect, on Deg 1 .. d_max - 1, is state.residual.
+    With a read order, comp[k] is kept to r_order(read, d_max, k)."""
     comp = {}
+    orders = None if read is None else (lambda k: r_order(read, state.d_max, k))
 
     def source(m):
         if m == 2:
@@ -949,11 +1013,13 @@ def fedosov_r(state):
         acc = extended_D(comp[m - 1], state.ctx)
         if m == 3:
             acc = acc + state.curvature_lift
-        pairs = [wick_product(comp[p], comp[m + 1 - p], state.lam) for p in range(2, m)]
+        top = None if orders is None else orders(m)
+        pairs = [wick_product(_cut(comp[p], top), _cut(comp[m + 1 - p], top), state.lam)
+                 for p in range(2, m)]
         return acc - v_divide(sum(pairs[1:], pairs[0]).scale(1j))
 
     zero = WickElement.zero(state.n, state.d_alg)
-    r, resid = _solve_degrees(zero, comp, range(2, state.d_max + 1), source)
+    r, resid = _solve_degrees(zero, comp, range(2, state.d_max + 1), source, orders)
     state.r, state.r_components, state.residual = r, comp, resid
     if resid > 1e-6:
         raise StarquantError(f"degree recursion failed to close: residual {resid:.3g}")
@@ -1016,23 +1082,32 @@ def _observable_jet(f, geo):
     return as_generator(f)(geo.base_jets, geo.fiber_jets)
 
 
-def tau_lift(f, state):
+def tau_lift(f, state, read=None):
     """The flat section projecting to f, degree by degree:
     t[m] = delta_inv(D t[m-1] - (i/v) sum_l ad(comp[l+2]) t[m-1-l]).
     Returns (lift, defect): the closure defect of these steps is the
-    flatness residual on Deg 0 .. d_max - 1."""
+    flatness residual on Deg 0 .. d_max - 1.
+
+    read is the jet order at which the caller reads the scalar parts of
+    the lift's products: t[m], t[0] = f included, is then kept to
+    lift_order(read, d_max, m).  None keeps the full orders."""
     f0 = _observable_jet(f, state.geometry)
     t = {0: WickElement.from_jet(f0, state.n, state.d_alg)}
+    orders = None if read is None else (lambda m: lift_order(read, state.d_max, m))
+    if orders is not None:
+        t[0] = _cut(t[0], orders(0))
 
     def source(m):
         acc = extended_D(t[m - 1], state.ctx)
-        pieces = [ad_wick(state.r_components[l + 2], t[m - 1 - l], state.lam)
+        top = None if orders is None else orders(m)
+        pieces = [ad_wick(_cut(state.r_components[l + 2], top), _cut(t[m - 1 - l], top),
+                          state.lam)
                   for l in range(m) if l + 2 in state.r_components]
         if pieces:
             acc = acc - v_divide(sum(pieces[1:], pieces[0]).scale(1j))
         return acc
 
-    return _solve_degrees(t[0], t, range(1, state.d_max + 1), source)
+    return _solve_degrees(t[0], t, range(1, state.d_max + 1), source, orders)
 
 
 def tau_flatness(lifted, state):
@@ -1042,12 +1117,13 @@ def tau_flatness(lifted, state):
 
 
 def star_product(f, g, state, v_max=None):
-    """Complex coefficients C_r(f, g) of v^r, r = 0 .. v_max."""
+    """Complex coefficients C_r(f, g) of v^r, r = 0 .. v_max.  Only their
+    values are read, so the lifts keep the orders of read 0."""
     if v_max is None:
         v_max = state.d_max // 2
     fj = _observable_jet(f, state.geometry)
     gj = _observable_jet(g, state.geometry)
-    (tf, _), (tg, _) = tau_lift(fj, state), tau_lift(gj, state)
+    (tf, _), (tg, _) = tau_lift(fj, state, read=0), tau_lift(gj, state, read=0)
     coeffs = wick_scalar_parts(tf, tg, state.lam, v_max)
     want = fj.value * gj.value
     got = coeffs[0].value if 0 in coeffs else 0.0

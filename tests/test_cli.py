@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant import cli
-from starquant.errors import StarquantError
+from starquant import cli, fedosov, jets
+from starquant.errors import InsufficientJetOrder, StarquantError
 
 
 def write_config(tmp_path, data, name="job.json"):
@@ -785,6 +786,186 @@ def test_star_and_check_lift_each_observable_once(tmp_path, capsys, monkeypatch)
         code, _, _ = run(argv, capsys)
         assert code == 0, argv[0]
         assert calls == {**dict.fromkeys(references, 0), "lift": 2}, argv[0]
+
+
+# ---------------------------------------------------------------------------
+# jet orders by demand: star and check keep only the orders they read
+
+QUARTIC = "0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2"
+# generator, n, point, f and g of each family the star tests run on
+STAR_FAMILIES = {
+    "flat": ({"family": "flat"}, 2, {"x": [0.3, -0.1], "p": [0.7, 0.4]},
+             "x1*p1*p2 + x2^2*p2 + p1^3", "p1*p2^2 + x1^2*x2 + x1^3"),
+    "exp-conformal": ({"family": "exp-conformal"}, 1, {"x": [0.3], "p": [-0.7]},
+                      "x1*p1", "p1"),
+    "quartic": (QUARTIC, 2, {"x": [0.3, -0.1], "p": [0.7, 0.4]}, "x1*p1", "x1^2 + p2"),
+}
+# the checks that are the closure defects of the degree recursions: maxima
+# over the coefficients the recursions keep
+CLOSURE_DEFECTS = {"recursion_residual", "tau_flat_f", "tau_flat_g", "tau_flat_probe"}
+
+
+def _quantization_config(family, d_max, f=None, g=None, h=None):
+    gen, n, point, f0, g0 = STAR_FAMILIES[family]
+    star = {"f": f or f0, "g": g or g0}
+    if h is not None:
+        star["h"] = h
+    return {"schema_version": 1, "n": n, "generator": gen, "points": [point],
+            "D_max": d_max, "star": star, "flow": {"t_end": 0.5, "dt": 1e-2},
+            "workers": 1}
+
+
+def _report(tmp_path, command, data):
+    path = write_config(tmp_path, data)
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _full_orders(monkeypatch):
+    # states and lifts kept at their full jet orders, as library callers
+    # get them by default
+    build, lift = cli.build_state, cli.tau_lift
+    monkeypatch.setattr(cli, "build_state", lambda *args, read=None, **kw: build(*args, **kw))
+    monkeypatch.setattr(cli, "tau_lift", lambda f, state, read=None: lift(f, state))
+
+
+def _count_pair_products(monkeypatch):
+    # coefficient pair products of the product tables: per row of every
+    # stacked product, and per Jet product
+    count = [0]
+    batched, mul = jets.batched_mul, jets.Jet.__mul__
+
+    def counted_batched(space, a, b):
+        out = batched(space, a, b)
+        count[0] += len(out) * len(space._mul()[0])
+        return out
+
+    def counted_mul(self, other):
+        out = mul(self, other)
+        if isinstance(other, jets.Jet) and out.coeffs.ndim == 1:
+            count[0] += len(out.space._mul()[0])
+        return out
+
+    monkeypatch.setattr(fedosov, "batched_mul", counted_batched)
+    monkeypatch.setattr(jets, "batched_mul", counted_batched)
+    monkeypatch.setattr(jets.Jet, "__mul__", counted_mul)
+    return count
+
+
+# the quartic's star at D_max 4, star with h at 3 and check at 4 are the
+# star_quartic, star_quartic_h and check_quartic goldens, whose bytes are
+# those of the full-order route
+@pytest.mark.parametrize("family,command,d_max,h", [
+    ("quartic", "star", 3, None), ("quartic", "star", 5, None),
+    ("quartic", "star", 4, "p2 - x2"),
+    ("quartic", "check", 3, None), ("quartic", "check", 5, None),
+    *[("exp-conformal", command, d_max, h) for d_max in (3, 4, 5)
+      for command, h in (("star", None), ("star", "x1 + p1^2"), ("check", None))],
+])
+def test_read_orders_keep_the_report_fields(tmp_path, monkeypatch, family, command, d_max, h):
+    data = _quantization_config(family, d_max, h=h)
+    cut = _report(tmp_path, command, data)
+    with monkeypatch.context() as patch:
+        _full_orders(patch)
+        full = _report(tmp_path, command, data)
+    assert cut["config"] == full["config"]
+    assert [c["name"] for c in cut["checks"]] == [c["name"] for c in full["checks"]]
+    for a, b in zip(cut["checks"], full["checks"]):
+        if a["name"] in CLOSURE_DEFECTS:
+            # the cut components carry fewer coefficients to take a maximum over
+            assert a["pass"] and b["pass"] and a["residual"] <= b["residual"]
+        else:
+            assert json.dumps(a) == json.dumps(b)
+    (a,), (b,) = cut["points"], full["points"]
+    if "coefficients" in a:
+        complete = a["complete_orders"]
+        for key in ("fg", "gf"):
+            ca, cb = a["coefficients"].pop(key), b["coefficients"].pop(key)
+            assert json.dumps(ca[: complete + 1]) == json.dumps(cb[: complete + 1])
+            if family == "quartic":
+                assert json.dumps(ca) == json.dumps(cb)
+            else:
+                # on exp-conformal at D_max 4 and 5 the incomplete C_3 is
+                # roundoff of size 1e-16 either way: a term whose kept
+                # prefix is below fedosov.PRUNE_TOL is pruned where its
+                # whole jet would be kept
+                for x, y in zip(ca[complete + 1:], cb[complete + 1:]):
+                    assert abs(complex(*x) - complex(*y)) <= 1e-14
+    assert json.dumps(a) == json.dumps(b)
+
+
+def test_read_orders_cut_the_pair_products(tmp_path, monkeypatch):
+    # the star_quartic golden config, which is the star_curved workload
+    data = _quantization_config("quartic", 4)
+    count = _count_pair_products(monkeypatch)
+    _report(tmp_path, "star", data)
+    cut, count[0] = count[0], 0
+    _full_orders(monkeypatch)
+    _report(tmp_path, "star", data)
+    assert (cut, count[0]) == (1_220_531, 6_487_611)
+    assert cut <= 0.6 * count[0]
+
+
+def _read_orders_fit(cfg):
+    """Raise InsufficientJetOrder where a read rule asks a component for
+    more orders than the seed order gives it, or leaves a component that
+    a later degree differentiates with no order to lose."""
+    d_max, seed, read = cfg["D_max"], cli._jet_order(cfg), cli._read_order(cfg)
+    lift_order, r_order = fedosov.lift_order, fedosov.r_order
+    # (component, order asked, differentiated later, order available)
+    asked = [(f"t[{m}]", lift_order(read, d_max, m), m < d_max, seed)
+             for m in range(d_max + 1)]
+    asked += [(f"comp[{k}]", r_order(read, d_max, k), k < d_max, seed)
+              for k in range(2, d_max + 1)]
+    if cfg["star"].get("h") is not None:
+        # the C_r jets carry order `read`, and their second lifts are read
+        # as values
+        asked += [(f"t[{m}] of a second lift", lift_order(0, d_max, m), m < d_max, read)
+                  for m in range(d_max + 1)]
+    for what, order, differentiated, top in asked:
+        if not int(differentiated) <= order <= top:
+            raise InsufficientJetOrder(f"{what} asks order {order} of {top} at {cfg}")
+
+
+def test_read_orders_fit_the_seed_order():
+    # orders only: no state is built, since D_max 8 takes minutes
+    for n, d_max, command, h in itertools.product(
+            range(1, 4), range(2, 9), ("star", "check"), (None, "p1")):
+        if command == "check" and h is not None:
+            continue
+        star = {"f": "x1", "g": "p1"} if h is None else {"f": "x1", "g": "p1", "h": h}
+        cfg = {"command": command, "n": n, "D_max": d_max, "jet_order": "auto",
+               "star": star}
+        _read_orders_fit(cfg)
+
+
+@pytest.mark.parametrize("family", list(STAR_FAMILIES))
+def test_star_is_hermitian_with_a_unit(tmp_path, family):
+    # C_r(g, f) = conj C_r(f, g) for real f and g, at every order the
+    # report gives, and the constant 1 is a unit: C_r(f, 1) = C_r(1, f) = 0
+    # for r >= 1
+    blk = _report(tmp_path, "star", _quantization_config(family, 4))["points"][0]
+    fg, gf = ([complex(*c) for c in blk["coefficients"][k]] for k in ("fg", "gf"))
+    assert len(fg) == 4 and abs(fg[2]) > 0.1
+    for a, b in zip(fg, gf):
+        assert abs(b - a.conjugate()) <= 1e-12 * max(1.0, abs(a))
+    blk = _report(tmp_path, "star", _quantization_config(family, 4, g="1"))["points"][0]
+    f_value = complex(*blk["coefficients"]["fg"][0])
+    for key in ("fg", "gf"):
+        c = [complex(*x) for x in blk["coefficients"][key]]
+        assert c[0] == f_value and c[1:] == [0.0] * 3
+
+
+def test_star_complete_orders_do_not_move_with_d_max(tmp_path):
+    # C_0 .. C_2 are complete at D_max 4, and do not change at D_max 5
+    blocks = [_report(tmp_path, "star", _quantization_config("quartic", d_max))["points"][0]
+              for d_max in (4, 5)]
+    assert [b["complete_orders"] for b in blocks] == [2, 2]
+    for key in ("fg", "gf"):
+        low, high = (b["coefficients"][key] for b in blocks)
+        assert json.dumps(low[:3]) == json.dumps(high[:3])
+        assert low[3] != high[3]  # C_3 is incomplete, and moves
 
 
 # ---------------------------------------------------------------------------

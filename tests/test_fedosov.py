@@ -676,6 +676,28 @@ def test_tau_projects_and_is_flat(curved):
     assert fd.tau_flatness(lifted, curved) <= 1e-12
 
 
+@pytest.mark.parametrize("d_max", [3, 4, 5])
+def test_read_orders_cut_the_components_to_their_prefix(d_max):
+    # a state and a lift for reads of values keep comp[k] to r_order and
+    # t[m] to lift_order (capped at each jet's own order), and what they
+    # keep has the bits of the full-order components
+    full = fd.build_state(QUARTIC2, PT2, d_max)
+    cut = fd.build_state(QUARTIC2, PT2, d_max, read=0)
+    f = parse("x1 * p1", 2)
+    pairs = [(cut.r_components[k], full.r_components[k], fd.r_order) for k in full.r_components]
+    pairs.append((fd.tau_lift(f, cut, read=0)[0], fd.tau_lift(f, full)[0], fd.lift_order))
+    shorter = 0
+    for kept, whole, order in pairs:
+        assert kept.terms.keys() == whole.terms.keys()
+        for (r, z, form), c in kept.terms.items():
+            w = whole.terms[(r, z, form)]
+            # the terms of comp[k] and of t[m] have Deg k and m
+            assert c.order == min(order(0, d_max, 2 * r + sum(z)), w.order)
+            assert c.coeffs.tobytes() == w.coeffs[: c.space.size].tobytes()
+            shorter += c.order < w.order
+    assert shorter > 0
+
+
 def test_scalar_parts_skip_absent_orders(curved):
     prod = fd.wick_product(fd.tau_lift(parse("x1 * p1", 2), curved)[0],
                            fd.tau_lift(parse("x1^2 + p2", 2), curved)[0], curved.lam)
@@ -755,6 +777,28 @@ def test_star_on_flat_is_the_exponential_product(pt, d_max, f, g):
     assert abs(want[-1]) > 1e-2  # the top order is probed, not zero
     for r, (a, b) in enumerate(zip(got, want)):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (r, a, b)
+
+
+@pytest.mark.parametrize("name", ["flat", "exp1", "curved"])
+def test_star_product_reads_values_only(name, request, monkeypatch):
+    # star_product reads the values of the C_r, so it lifts f and g for
+    # reads at order 0; lifts kept at their full orders give the same bits
+    state = request.getfixturevalue(name)
+    n = state.n
+    f, g = (parse(src, n) for src in (("x1*p1 + p1^3", "x1^2 + p1") if n == 1 else
+                                      ("x1*p1*p2 + x2^2*p2", "p1*p2^2 + x1^2*x2")))
+    reads, lift = [], fd.tau_lift
+
+    def recorded(f, state, read=None):
+        reads.append(read)
+        return lift(f, state, read)
+
+    monkeypatch.setattr(fd, "tau_lift", recorded)
+    got = fd.star_product(f, g, state, v_max=3)
+    monkeypatch.setattr(fd, "tau_lift", lambda f, state, read=None: lift(f, state))
+    want = fd.star_product(f, g, state, v_max=3)
+    assert reads == [0, 0]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_star_first_order_exp_family(exp1):
