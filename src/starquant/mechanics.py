@@ -242,8 +242,10 @@ def _step_sizes(t_end, dt):
 def _integrate(deriv, state, t_end, dt):
     """Classical RK4 with a fixed step (plus one remainder step to land
     exactly on t_end), on one state (2n,) or on a stack of states
-    (rows, 2n) in lockstep.  deriv(state) -> (velocity, energy); the
-    energy of the k1 evaluation is recorded for the current sample.
+    (rows, 2n) in lockstep.  deriv(state, energy) -> (velocity, the
+    energy when `energy` is true, else None); the energy is asked for
+    only where it is recorded: at the k1 evaluation for the current
+    sample, and at the final state.
     Returns the times, the states (samples, [rows,] 2n) and the energies
     (samples, [rows]), recorded into arrays allocated before the first
     step."""
@@ -255,15 +257,15 @@ def _integrate(deriv, state, t_end, dt):
     times[0] = t
     states[0] = state
     for k, h in enumerate(sizes):
-        k1, energy[k] = deriv(state)
-        k2, _ = deriv(state + 0.5 * h * k1)
-        k3, _ = deriv(state + 0.5 * h * k2)
-        k4, _ = deriv(state + h * k3)
+        k1, energy[k] = deriv(state, True)
+        k2, _ = deriv(state + 0.5 * h * k1, False)
+        k3, _ = deriv(state + 0.5 * h * k2, False)
+        k4, _ = deriv(state + h * k3, False)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
         times[k + 1] = t
         states[k + 1] = state
-    _, energy[-1] = deriv(state)
+    _, energy[-1] = deriv(state, True)
     for row in energy.reshape(len(times), -1).T:
         _require_resolved(times, row)
     return times, states, energy
@@ -291,10 +293,11 @@ def _hamilton(start, t_end, dt, H):
     n = start.shape[-1] // 2
     space = jet_space(2 * n, 1)
 
-    def deriv(state):
+    def deriv(state, energy):
         Hj = _stage_jet(fn, space, state)
         grad = Hj.gradient().real
-        return np.concatenate([grad[..., n:], -grad[..., :n]], axis=-1), Hj.coeffs[..., 0].real
+        velocity = np.concatenate([grad[..., n:], -grad[..., :n]], axis=-1)
+        return velocity, Hj.coeffs[..., 0].real if energy else None
 
     return _integrate(deriv, start, t_end, dt)
 
@@ -312,13 +315,14 @@ def hamilton_flows(H, starts, t_end, dt):
     return _per_row(_hamilton, starts, t_end, dt, H)
 
 
-def _spray_values(fn, space, state, n, hessian_tol):
-    """Values of the spray coefficients G^i and of the energy y.dL/dy - L
-    at a state (x, y), or at each row of a stack of states, from one
-    second-order jet evaluation of the Lagrangian; `space` is the order-2
-    jet space in 2n variables.  A stack's inverses come from one call on
-    its (rows, n, n) Hessian blocks, and the products are matmuls on
-    column vectors, which keep the bits of the single-state products."""
+def _spray_values(fn, space, state, n, hessian_tol, energy):
+    """Values of the spray coefficients G^i and, when `energy` is true,
+    of the energy y.dL/dy - L (else None) at a state (x, y), or at each
+    row of a stack of states, from one second-order jet evaluation of
+    the Lagrangian; `space` is the order-2 jet space in 2n variables.  A
+    stack's inverses come from one call on its (rows, n, n) Hessian
+    blocks, and the products are matmuls on column vectors, which keep
+    the bits of the single-state products."""
     Lj = _stage_jet(fn, space, state)
     grad, hess = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
     grad, hess = grad.real, hess.real
@@ -328,8 +332,10 @@ def _spray_values(fn, space, state, n, hessian_tol):
     # contiguous already
     mixed = hess[..., n:, :n].copy()  # mixed[..., j, k] = d2L/dy^j dx^k
     y = state[..., n:, None]
-    p = grad[..., None, n:].copy()
     G = 0.5 * upper @ (mixed @ y - grad[..., :n, None])
+    if not energy:
+        return G.squeeze(-1), None
+    p = grad[..., None, n:].copy()
     return G.squeeze(-1), (p @ y).squeeze((-2, -1)) - Lj.coeffs[..., 0].real
 
 
@@ -340,8 +346,8 @@ def _lagrange(start, t_end, dt, L, hessian_tol):
     n = start.shape[-1] // 2
     space = jet_space(2 * n, 2)
 
-    def deriv(state):
-        G, en = _spray_values(fn, space, state, n, hessian_tol)
+    def deriv(state, energy):
+        G, en = _spray_values(fn, space, state, n, hessian_tol, energy)
         return np.concatenate([state[..., n:], -2.0 * G], axis=-1), en
 
     return _integrate(deriv, start, t_end, dt)

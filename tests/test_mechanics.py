@@ -252,6 +252,23 @@ def test_exp_conformal_stage_work_is_per_stack(monkeypatch, bundle, flows, per_s
     assert count[0] == 5 * per_stage
 
 
+def test_lagrange_energy_is_computed_where_it_is_recorded(monkeypatch):
+    # the energy y.dL/dy - L is recorded at each step's k1 stage and at the
+    # final state; the other three stages compute the spray alone
+    gen = jet_function(parse(cli._family_source("exp-conformal", {}, 1, "tangent"), 1,
+                             "tangent"))
+    asked, spray = [], mech._spray_values
+
+    def recorded(fn, space, state, n, hessian_tol, energy):
+        asked.append(energy)
+        return spray(fn, space, state, n, hessian_tol, energy)
+
+    monkeypatch.setattr(mech, "_spray_values", recorded)
+    traj = mech.lagrange_flow(gen, PhasePoint([0.3], [-0.7]), 2e-3, 1e-3)
+    assert len(traj.energy) == 3
+    assert asked == [True, False, False, False] * 2 + [True]
+
+
 @pytest.mark.parametrize("bundle", ["cotangent", "tangent"])
 def test_stacked_flows_have_the_bits_of_single_flows(bundle):
     # n = 2 with a mixed Hessian block, and a fractional power and a log
