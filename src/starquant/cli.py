@@ -682,6 +682,8 @@ def _quantization_probes(state, f_src, g_src, v_max, flat_labels, read):
 def _star_point(cfg, gen, pt):
     n, v_max = cfg["n"], cfg["v_max"]
     h_src = cfg["star"].get("h")
+    # the coefficients are read as values; with h, _assoc_defects lifts
+    # their jets again, so they are read at order D_max
     read = _read_order(cfg)
     state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg), read=read)
     checks, (tf, tg), (fg, gf), pb = _quantization_probes(
@@ -725,7 +727,7 @@ def _check_point(cfg, gen, dual, pt, first):
     """Geometry identities plus quantization probes, all read from one
     Fedosov state's geometry; flows on the first point only, since one
     trajectory already sweeps through many."""
-    read = _read_order(cfg)
+    read = _read_order(cfg)  # c0 and c1 are read as values
     state = build_state(gen, pt, cfg["D_max"], order=_jet_order(cfg), read=read)
     checks = _geometry_checks(state.geometry)
     if first:
