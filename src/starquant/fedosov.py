@@ -16,46 +16,40 @@ Conventions fixed here and relied on by the tests:
   - ad(x)(a) is the deg_a-graded commutator under the Wick product;
   - division by v drops one v power and insists the v^0 part is zero.
 
-The pairing lam = theta - i g of a state is a WickPairing.  It owns the
-table of contraction weights that all of the state's Wick products read,
-so the table lives and dies with the state, and it keeps each weight at
-the highest jet order read so far (see WickPairing).
+The algebra has one representation.  A WickElement is three arrays in
+the order of its terms: each key (r, z, form) as one int64 code
+(KeyCodes, form mask included), each term's jet order, and one stack of
+coefficient rows padded with zeros.  Codes add as keys do, so a shift of
+v, z or the form is an addition, and wedge signs come from one table.
+Every operation lists its contributions (key code, jet order, row) in
+the visit order of the per-jet loops that tests/oracles.py keeps, forms
+their rows in chunks of at most jets.CHUNK coefficients, and sums them
+with _Sums, which folds each key's contributions left to right as jet
+sums do, bit for bit.  Products of jets go through jets.batched_mul,
+grouped by jet order: the Wick product's coefficient products and
+contraction weights, and the covariant operator's products with the
+frame, connection and anholonomy stacks of the state.  The pairing lam =
+theta - i g of a state is a WickPairing, whose table of contraction
+weights lives and dies with the state.
 
-The Wick product runs on arrays.  Each key (r, z, form) is one int64
-code (KeyCodes), so the key a pair of terms feeds is a sum of codes and
-a contraction row's key that sum plus the row's offset.  The pair plan
-is a mask over the grid of left and right terms (the degree cap and the
-disjoint forms), the wedge signs come from one table, and the weights of
-each (za, zb) are one stack of coefficient rows (Contractions).  The
-numbers go through jets.batched_mul, grouped by jet order, and every
-result key sums its pieces in visit order from its first piece (_Sums),
-so each coefficient has the bits of the per-jet loop: one Jet product
-and one Jet sum per piece, as tests/oracles.py keeps it.  The pairs are
-taken in chunks whose stacks stay within jets.CHUNK coefficients.  The
-element itself stays a dict of Jets; the other operators still loop
-over its terms.
-
-The degree recursions keep only the jet orders their readers need.  A
+The degree recursions keep only the jet orders their readers need: a
 caller that reads the scalar parts of products of lifts at jet order q
-(q = 0 for values) passes read=q to build_state and tau_lift: each
-covariant derivative costs one order, and t[m] of a lift meets at most
-d_max - m more of them, so it is kept to order q + d_max - m
-(lift_order); comp[k] of r first enters the lift step k - 1, so it is
-kept to q + d_max - k + 1 (r_order).  Both are capped at the jet's own
-order, and each step cuts the factors of its Wick products to the order
-it keeps, so no product forms orders that are dropped.  By the jet order
-rule the kept prefix has the bits it would have had uncut, so what the
-caller reads does not move; only the closure defects, whose maxima run
-over the coefficients that are kept, can fall.  A term whose kept
-prefix is below PRUNE_TOL is pruned where its uncut jet would have been
-kept.  read=None keeps the full orders, which the closure references
-(recursion_residual, tau_flatness, flat_connection_defect) need, since
-they differentiate the stored components once more.
+(q = 0 for values) passes read=q to build_state and tau_lift, which keep
+t[m] of a lift to lift_order and comp[k] of r to r_order (capped at each
+jet's own order) and cut the factors of each step's Wick products alike.
+By the jet order rule a kept prefix has the bits it would have had
+uncut, so what the caller reads does not move; only the closure defects,
+maxima over the kept coefficients, can fall, and a term whose kept
+prefix is below PRUNE_TOL is pruned where its uncut jet would be kept.
+read=None keeps the full orders, which the closure references
+(recursion_residual, tau_flatness, flat_connection_defect) need.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -70,111 +64,149 @@ from .geometry import (
     jsum,
     values,
 )
-from .jets import Jet, batched_mul, jet_space
+from .jets import Jet, batched_mul, batched_partial, jet_space
 
 PRUNE_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# wedge bookkeeping on sorted index tuples
+# the element container: key codes and coefficient stacks
 
 
-def wedge_merge(f1, f2):
-    """Merge two strictly increasing index tuples into one wedge monomial.
+class KeyCodes:
+    """Integer codes of the keys (r, z, form) of elements with n2 = 2n
+    fiber slots.  The form is an n2-bit mask in the low bits; above it
+    each z exponent, then r, has a field of `width` bits.  Codes add as
+    the keys do while no field overflows: the key of a pair of terms with
+    disjoint forms is the sum of their codes, and a contraction row's key
+    is the pair's key plus the row's offset."""
 
-    Returns (sign, merged) or None when an index repeats."""
-    if not f1:
-        return 1, f2
-    if not f2:
-        return 1, f1
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(f1) and j < len(f2):
-        a, b = f1[i], f2[j]
-        if a == b:
-            return None
-        if a < b:
-            merged.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining entries of f1
-            if (len(f1) - i) % 2:
-                sign = -sign
-            merged.append(b)
-            j += 1
-    merged.extend(f1[i:])
-    merged.extend(f2[j:])
-    return sign, tuple(merged)
+    def __init__(self, n2):
+        self.n2 = n2
+        self.width = (62 - n2) // (n2 + 1)
+        self.zshift = n2 + self.width * np.arange(n2, dtype=np.int64)
+        self.zplace = np.left_shift(1, self.zshift)
+        self.rshift = n2 + self.width * n2
+        self.forms = [tuple(k for k in range(n2) if m >> k & 1) for m in range(1 << n2)]
+        self.masks = {f: m for m, f in enumerate(self.forms)}
+        bits = (np.arange(1 << n2)[:, None] >> np.arange(n2)) & 1
+        self.grade = bits.sum(axis=1)  # the form degree of each mask
+        # the wedge sign of two disjoint masks: -1 to the number of pairs
+        # of a left index above a right one
+        above = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits
+        self.sign = np.where((above @ bits.T) % 2, -1, 1).astype(np.int8)
+
+    def z(self, codes):
+        """The z exponents of an array of codes, one row per code."""
+        return (codes[:, None] >> self.zshift) & ((1 << self.width) - 1)
+
+    def mask(self, codes):
+        return codes & ((1 << self.n2) - 1)
+
+    def deg(self, codes):
+        """Deg = 2 r + |z| of an array of codes."""
+        return 2 * (codes >> self.rshift) + self.z(codes).sum(axis=1)
+
+    def keys(self, codes):
+        """The (r, z, form) keys of an array of codes."""
+        forms = [self.forms[m] for m in self.mask(codes).tolist()]
+        return list(zip((codes >> self.rshift).tolist(), map(tuple, self.z(codes).tolist()),
+                        forms))
 
 
-def _bump(z, slot, by):
-    out = list(z)
-    out[slot] += by
-    return tuple(out)
+_key_codes = lru_cache(maxsize=None)(KeyCodes)
 
 
-# ---------------------------------------------------------------------------
-# the element container
-
-
-@dataclass
 class WickElement:
-    """Truncated formal series with jet coefficients.
+    """Truncated formal series with jet coefficients, as arrays in the
+    order of its terms: `code`, each term's key code; `order`, its jet
+    order; `coeffs`, one stack of coefficient rows, zero past each jet's
+    order; `dim`, the jets' dimension (None without terms).  Immutable:
+    WickElement(n, d_max, {(v_power, z_exponents, form_indices): Jet})
+    packs a dict in its order, and .terms is the same read-only view."""
 
-    terms maps (v_power, z_exponents, form_indices) -> Jet."""
+    def __init__(self, n, d_max, terms=None):
+        codes = _key_codes(2 * n)
+        keys, coeffs = list(terms or {}), list((terms or {}).values())
+        dims = sorted({c.dim for c in coeffs})
+        if len(dims) > 1:
+            raise ValueError(f"jets of dimensions {dims} do not combine")
+        z = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), 2 * n)
+        r = np.array([k[0] for k in keys], dtype=np.int64)
+        mask = np.array([codes.masks[k[2]] for k in keys], dtype=np.int64)
+        rows = _padded([c.coeffs[None] for c in coeffs] or [np.zeros((0, 0))])
+        self._fill(n, d_max, dims[0] if dims else None,
+                   (r << codes.rshift) + z @ codes.zplace + mask,
+                   np.array([c.order for c in coeffs], dtype=np.int64), rows,
+                   int((2 * r + z.sum(axis=1)).max(initial=d_max)))
 
-    n: int
-    d_max: int
-    terms: dict = field(default_factory=dict)
+    def _fill(self, n, d_max, dim, code, order, coeffs, deg):
+        width = _key_codes(2 * n).width
+        if deg >= 1 << width:
+            raise ValueError(f"Deg {deg} overflows the {width}-bit key fields")
+        coeffs.flags.writeable = False  # .terms hands out views of the rows
+        self.n, self.d_max, self.dim = n, d_max, dim
+        self.code, self.order, self.coeffs, self._terms = code, order, coeffs, None
 
     @classmethod
     def zero(cls, n, d_max):
-        return cls(n, d_max, {})
+        return cls(n, d_max)
 
     @classmethod
     def from_jet(cls, coeff, n, d_max):
-        key = (0, (0,) * (2 * n), ())
-        return cls(n, d_max, {key: coeff})
+        return cls(n, d_max, {(0, (0,) * (2 * n), ()): coeff})
 
-    def _like(self, terms):
-        return WickElement(self.n, self.d_max, terms)
+    @property
+    def terms(self):
+        if self._terms is None:
+            keys = _key_codes(2 * self.n).keys(self.code)
+            sizes = _sizes(self.dim, self.order).tolist() if keys else []
+            self._terms = MappingProxyType({
+                key: Jet(jet_space(self.dim, o), row[:size])
+                for key, o, size, row in zip(keys, self.order.tolist(), sizes, self.coeffs)})
+        return self._terms
+
+    def _select(self, keep):
+        if keep.all():
+            return self
+        return _element(self.n, self.d_max, self.dim, self.code[keep], self.order[keep],
+                        self.coeffs[keep])
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(out, key, c)
-        return _built(self.n, self.d_max, out)
+        dims = sorted({x.dim for x in (self, other) if len(x.code)})
+        if len(dims) > 1:
+            raise ValueError(f"jets of dimensions {dims} do not combine")
+        both = _padded([self.coeffs, other.coeffs])
+        return _summed(self.n, self.d_max, dims[0] if dims else None,
+                       np.concatenate([self.code, other.code]),
+                       np.concatenate([self.order, other.order]), lambda lo, hi: both[lo:hi])
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def scale(self, factor):
-        return self._like({k: c * factor for k, c in self.terms.items()})
+        return _element(self.n, self.d_max, self.dim, self.code, self.order,
+                        self.coeffs * factor)
 
     def vshift(self, by):
-        out = {}
-        for (r, z, f), c in self.terms.items():
-            if r + by < 0:
-                raise StarquantError("negative v power after shift")
-            out[(r + by, z, f)] = c
-        return _built(self.n, self.d_max, out)
+        codes = _key_codes(2 * self.n)
+        if ((self.code >> codes.rshift) + by < 0).any():
+            raise StarquantError("negative v power after shift")
+        # the terms past d_max go before their r field can overflow
+        keep = codes.deg(self.code) + 2 * by <= self.d_max
+        return _built(self.n, self.d_max, self.dim, self.code[keep] + (by << codes.rshift),
+                      self.order[keep], self.coeffs[keep])
 
     def restrict(self, max_deg):
         """Drop components with Deg above max_deg (truncation-complete part)."""
-        keep = {k: c for k, c in self.terms.items() if 2 * k[0] + sum(k[1]) <= max_deg}
-        return self._like(keep)
+        return self._select(_key_codes(2 * self.n).deg(self.code) <= max_deg)
 
     def form_split(self):
         """Split by parity of the form degree: (even part, odd part)."""
-        even, odd = {}, {}
-        for key, c in self.terms.items():
-            (odd if len(key[2]) % 2 else even)[key] = c
-        return self._like(even), self._like(odd)
+        codes = _key_codes(2 * self.n)
+        odd = codes.grade[codes.mask(self.code)] % 2 == 1
+        return self._select(~odd), self._select(odd)
 
     def scalar_part(self, v_power):
         """Jet coefficient of v^r with no fiber variables and no form."""
@@ -186,7 +218,7 @@ class WickElement:
         return {r: c for r, c in parts.items() if c is not None}
 
     def max_abs(self):
-        return _max_abs(float(np.abs(c.coeffs).max()) for c in self.terms.values())
+        return _max_abs(_row_max(self.coeffs))
 
     def is_zero(self, tol=0.0):
         return self.max_abs() <= tol
@@ -196,249 +228,39 @@ class WickElement:
             raise ValueError("mixed truncation settings")
 
 
-def _accumulate(store, key, coeff):
-    cur = store.get(key)
-    if cur is None:
-        store[key] = coeff
-    else:
-        store[key] = cur + coeff
+def _element(n, d_max, dim, code, order, coeffs):
+    a = object.__new__(WickElement)
+    a._fill(n, d_max, dim, code, order, coeffs, d_max)
+    return a
 
 
-def _negligible(c):
-    return np.abs(c.coeffs).max() <= PRUNE_TOL
+def _row_max(rows):
+    """Each row's largest modulus (or NaN), as np.abs(jet.coeffs).max()."""
+    return np.abs(rows).max(axis=1, initial=0.0)
 
 
-def _built(n, d_max, store):
-    clean = {}
-    for key, c in store.items():
-        if 2 * key[0] + sum(key[1]) > d_max:
-            continue
-        if _negligible(c):
-            continue
-        clean[key] = c
-    return WickElement(n, d_max, clean)
+def _built(n, d_max, dim, code, order, rows):
+    """The element of the terms up to Deg d_max with a coefficient above
+    PRUNE_TOL; `rows` may become its stack."""
+    keep = (_key_codes(2 * n).deg(code) <= d_max) & ~(_row_max(rows) <= PRUNE_TOL)
+    order = order[keep]
+    width = int(_sizes(dim, order).max()) if len(order) else 0
+    if keep.all() and width == rows.shape[1]:
+        return _element(n, d_max, dim, code, order, rows)  # rows is not shared
+    return _element(n, d_max, dim, code[keep], order, rows[keep, :width])
 
 
-# ---------------------------------------------------------------------------
-# operator pair: fiber differential, partial inverse, projection
-
-
-def delta_pair(a):
-    """e^alpha wedge d/dz^alpha; lowers deg_s, raises deg_a."""
-    out = {}
-    for (r, z, f), c in a.terms.items():
-        for al in range(2 * a.n):
-            if z[al] == 0:
-                continue
-            merged = wedge_merge((al,), f)
-            if merged is None:
-                continue
-            sign, form = merged
-            _accumulate(out, (r, _bump(z, al, -1), form), c * (sign * z[al]))
-    return _built(a.n, a.d_max, out)
-
-
-def delta_inv_pair(a):
-    """Partial inverse: z^alpha times interior product, weighted 1/(p+q)."""
-    out = {}
-    for (r, z, f), c in a.terms.items():
-        total = sum(z) + len(f)
-        if total == 0:
-            continue
-        weight = 1.0 / total
-        for pos, al in enumerate(f):
-            sign = -1.0 if pos % 2 else 1.0
-            form = f[:pos] + f[pos + 1 :]
-            _accumulate(out, (r, _bump(z, al, 1), form), c * (sign * weight))
-    return _built(a.n, a.d_max, out)
-
-
-def sigma(a):
-    """Projection onto the part with no fiber variables and no form."""
-    keep = {k: c for k, c in a.terms.items() if sum(k[1]) == 0 and not k[2]}
-    return WickElement(a.n, a.d_max, keep)
-
-
-# ---------------------------------------------------------------------------
-# frame data consumed by the covariant operator
-
-
-@dataclass
-class ConnectionContext:
-    """Connection and frame tensors of one adapted family at the point."""
-
-    n: int
-    frames: np.ndarray
-    gamma: np.ndarray
-    anholonomy: np.ndarray
-    torsion: np.ndarray
-    curvature: np.ndarray
-    theta_low: np.ndarray
-
-
-def connection_context(geo, kind="phi_pair"):
-    return ConnectionContext(
-        n=geo.n,
-        frames=geo.frames(kind)[0],
-        gamma=geo.connection(kind),
-        anholonomy=geo.anholonomy(kind),
-        torsion=geo.torsion(kind),
-        curvature=geo.curvature(kind),
-        theta_low=values(geo.theta_frame(kind)),
-    )
-
-
-def extended_D(a, ctx):
-    """Covariant derivative on coefficients and fiber slots; raises deg_a.
-
-    On a term c(u) z^z e^F the alpha-component is
-    e_alpha(c) - Gamma^out_{alpha,src} z^src d/dz^out (c z^z), wedged with
-    e^alpha, plus c times the exterior derivative of e^F, where
-    d e^eps = -(1/2) W^eps_{mu nu} e^mu wedge e^nu.
-    """
-    n2 = 2 * ctx.n
-    F, G, W = ctx.frames, ctx.gamma, ctx.anholonomy
-    out = {}
-    for (r, z, f), c in a.terms.items():
-        for al in range(n2):
-            merged = wedge_merge((al,), f)
-            if merged is None:
-                continue
-            sign, form = merged
-            _accumulate(out, (r, z, form), frame_deriv(c, F[al]) * sign)
-            for slot in range(n2):
-                if z[slot] == 0:
-                    continue
-                for src in range(n2):
-                    znew = _bump(_bump(z, slot, -1), src, 1)
-                    coeff = G[slot, al, src] * c * (-sign * z[slot])
-                    _accumulate(out, (r, znew, form), coeff)
-        for pos, eps in enumerate(f):
-            rest = f[:pos] + f[pos + 1 :]
-            psign = -1.0 if pos % 2 else 1.0
-            for mu in range(n2):
-                for nu in range(mu + 1, n2):
-                    merged = wedge_merge((mu, nu), rest)
-                    if merged is None:
-                        continue
-                    s2, form = merged
-                    coeff = W[eps, mu, nu] * c * (-psign * s2)
-                    _accumulate(out, (r, z, form), coeff)
-    return _built(a.n, a.d_max, out)
-
-
-def lifted_torsion_curvature(ctx, d_max):
-    """Fiber lifts of the torsion and curvature 2-forms.
-
-    T_lift = (1/2) z^g theta_{t g} T^t_{ab} e^a ^ e^b   (deg_s 1, deg_a 2)
-    R_lift = (1/4) z^g z^h theta_{t g} R^t_{h a b} e^a ^ e^b  (deg_s 2).
-
-    The theta index order is pinned by the closure of the degree recursion:
-    with it, [D, delta]_+ = (i/v) ad(T_lift) and D^2 = -(i/v) ad(R_lift)
-    hold identically and the Bianchi consistency makes every delta_inv
-    step exact.
-    """
-    n2 = 2 * ctx.n
-    th = ctx.theta_low
-    t_terms, r_terms = {}, {}
-    for g in range(n2):
-        zkey_t = _bump((0,) * n2, g, 1)
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                # antisymmetry in (a, b) folds the 1/2 into the a < b sum
-                pieces = [
-                    ctx.torsion[t, a, b] * th[t, g]
-                    for t in range(n2)
-                    if th[t, g] != 0.0
-                ]
-                if pieces:
-                    _accumulate(t_terms, (0, zkey_t, (a, b)), jsum(pieces))
-        for h in range(n2):
-            zkey_r = _bump(zkey_t, h, 1)
-            for a in range(n2):
-                for b in range(a + 1, n2):
-                    pieces = [
-                        ctx.curvature[t, h, a, b] * (0.5 * th[t, g])
-                        for t in range(n2)
-                        if th[t, g] != 0.0
-                    ]
-                    if pieces:
-                        _accumulate(r_terms, (0, zkey_r, (a, b)), jsum(pieces))
-    return _built(ctx.n, d_max, t_terms), _built(ctx.n, d_max, r_terms)
-
-
-# ---------------------------------------------------------------------------
-# the fiberwise product on key codes and coefficient stacks
-
-
-class KeyCodes:
-    """Integer codes of the keys (r, z, form) of elements with n2 = 2n
-    fiber slots.  The form is an n2-bit mask in the low bits; above it
-    each z exponent, then r, has a field of `width` bits.  Codes add as
-    the keys do while no field overflows: the key of a pair of terms is
-    the sum of their codes with the masks replaced by their union, and a
-    contraction row's key is the pair's key plus the row's offset."""
-
-    def __init__(self, n2):
-        self.n2 = n2
-        self.width = (62 - n2) // (n2 + 1)
-        self.zshift = n2 + self.width * np.arange(n2, dtype=np.int64)
-        self.zplace = np.left_shift(1, self.zshift)
-        self.rshift = n2 + self.width * n2
-        self.forms = [tuple(k for k in range(n2) if m >> k & 1) for m in range(1 << n2)]
-        self.masks = {f: m for m, f in enumerate(self.forms)}
-        # the wedge sign of two disjoint masks: -1 to the number of pairs
-        # of a left index above a right one, as wedge_merge counts them
-        bits = (np.arange(1 << n2)[:, None] >> np.arange(n2)) & 1
-        above = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1] - bits
-        self.sign = np.where((above @ bits.T) % 2, -1, 1).astype(np.int8)
-
-    def keys(self, codes):
-        """The (r, z, form) keys of an array of codes."""
-        z = (codes[:, None] >> self.zshift) & ((1 << self.width) - 1)
-        forms = [self.forms[m] for m in (codes & ((1 << self.n2) - 1)).tolist()]
-        return list(zip((codes >> self.rshift).tolist(), map(tuple, z.tolist()), forms))
-
-
-class _Stack:
-    """The terms of one element as arrays, in the element's order: the
-    code of each key without its form, the form mask, r, |z| and Deg, an
-    index into the distinct z exponents (and their |z|), and the
-    coefficients as one stack of rows padded with zeros past each jet's
-    order."""
-
-    def __init__(self, a, codes):
-        if a.d_max >= 1 << codes.width:
-            raise ValueError(f"Deg {a.d_max} overflows the {codes.width}-bit key fields")
-        keys, coeffs = list(a.terms), list(a.terms.values())
-        dims = {c.dim for c in coeffs}
-        if len(dims) != 1:
-            raise ValueError(f"jets of dimensions {sorted(dims)} do not combine")
-        (self.dim,) = dims
-        z = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), codes.n2)
-        self.r = np.array([k[0] for k in keys], dtype=np.int64)
-        self.s = z.sum(axis=1)
-        self.deg = 2 * self.r + self.s
-        self.mask = np.array([codes.masks[k[2]] for k in keys], dtype=np.int64)
-        self.code = (self.r << codes.rshift) + z @ codes.zplace
-        zs = {}
-        self.zidx = np.array([zs.setdefault(k[1], len(zs)) for k in keys], dtype=np.int64)
-        self.zs = list(zs)
-        self.zs_deg = self.s[np.unique(self.zidx, return_index=True)[1]]
-        self.order = np.array([c.order for c in coeffs], dtype=np.int64)
-        self.coeffs = np.zeros((len(coeffs), max(c.space.size for c in coeffs)), np.complex128)
-        for row, c in zip(self.coeffs, coeffs):
-            row[: c.space.size] = c.coeffs
-
-
-def _stacks(a, b, lam):
-    """The operands of a product as _Stacks, checked to have their jets
-    and the pairing's in one dimension."""
-    A, B = _Stack(a, lam.codes), _Stack(b, lam.codes)
-    if not A.dim == B.dim == lam.dim:
-        raise ValueError(f"jets of dimensions {A.dim}, {B.dim} and a pairing of "
-                         f"dimension {lam.dim} do not combine")
-    return A, B
+def _summed(n, d_max, dim, keys, orders, rows):
+    """The element, as _built keeps it, that sums contributions in visit
+    order (see _Sums): contribution k has key code keys[k] and jet order
+    orders[k], and rows(lo, hi) gives rows lo .. hi - 1, in chunks of at
+    most jets.CHUNK coefficients; a row past its order is never read."""
+    if not len(keys):
+        return _element(n, d_max, dim, keys, orders, np.zeros((0, 0), np.complex128))
+    sums = _Sums(keys, orders, dim)
+    for lo, hi in _chunks(np.ones(len(keys), dtype=np.int64), _sizes(dim, orders)):
+        sums.add(lo, rows(lo, hi))
+    return _built(n, d_max, dim, keys[sums.visited], sums.order, sums.done())
 
 
 def _sizes(dim, orders):
@@ -448,21 +270,48 @@ def _sizes(dim, orders):
     return np.array(counts, dtype=np.int64)[orders]
 
 
-def _mul_grouped(dim, orders, left, right, width):
-    """Row-by-row products of two stacks, each pair in the jet space of its
-    order, through batched_mul; padded with zeros to `width`."""
+def _grouped(orders, width, fn):
+    """fn(o, sel) for the rows `sel` of each jet order o, one stack padded
+    with zeros to `width` (at least as wide as any result)."""
     out = np.zeros((len(orders), width), np.complex128)
     # not np.unique: without its optional outputs it imports numpy.ma
     uniq = np.flatnonzero(np.bincount(orders)).tolist()
     for o in uniq:
-        space = jet_space(dim, int(o))
         sel = slice(None) if len(uniq) == 1 else np.nonzero(orders == o)[0]
-        out[sel, : space.size] = batched_mul(space, left[sel], right[sel])
+        part = fn(o, sel)
+        out[sel, : part.shape[-1]] = part
     return out
 
 
+def _mul_grouped(dim, orders, left, right, width):
+    """Row-by-row products of two stacks, each pair in the jet space of its
+    order, through batched_mul."""
+    return _grouped(orders, width,
+                    lambda o, sel: batched_mul(jet_space(dim, o), left[sel], right[sel]))
+
+
+def _padded(stacks):
+    """The rows of 2-D stacks, one after the other, padded with zeros to
+    the widest."""
+    out = np.zeros((sum(len(x) for x in stacks), max(x.shape[1] for x in stacks)),
+                   np.complex128)
+    at = 0
+    for x in stacks:
+        out[at : at + len(x), : x.shape[1]] = x
+        at += len(x)
+    return out
+
+
+def _stack_of(entries):
+    """The jet orders and zero-padded coefficient rows of an array of jets."""
+    flat = list(entries.flat)
+    rows = _padded([c.coeffs[None] for c in flat])
+    orders = np.array([c.order for c in flat], dtype=np.int64)
+    return orders.reshape(entries.shape), rows.reshape(entries.shape + rows.shape[-1:])
+
+
 class _Sums:
-    """Contributions summed into keys as _accumulate sums jets: the keys in
+    """Contributions summed into keys as jet sums fold them: the keys in
     the order they are first visited, each kept at the lowest jet order of
     its contributions.  A key starts from its first contribution, so a
     -0.0 there survives, and every later one is added by an unbuffered
@@ -503,6 +352,209 @@ class _Sums:
         return self.rows
 
 
+def _chunks(count, size):
+    """(lo, hi) runs of consecutive items, item k stacking count[k] rows
+    of size[k] coefficients, whose rows padded to the run's widest size
+    make at most jets.CHUNK coefficients; one item at least.  A run is
+    sought in a window that doubles while the run fills it."""
+    rows = np.cumsum(count)
+    lo, span = 0, 64
+    while lo < len(rows):
+        top = min(len(rows), lo + span)
+        stacked = ((rows[lo:top] - (rows[lo - 1] if lo else 0))
+                   * np.maximum.accumulate(size[lo:top]))
+        hi = lo + max(1, int(np.searchsorted(stacked, jets.CHUNK, side="right")))
+        if hi == top < len(rows):
+            span *= 2
+            continue
+        yield lo, hi
+        lo = hi
+
+
+# ---------------------------------------------------------------------------
+# operator pair: fiber differential, partial inverse, projection
+
+
+def delta_pair(a):
+    """e^alpha wedge d/dz^alpha; lowers deg_s, raises deg_a."""
+    codes = _key_codes(2 * a.n)
+    z, mask = codes.z(a.code), codes.mask(a.code)
+    bit = 1 << np.arange(codes.n2)
+    t, al = np.nonzero((z > 0) & ((mask[:, None] & bit) == 0))
+    factor = codes.sign[bit[al], mask[t]] * z[t, al]
+    return _summed(a.n, a.d_max, a.dim, a.code[t] - codes.zplace[al] + bit[al], a.order[t],
+                   lambda lo, hi: a.coeffs[t[lo:hi]] * factor[lo:hi, None])
+
+
+def delta_inv_pair(a):
+    """Partial inverse: z^alpha times interior product, weighted 1/(p+q)."""
+    codes = _key_codes(2 * a.n)
+    mask = codes.mask(a.code)
+    bit = 1 << np.arange(codes.n2)
+    t, al = np.nonzero((mask[:, None] & bit) != 0)
+    # e^al sits at the position of the form's indices below it
+    pos = codes.grade[mask[t] & (bit[al] - 1)]
+    total = codes.z(a.code).sum(axis=1) + codes.grade[mask]
+    factor = np.where(pos % 2, -1.0, 1.0) * (1.0 / total[t])
+    return _summed(a.n, a.d_max, a.dim, a.code[t] + codes.zplace[al] - bit[al], a.order[t],
+                   lambda lo, hi: a.coeffs[t[lo:hi]] * factor[lo:hi, None])
+
+
+def sigma(a):
+    """Projection onto the part with no fiber variables and no form."""
+    return a._select((a.code & ((1 << _key_codes(2 * a.n).rshift) - 1)) == 0)
+
+
+# ---------------------------------------------------------------------------
+# frame data consumed by the covariant operator
+
+
+@dataclass
+class ConnectionContext:
+    """Connection and frame tensors of one adapted family at the point, as
+    jets, and the (space, rows) stacks of Gamma and W that extended_D reads."""
+
+    n: int
+    frames: np.ndarray
+    gamma: np.ndarray
+    anholonomy: np.ndarray
+    torsion: np.ndarray
+    curvature: np.ndarray
+    theta_low: np.ndarray
+    gamma_stack: tuple
+    anholonomy_stack: tuple
+
+
+def connection_context(geo, kind="phi_pair"):
+    return ConnectionContext(geo.n, geo.frames(kind)[0], geo.connection(kind),
+                             geo.anholonomy(kind), geo.torsion(kind), geo.curvature(kind),
+                             values(geo.theta_frame(kind)), geo._connection_stack(kind),
+                             geo._anholonomy_stack(kind))
+
+
+def extended_D(a, ctx):
+    """Covariant derivative on coefficients and fiber slots; raises deg_a.
+
+    On a term c(u) z^z e^F the alpha-component is
+    e_alpha(c) - Gamma^out_{alpha,src} z^src d/dz^out (c z^z), wedged with
+    e^alpha, plus c times the exterior derivative of e^F, where
+    d e^eps = -(1/2) W^eps_{mu nu} e^mu wedge e^nu.  Per term the visits
+    are: for each alpha outside F, e_alpha(c) and then the Gamma terms
+    over (out, src); then for each eps of F the W terms over mu < nu."""
+    n2 = 2 * ctx.n
+    codes = _key_codes(n2)
+    z, mask = codes.z(a.code), codes.mask(a.code)
+    bit = 1 << np.arange(n2)
+    free = (mask[:, None] & bit) == 0  # (term, alpha): alpha not in F
+    sign = codes.sign[bit, mask[:, None]]  # of e^alpha ^ e^F
+    f_order, f_rows = _stack_of(ctx.frames)
+    (g_space, G), (w_space, W) = ctx.gamma_stack, ctx.anholonomy_stack
+    weights = _padded([G.reshape(n2 ** 3, -1), W.reshape(n2 ** 3, -1)])
+    step = 1 + n2 * n2  # the visits of one alpha
+
+    # e_alpha(c): `left` is alpha
+    t1, al1 = np.nonzero(free)
+    # -Gamma^out_{alpha,src} z^src d/dz^out: `left` is the row of Gamma
+    t2, al2, out, src = np.nonzero(free[:, :, None, None] & (z > 0)[:, None, :, None]
+                                   & np.ones(n2, dtype=bool))
+    # -(1/2) W^eps_{mu nu} e^mu ^ e^nu for eps in F, mu < nu outside the rest
+    rest = mask[:, None] & ~bit
+    t3, eps, mu, nu = np.nonzero(~free[:, :, None, None] & np.triu(np.ones((n2, n2), bool), 1)
+                                 & ((rest[:, :, None, None] & (bit[:, None] | bit)) == 0))
+    pos = codes.grade[mask[t3] & (bit[eps] - 1)]
+    s2 = codes.sign[bit[mu] | bit[nu], rest[t3, eps]]
+
+    t = np.concatenate([t1, t2, t3])
+    frame = np.arange(len(t)) < len(t1)
+    left = np.concatenate([al1, (out * n2 + al2) * n2 + src,
+                           n2 ** 3 + (eps * n2 + mu) * n2 + nu])
+    keys = np.concatenate([a.code[t1] + bit[al1],
+                           a.code[t2] - codes.zplace[out] + codes.zplace[src] + bit[al2],
+                           a.code[t3] - bit[eps] + bit[mu] + bit[nu]])
+    factor = np.concatenate([sign[t1, al1], -sign[t2, al2] * z[t2, out],
+                             np.where(pos % 2, 1.0, -1.0) * s2]).astype(np.float64)
+    orders = np.concatenate([np.minimum(f_order.min(axis=1)[al1], a.order[t1] - 1),
+                             np.minimum(g_space.order, a.order[t2]),
+                             np.minimum(w_space.order, a.order[t3])])
+    visit = np.lexsort((np.concatenate([al1 * step, al2 * step + 1 + out * n2 + src,
+                                        n2 * step + left[len(t1) + len(t2):] - n2 ** 3]), t))
+    t, frame, left, factor, orders = (x[visit] for x in (t, frame, left, factor, orders))
+
+    def rows(lo, hi):
+        width = int(_sizes(a.dim, orders[lo:hi]).max())
+        vals = np.zeros((hi - lo, width), np.complex128)
+        at, tt = np.nonzero(~frame[lo:hi])[0], t[lo:hi]
+        if len(at):
+            vals[at] = _mul_grouped(a.dim, orders[lo:hi][at], weights[left[lo:hi][at], :width],
+                                    a.coeffs[tt[at], :width], width)
+        at = np.nonzero(frame[lo:hi])[0]
+        if len(at):
+            vals[at] = _frame_derivs(a.dim, a.order[tt[at]], a.coeffs[tt[at]],
+                                     f_order[left[lo:hi][at]], f_rows[left[lo:hi][at]], width)
+        return vals * factor[lo:hi, None]
+
+    return _summed(a.n, a.d_max, a.dim, keys[visit], orders, rows)
+
+
+def _frame_derivs(dim, c_order, c_rows, f_order, f_rows, width):
+    """frame_deriv of each row of c_rows along its frame row, as jets take
+    it, to the lowest order of its products; `width` wide."""
+    wide = max(width, int(_sizes(dim, np.minimum(f_order.max(axis=1), c_order - 1)).max()))
+    acc, p_width = None, int(_sizes(dim, c_order - 1).max())
+    for var in range(dim):
+        part = _grouped(c_order, p_width, lambda o, sel: batched_partial(jet_space(dim, o),
+                                                                          c_rows[sel], var))
+        term = _mul_grouped(dim, np.minimum(f_order[:, var], c_order - 1), f_rows[:, var],
+                            part, wide)
+        acc = term if acc is None else acc + term
+    return acc[:, :width]
+
+
+def lifted_torsion_curvature(ctx, d_max):
+    """Fiber lifts of the torsion and curvature 2-forms.
+
+    T_lift = (1/2) z^g theta_{t g} T^t_{ab} e^a ^ e^b   (deg_s 1, deg_a 2)
+    R_lift = (1/4) z^g z^h theta_{t g} R^t_{h a b} e^a ^ e^b  (deg_s 2).
+
+    The theta index order is pinned by the closure of the degree recursion:
+    with it, [D, delta]_+ = (i/v) ad(T_lift) and D^2 = -(i/v) ad(R_lift)
+    hold identically and the Bianchi consistency makes every delta_inv
+    step exact.
+
+    Antisymmetry in (a, b) folds the 1/2 into the a < b sum.  The pieces
+    over t (theta_{t g} != 0) sum in t order, at the keys (g, a < b) of T
+    and (g, h, a < b) of R, visited in that order."""
+    n2 = 2 * ctx.n
+    codes = _key_codes(n2)
+    th = ctx.theta_low
+    a, b = np.triu_indices(n2, 1)
+    forms = (1 << a) + (1 << b)
+    lifts = []
+    # T and R with an axis h (of length 1 for T), the factors of theta and
+    # the z^h of the keys
+    for tensor, coef, zh in ((ctx.torsion[:, None], th, np.zeros(1, dtype=np.int64)),
+                             (ctx.curvature, [[0.5 * x for x in row] for row in th],
+                              codes.zplace)):
+        t_order, t_rows = _stack_of(tensor)
+        keys, orders, pieces = [], [], []
+        for g in range(n2):
+            ts = [t for t in range(n2) if th[t, g] != 0.0]
+            if ts:
+                folded = reduce(operator.add, [t_rows[t] * coef[t][g] for t in ts])
+                keys.append((codes.zplace[g] + zh[:, None] + forms).ravel())
+                orders.append(t_order[ts].min(axis=0)[:, a, b].ravel())
+                pieces.append(folded[:, a, b].reshape(-1, folded.shape[-1]))
+        orders = np.concatenate(orders or [np.zeros(0, dtype=np.int64)])
+        stack = np.concatenate(pieces) if pieces else None
+        lifts.append(_summed(ctx.n, d_max, n2, np.concatenate(keys or [orders]), orders,
+                             lambda lo, hi: stack[lo:hi]))
+    return tuple(lifts)
+
+
+# ---------------------------------------------------------------------------
+# the fiberwise product on key codes and coefficient stacks
+
+
 class Contractions(NamedTuple):
     """The contraction rows of one pair of fiber monomials (za, zb), in the
     order of the breadth-first walk over t: t contracted pairs, the key
@@ -535,7 +587,7 @@ class WickPairing:
 
     def __init__(self, matrix):
         self.matrix = matrix
-        self.codes = KeyCodes(matrix.shape[0])
+        self.codes = _key_codes(matrix.shape[0])
         self.order = max(e.order for e in matrix.flat)
         self.dim = matrix.flat[0].dim
         self._lam = np.zeros(matrix.shape + (jet_space(self.dim, self.order).size,),
@@ -628,19 +680,25 @@ class WickPairing:
             lo = hi
         return out
 
-    def _gather(self, A, B, i, j, order, last=False):
-        """The contraction rows of the pairs (A[i], B[j]), each read at its
-        jet order `order`, or only each pair's last row (all slots
-        contracted).  Returns _Rows over the distinct (za, zb) and, per
-        pair, its (za, zb), first row and row count."""
-        nb = len(B.zs)
-        uniq, combo = np.unique(A.zidx[i] * nb + B.zidx[j], return_inverse=True)
+    def _gather(self, a, b, i, j, order, last=False):
+        """The contraction rows of the pairs (a[i], b[j]) of terms, each
+        read at its jet order `order`, or only each pair's last row (all
+        slots contracted).  Returns _Rows over the distinct (za, zb) and,
+        per pair, its (za, zb), first row and row count."""
+        if not a.dim == b.dim == self.dim:
+            raise ValueError(f"jets of dimensions {a.dim}, {b.dim} and a pairing of "
+                             f"dimension {self.dim} do not combine")
+        # the distinct z exponents of each side, and each term's index into them
+        zbits = ((1 << self.codes.rshift) - 1) & ~((1 << self.codes.n2) - 1)
+        (za, ia), (zb, ib) = (np.unique(x.code & zbits, return_inverse=True) for x in (a, b))
+        za, zb, nb = self.codes.z(za), self.codes.z(zb), len(zb)
+        uniq, combo = np.unique(ia.reshape(-1)[i] * nb + ib.reshape(-1)[j], return_inverse=True)
         combo = combo.reshape(-1)
         need = np.zeros(len(uniq), dtype=np.int64)
         np.maximum.at(need, combo, order)
-        live = np.nonzero((A.zs_deg[uniq // nb] > 0) & (B.zs_deg[uniq % nb] > 0))[0]
-        read = self._read([(A.zs[c // nb], B.zs[c % nb]) for c in uniq[live].tolist()],
-                          need[live].tolist())
+        live = np.nonzero((za.sum(axis=1)[uniq // nb] > 0) & (zb.sum(axis=1)[uniq % nb] > 0))[0]
+        read = self._read([(tuple(za[c // nb].tolist()), tuple(zb[c % nb].tolist()))
+                           for c in uniq[live].tolist()], need[live].tolist())
         none = Contractions(*(np.zeros((0,) * k, np.int64) for k in (1, 1, 2, 1)))
         entries = [none] * len(uniq)
         for k, e in zip(live.tolist(), read):
@@ -678,19 +736,6 @@ class _Rows(NamedTuple):
             first[combos] + rows - self.starts[combos]]
 
 
-def _chunks(count, size):
-    """(lo, hi) runs of consecutive items, item k stacking count[k] rows
-    of size[k] coefficients, whose rows padded to the run's widest size
-    make at most jets.CHUNK coefficients; one item at least."""
-    rows = np.cumsum(count)
-    lo = 0
-    while lo < len(rows):
-        stacked = (rows[lo:] - (rows[lo - 1] if lo else 0)) * np.maximum.accumulate(size[lo:])
-        hi = lo + max(1, int(np.searchsorted(stacked, jets.CHUNK, side="right")))
-        yield lo, hi
-        lo = hi
-
-
 @lru_cache(maxsize=None)
 def _submultisets(z):
     """counts[k]: the sub-multisets of size k of the multiset with
@@ -709,60 +754,41 @@ def _walk_rows(za, zb):
     return sum(ca[sa - t] * cb[sb - t] for t in range(1, min(sa, sb) + 1))
 
 
-def _padded(stacks):
-    """The rows of 2-D stacks, one after the other, padded with zeros to
-    the widest."""
-    out = np.zeros((sum(len(x) for x in stacks), max(x.shape[1] for x in stacks)),
-                   np.complex128)
-    at = 0
-    for x in stacks:
-        out[at : at + len(x), : x.shape[1]] = x
-        at += len(x)
-    return out
-
-
-def _contract(A, B, i, j, sign, masks, rows, combo, start, count, base):
-    """The sums of a pair plan.  Pair k = (A[i[k]], B[j[k]]) has the base
-    A-coefficient times B-coefficient times sign[k]; it contributes that
+def _contract(a, b, i, j, sign, rows, combo, start, count, base):
+    """The sums of a pair plan.  Pair k = (a[i[k]], b[j[k]]) of terms with
+    disjoint forms has the base a-coefficient times b-coefficient times
+    sign[k] and the key a.code[i[k]] + b.code[j[k]]; it contributes that
     base if base[k], then the base times each of the count[k] rows of
     `rows` (a _Rows, where the pair's (za, zb) is combo[k]) from start[k]
-    on.  The pairs are taken in visit order, in chunks of whole pairs
-    whose contributions stack at most jets.CHUNK coefficients.  Returns
-    the keys in visit order, their jet orders, and the summed rows."""
-    order = np.minimum(A.order[i], B.order[j])
+    on, under the pair's key plus the row's offset.  The pairs are taken
+    in visit order, in chunks of whole pairs whose contributions stack at
+    most jets.CHUNK coefficients.  Returns the keys in visit order, their
+    jet orders, and the summed rows."""
+    order = np.minimum(a.order[i], b.order[j])
     per = base + count
     cpair = np.repeat(np.arange(len(i)), per)
     step = np.arange(len(cpair)) - np.repeat(np.cumsum(per) - per, per) - base[cpair]
     crow = np.where(step >= 0, start[cpair] + step, -1)
     corder = np.minimum(order[cpair], rows.orders[crow])
-    keys = A.code[i[cpair]] + B.code[j[cpair]] + masks[cpair] + rows.offsets[crow]
-    sums = _Sums(keys, corder, A.dim)
-    sizes = _sizes(A.dim, order)
+    keys = a.code[i[cpair]] + b.code[j[cpair]] + rows.offsets[crow]
+    sums = _Sums(keys, corder, a.dim)
+    sizes = _sizes(a.dim, order)
     ends = np.cumsum(per)
     for p0, p1 in _chunks(per, sizes):
         c0, c1 = (int(ends[p0 - 1]) if p0 else 0), int(ends[p1 - 1])
         # the stacks are as wide as the chunk's highest order needs
         width = int(sizes[p0:p1].max())
-        values = _mul_grouped(A.dim, order[p0:p1], A.coeffs[i[p0:p1], :width],
-                              B.coeffs[j[p0:p1], :width], width) * sign[p0:p1, None]
+        values = _mul_grouped(a.dim, order[p0:p1], a.coeffs[i[p0:p1], :width],
+                              b.coeffs[j[p0:p1], :width], width) * sign[p0:p1, None]
         values = values[cpair[c0:c1] - p0]
         weighted = np.nonzero(crow[c0:c1] >= 0)[0]
         if len(weighted):
             at = c0 + weighted
-            values[weighted] = _mul_grouped(A.dim, corder[at], values[weighted],
+            values[weighted] = _mul_grouped(a.dim, corder[at], values[weighted],
                                             rows.stack(combo[cpair[at]], crow[at], width),
                                             width)
         sums.add(c0, values)
     return keys[sums.visited], sums.order, sums.done()
-
-
-def _jets_of(dim, orders, rows):
-    """(jet, not negligible) for each summed row; each jet owns a copy
-    of its coefficients, so the stack is freed with the product."""
-    sizes = _sizes(dim, orders).tolist()
-    keep = ~(np.abs(rows).max(axis=1) <= PRUNE_TOL)
-    return [(Jet(jet_space(dim, o), row[:size].copy()), k)
-            for o, size, row, k in zip(orders.tolist(), sizes, rows, keep.tolist())]
 
 
 def wick_product(a, b, lam, cap=None):
@@ -785,21 +811,19 @@ def wick_product(a, b, lam, cap=None):
     and each sums its pieces in visit order (see _contract)."""
     a._check(b)
     top = a.d_max if cap is None else min(cap, a.d_max)
-    if not a.terms or not b.terms:
-        return WickElement(a.n, a.d_max, {})
+    if not len(a.code) or not len(b.code):
+        return WickElement.zero(a.n, a.d_max)
     codes = lam.codes
-    A, B = _stacks(a, b, lam)
-    i, j = np.nonzero((A.deg[:, None] + B.deg <= top) & ((A.mask[:, None] & B.mask) == 0))
+    ma, mb = codes.mask(a.code), codes.mask(b.code)
+    i, j = np.nonzero((codes.deg(a.code)[:, None] + codes.deg(b.code) <= top)
+                      & ((ma[:, None] & mb) == 0))
     if not len(i):
-        return WickElement(a.n, a.d_max, {})
-    order = np.minimum(A.order[i], B.order[j])
-    rows, combo, start, count = lam._gather(A, B, i, j, order)
-    keys, orders, summed = _contract(A, B, i, j, codes.sign[A.mask[i], B.mask[j]],
-                                     A.mask[i] | B.mask[j], rows, combo, start, count,
-                                     np.ones(len(i), dtype=bool))
-    terms = {key: jet for key, (jet, keep) in zip(codes.keys(keys),
-                                                  _jets_of(A.dim, orders, summed)) if keep}
-    return WickElement(a.n, a.d_max, terms)
+        return WickElement.zero(a.n, a.d_max)
+    order = np.minimum(a.order[i], b.order[j])
+    rows, combo, start, count = lam._gather(a, b, i, j, order)
+    keys, orders, summed = _contract(a, b, i, j, codes.sign[ma[i], mb[j]], rows, combo,
+                                     start, count, np.ones(len(i), dtype=bool))
+    return _built(a.n, a.d_max, a.dim, keys, orders, summed)
 
 
 def wick_scalar_parts(a, b, lam, v_max):
@@ -812,55 +836,48 @@ def wick_scalar_parts(a, b, lam, v_max):
     wick_product(a, b, lam, cap=2 v_max).scalar_parts(v_max) bit for bit."""
     a._check(b)
     top = min(2 * v_max, a.d_max)
-    if not a.terms or not b.terms:
+    if not len(a.code) or not len(b.code):
         return {}
     codes = lam.codes
-    A, B = _stacks(a, b, lam)
-    i, j = np.nonzero((A.mask == 0)[:, None] & (B.mask == 0) & (A.s[:, None] == B.s)
-                      & (2 * (A.r[:, None] + B.r + A.s[:, None]) <= top))
+    ra, rb = a.code >> codes.rshift, b.code >> codes.rshift
+    sa, sb = codes.z(a.code).sum(axis=1), codes.z(b.code).sum(axis=1)
+    i, j = np.nonzero((codes.mask(a.code) == 0)[:, None] & (codes.mask(b.code) == 0)
+                      & (sa[:, None] == sb) & (2 * (ra[:, None] + rb + sa[:, None]) <= top))
     if not len(i):
         return {}
-    order = np.minimum(A.order[i], B.order[j])
-    rows, combo, start, count = lam._gather(A, B, i, j, order, last=True)
+    order = np.minimum(a.order[i], b.order[j])
+    rows, combo, start, count = lam._gather(a, b, i, j, order, last=True)
     # the wedge sign of two empty forms: a complex multiply by 1 can turn
     # -0.0 into +0.0, so it stays
     sign = np.ones(len(i), dtype=np.int8)
-    keys, orders, summed = _contract(A, B, i, j, sign, np.zeros(len(i), np.int64), rows,
-                                     combo, start, count, count == 0)
-    parts = dict(zip((keys >> codes.rshift).tolist(), _jets_of(A.dim, orders, summed)))
-    return {r: parts[r][0] for r in sorted(parts) if parts[r][1]}
+    keys, orders, summed = _contract(a, b, i, j, sign, rows, combo, start, count, count == 0)
+    parts = _built(a.n, a.d_max, a.dim, keys, orders, summed).terms
+    return {r: c for (r, _, _), c in sorted(parts.items(), key=lambda kc: kc[0])}
 
 
 def ad_wick(x, a, lam, cap=None):
     """deg_a-graded commutator x o a - (-1)^{deg_a x deg_a a} a o x,
     with both products capped at Deg <= cap (see wick_product)."""
-    x_even, x_odd = x.form_split()
-    a_even, a_odd = a.form_split()
-    out = wick_product(x, a, lam, cap)
-    for xp, xel in ((0, x_even), (1, x_odd)):
-        if not xel.terms:
-            continue
-        for ap, ael in ((0, a_even), (1, a_odd)):
-            if not ael.terms:
-                continue
-            sign = -1.0 if (xp * ap) % 2 == 0 else 1.0
-            out = out + wick_product(ael, xel, lam, cap).scale(sign)
+    out, a_parts = wick_product(x, a, lam, cap), a.form_split()
+    for xp, xel in enumerate(x.form_split()):
+        for ap, ael in enumerate(a_parts):
+            if len(xel.code) and len(ael.code):
+                out = out + wick_product(ael, xel, lam, cap).scale(1.0 if xp * ap else -1.0)
     return out
 
 
 def v_divide(a, tol=1e-12):
     """Drop one power of v; the v^0 part must already vanish."""
-    floor = _max_abs(float(np.abs(c.coeffs).max()) for (r, _, _), c in a.terms.items() if r == 0)
+    rshift = _key_codes(2 * a.n).rshift
+    r = a.code >> rshift
+    floor = _max_abs(_row_max(a.coeffs[r == 0]))
     # a NaN floor fails too: the v^0 part is not known to vanish
     if not floor <= tol * max(1.0, a.max_abs()):
         raise StarquantError(
             f"v-division of an element with v^0 part of size {floor:.3g}"
         )
-    out = {}
-    for (r, z, f), c in a.terms.items():
-        if r > 0:
-            out[(r - 1, z, f)] = c
-    return _built(a.n, a.d_max, out)
+    up = r > 0
+    return _built(a.n, a.d_max, a.dim, a.code[up] - (1 << rshift), a.order[up], a.coeffs[up])
 
 
 # ---------------------------------------------------------------------------
@@ -877,22 +894,18 @@ class FedosovState:
     before the division by v brings its contribution back under d_max, so
     truncating at d_max would silently lose complete degrees.
 
-    Not every product needs all of that headroom.  Since Deg adds under the
-    Wick product and the division by v lowers it by 2, a product read only
-    up to degree k after the division needs pairs up to k + 2, and each
-    caller caps its products there: the scalar reads of v^0 .. v^r in
-    wick_scalar_parts at 2 r, since the key (r, 0, ()) has Deg 2 r, and the
-    test references of the closure (the fresh square in recursion_residual,
-    the flat connection in tau_flatness and flat_connection_defect) at the
-    degrees they read.  The containers themselves stay at d_alg.
+    Since Deg adds under the Wick product and the division by v lowers it
+    by 2, a product read up to degree k after the division needs pairs up
+    to k + 2 only, and each caller caps its products there: the scalar
+    reads of v^0 .. v^r at 2 r, and the closure references at the degrees
+    they read.  The containers themselves stay at d_alg.
 
-    lam is the state's own WickPairing: every Wick product at this point
-    reads the contraction weights from its table, which stores each weight
-    at the highest jet order read so far and goes with the state.
+    lam is the state's own WickPairing, whose table goes with the state.
 
     A state built with a read order keeps comp[k] of r only to
-    r_order(read, d_max, k); the closure references differentiate the
-    components once more, so they need a state built without one."""
+    r_order(read, d_max, k), and r is None: the closure references, the
+    only readers of r, differentiate the components once more, so they
+    need a state built without one."""
 
     geometry: GeometryAtPoint
     d_max: int
@@ -925,24 +938,11 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, read=Non
         order = max(5, 3 + d_max)
     geo = GeometryAtPoint(as_generator(generator), point, order, hessian_tol)
     ctx = connection_context(geo, "phi_pair")
-    n2 = 2 * geo.n
-    ginv = geo.metric_frame_inverse("phi_pair")
-    lam = np.empty((n2, n2), dtype=object)
-    for al in range(n2):
-        for be in range(n2):
-            lam[al, be] = ginv[al, be] * (-1j) + ctx.theta_low[al, be]
-    lam = WickPairing(lam)
+    lam = WickPairing(geo.metric_frame_inverse("phi_pair") * (-1j) + ctx.theta_low)
     d_alg = d_max + 2
     t_lift, r_lift = lifted_torsion_curvature(ctx, d_alg)
-    state = FedosovState(
-        geometry=geo,
-        d_max=d_max,
-        d_alg=d_alg,
-        ctx=ctx,
-        lam=lam,
-        torsion_lift=t_lift,
-        curvature_lift=r_lift,
-    )
+    state = FedosovState(geometry=geo, d_max=d_max, d_alg=d_alg, ctx=ctx, lam=lam,
+                         torsion_lift=t_lift, curvature_lift=r_lift)
     fedosov_r(state, read)
     return state
 
@@ -966,10 +966,13 @@ def r_order(read, d_max, k):
 def _cut(a, order):
     """a with every coefficient truncated to at most jet order `order`;
     a itself for order None."""
-    if order is None:
+    if order is None or not (a.order > order).any():
         return a
-    return a._like({k: c if c.order <= order else c.truncate(order)
-                    for k, c in a.terms.items()})
+    orders = np.minimum(a.order, order)
+    sizes = _sizes(a.dim, orders)
+    rows = a.coeffs[:, : int(sizes.max(initial=0))].copy()
+    rows[np.arange(rows.shape[1]) >= sizes[:, None]] = 0.0
+    return _element(a.n, a.d_max, a.dim, a.code, orders, rows)
 
 
 def _solve_degrees(total, x, degrees, source, read=None):
@@ -993,8 +996,8 @@ def _solve_degrees(total, x, degrees, source, read=None):
         defects.append((delta_pair(x[m]) - src).max_abs())
         if read is not None:
             x[m] = _cut(x[m], read(m))
-        total = total + x[m]
-    return total, _max_abs(defects)
+    # summed after the steps, whose products then run without the total
+    return reduce(operator.add, (x[m] for m in degrees), total), _max_abs(defects)
 
 
 def fedosov_r(state, read=None):
@@ -1003,7 +1006,8 @@ def fedosov_r(state, read=None):
     T_lift, comp[3] picks up the curvature lift, and each later degree m
     solves comp[m] = delta_inv(D comp[m-1] - (i/v) sum_{a+b=m+1} comp[a] o
     comp[b]).  The closure defect, on Deg 1 .. d_max - 1, is state.residual.
-    With a read order, comp[k] is kept to r_order(read, d_max, k)."""
+    With a read order, comp[k] is kept to r_order(read, d_max, k), and the
+    sum r is returned but not stored (see FedosovState)."""
     comp = {}
     orders = None if read is None else (lambda k: r_order(read, state.d_max, k))
 
@@ -1020,7 +1024,7 @@ def fedosov_r(state, read=None):
 
     zero = WickElement.zero(state.n, state.d_alg)
     r, resid = _solve_degrees(zero, comp, range(2, state.d_max + 1), source, orders)
-    state.r, state.r_components, state.residual = r, comp, resid
+    state.r, state.r_components, state.residual = (r if read is None else None), comp, resid
     if resid > 1e-6:
         raise StarquantError(f"degree recursion failed to close: residual {resid:.3g}")
     return r
@@ -1034,24 +1038,19 @@ def recursion_residual(state):
     rhs = state.torsion_lift + state.curvature_lift + extended_D(r, state.ctx)
     # read at d_max - 1 after the division by v
     square = wick_product(r, r, state.lam, cap=state.d_max + 1)
-    if square.terms:
+    if len(square.code):
         rhs = rhs - v_divide(square.scale(1j))
     return (lhs - rhs).restrict(state.d_max - 1).max_abs()
-
-
-def _in_container(a, d_alg):
-    if a.d_max == d_alg:
-        return a
-    return _built(a.n, d_alg, dict(a.terms))
 
 
 def flat_connection_apply(a, state, cap=None):
     """The candidate flat connection: -delta + D - (i/v) ad(r).  With a cap
     the Wick products skip pairs above Deg cap, so the result is exact
     through degree cap - 2 only."""
-    a = _in_container(a, state.d_alg)
+    if a.d_max != state.d_alg:
+        a = _built(a.n, state.d_alg, a.dim, a.code, a.order, a.coeffs)
     out = extended_D(a, state.ctx) - delta_pair(a)
-    if state.r.terms:
+    if len(state.r.code):
         out = out - v_divide(ad_wick(state.r, a, state.lam, cap).scale(1j))
     return out
 

@@ -6,10 +6,14 @@ machinery so that agreement between the two routes means something.
 plain walk the compiler must reproduce bit for bit.  `reference_curvature`
 and `reference_compat_residual` are the per-entry jet loops that the
 geometry's coefficient-tensor contractions must reproduce bit for bit.
-`reference_contraction_rows`, `reference_wick_product` and
-`reference_wick_scalar_parts` are the per-jet loops of the Wick algebra,
-one Jet product and one Jet sum per piece, that its key codes and
-coefficient stacks must reproduce bit for bit.
+`reference_contraction_rows`, `reference_wick_product`,
+`reference_wick_scalar_parts`, `reference_sum`, `reference_delta_pair`,
+`reference_delta_inv_pair`, `reference_extended_D` and
+`reference_v_divide` are the per-jet loops of the Wick algebra, one Jet
+product and one Jet sum per piece, on a dict of jets per element
+(`DictElement`), with the form indices merged by `wedge_merge`; the key
+codes and coefficient stacks of the package must reproduce them bit for
+bit.
 """
 
 import math
@@ -17,9 +21,10 @@ import weakref
 
 import numpy as np
 
+from starquant.errors import StarquantError
 from starquant.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
-from starquant.fedosov import WickElement, wedge_merge
-from starquant.geometry import frame_deriv, jsum
+from starquant.fedosov import PRUNE_TOL, WickElement
+from starquant.geometry import _max_abs, frame_deriv, jsum
 from starquant.jets import apply_unary, jet_const, jet_space
 
 
@@ -159,12 +164,136 @@ def _accumulate(store, key, coeff):
     store[key] = coeff if cur is None else cur + coeff
 
 
-def _negligible(c, tol=1e-14):
+def _negligible(c, tol=PRUNE_TOL):
     return np.abs(c.coeffs).max() <= tol
 
 
 def _bump(z, slot, by):
     return z[:slot] + (z[slot] + by,) + z[slot + 1 :]
+
+
+def wedge_merge(f1, f2):
+    """Merge two strictly increasing index tuples into one wedge monomial.
+
+    Returns (sign, merged) or None when an index repeats."""
+    if not f1:
+        return 1, f2
+    if not f2:
+        return 1, f1
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(f1) and j < len(f2):
+        a, b = f1[i], f2[j]
+        if a == b:
+            return None
+        if a < b:
+            merged.append(a)
+            i += 1
+        else:
+            # b jumps over the remaining entries of f1
+            if (len(f1) - i) % 2:
+                sign = -sign
+            merged.append(b)
+            j += 1
+    merged.extend(f1[i:])
+    merged.extend(f2[j:])
+    return sign, tuple(merged)
+
+
+class DictElement:
+    """The element container of the per-jet loops: terms maps
+    (v_power, z_exponents, form_indices) -> Jet."""
+
+    def __init__(self, n, d_max, terms):
+        self.n, self.d_max, self.terms = n, d_max, terms
+
+    def max_abs(self):
+        return _max_abs(float(np.abs(c.coeffs).max()) for c in self.terms.values())
+
+
+def _built(n, d_max, store):
+    return DictElement(n, d_max, {key: c for key, c in store.items()
+                                  if 2 * key[0] + sum(key[1]) <= d_max and not _negligible(c)})
+
+
+def reference_sum(a, b):
+    """a + b of two elements: a's terms, then b's summed into them."""
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        _accumulate(out, key, c)
+    return _built(a.n, a.d_max, out)
+
+
+def reference_delta_pair(a):
+    out = {}
+    for (r, z, f), c in a.terms.items():
+        for al in range(2 * a.n):
+            if z[al] == 0:
+                continue
+            merged = wedge_merge((al,), f)
+            if merged is None:
+                continue
+            sign, form = merged
+            _accumulate(out, (r, _bump(z, al, -1), form), c * (sign * z[al]))
+    return _built(a.n, a.d_max, out)
+
+
+def reference_delta_inv_pair(a):
+    out = {}
+    for (r, z, f), c in a.terms.items():
+        total = sum(z) + len(f)
+        if total == 0:
+            continue
+        weight = 1.0 / total
+        for pos, al in enumerate(f):
+            sign = -1.0 if pos % 2 else 1.0
+            form = f[:pos] + f[pos + 1 :]
+            _accumulate(out, (r, _bump(z, al, 1), form), c * (sign * weight))
+    return _built(a.n, a.d_max, out)
+
+
+def reference_extended_D(a, ctx):
+    n2 = 2 * ctx.n
+    F, G, W = ctx.frames, ctx.gamma, ctx.anholonomy
+    out = {}
+    for (r, z, f), c in a.terms.items():
+        for al in range(n2):
+            merged = wedge_merge((al,), f)
+            if merged is None:
+                continue
+            sign, form = merged
+            _accumulate(out, (r, z, form), frame_deriv(c, F[al]) * sign)
+            for slot in range(n2):
+                if z[slot] == 0:
+                    continue
+                for src in range(n2):
+                    znew = _bump(_bump(z, slot, -1), src, 1)
+                    coeff = G[slot, al, src] * c * (-sign * z[slot])
+                    _accumulate(out, (r, znew, form), coeff)
+        for pos, eps in enumerate(f):
+            rest = f[:pos] + f[pos + 1 :]
+            psign = -1.0 if pos % 2 else 1.0
+            for mu in range(n2):
+                for nu in range(mu + 1, n2):
+                    merged = wedge_merge((mu, nu), rest)
+                    if merged is None:
+                        continue
+                    s2, form = merged
+                    coeff = W[eps, mu, nu] * c * (-psign * s2)
+                    _accumulate(out, (r, z, form), coeff)
+    return _built(a.n, a.d_max, out)
+
+
+def reference_v_divide(a, tol=1e-12):
+    floor = _max_abs(float(np.abs(c.coeffs).max()) for (r, _, _), c in a.terms.items() if r == 0)
+    if not floor <= tol * max(1.0, a.max_abs()):
+        raise StarquantError(f"v-division of an element with v^0 part of size {floor:.3g}")
+    out = {}
+    for (r, z, f), c in a.terms.items():
+        if r > 0:
+            out[(r - 1, z, f)] = c
+    return _built(a.n, a.d_max, out)
 
 
 def _zadd(za, zb):

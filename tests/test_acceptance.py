@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from oracles import _bump
 from starquant import fedosov as fd
 from starquant.expr import jet_function, parse
 from starquant.geometry import (
@@ -65,7 +66,7 @@ def zmonos(n, up_to):
             if sum(z) != total - 1:
                 continue
             for i in range(n2):
-                cand = fd._bump(z, i, 1)
+                cand = _bump(z, i, 1)
                 if cand not in grown:
                     grown.append(cand)
         out.extend(grown)

@@ -13,9 +13,16 @@ import pytest
 import sympy as sp
 
 from oracles import (
+    _bump,
     reference_contraction_rows,
+    reference_delta_inv_pair,
+    reference_delta_pair,
+    reference_extended_D,
+    reference_sum,
+    reference_v_divide,
     reference_wick_product,
     reference_wick_scalar_parts,
+    wedge_merge,
 )
 from starquant import fedosov as fd
 from starquant import jets
@@ -66,7 +73,7 @@ def zmonos(n, up_to):
             if sum(z) != total - 1:
                 continue
             for i in range(n2):
-                cand = fd._bump(z, i, 1)
+                cand = _bump(z, i, 1)
                 if cand not in grown:
                     grown.append(cand)
         out.extend(grown)
@@ -78,12 +85,23 @@ def zmonos(n, up_to):
 
 
 def test_wedge_merge_signs_and_collisions():
-    assert fd.wedge_merge((0,), (1,)) == (1, (0, 1))
-    assert fd.wedge_merge((1,), (0,)) == (-1, (0, 1))
-    assert fd.wedge_merge((0,), (0,)) is None
-    assert fd.wedge_merge((), (0, 1)) == (1, (0, 1))
-    assert fd.wedge_merge((0, 2), (1,)) == (-1, (0, 1, 2))
-    assert fd.wedge_merge((1, 3), (0, 2)) == (-1, (0, 1, 2, 3))
+    assert wedge_merge((0,), (1,)) == (1, (0, 1))
+    assert wedge_merge((1,), (0,)) == (-1, (0, 1))
+    assert wedge_merge((0,), (0,)) is None
+    assert wedge_merge((), (0, 1)) == (1, (0, 1))
+    assert wedge_merge((0, 2), (1,)) == (-1, (0, 1, 2))
+    assert wedge_merge((1, 3), (0, 2)) == (-1, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("n2", [2, 4, 6])
+def test_key_code_signs_match_wedge_merge(n2):
+    codes = fd.KeyCodes(n2)
+    for m1, m2 in itertools.product(range(1 << n2), repeat=2):
+        if m1 & m2:
+            continue
+        sign, form = wedge_merge(codes.forms[m1], codes.forms[m2])
+        assert codes.sign[m1, m2] == sign, (m1, m2)
+        assert form == codes.forms[m1 | m2]
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +133,21 @@ def test_element_algebra_and_pruning():
 
     with pytest.raises(ValueError):
         a + mono(1, 5, space, (1, 0))
+
+
+def test_element_guards_keep_keys_and_jets_apart():
+    # n = 4 gives 6-bit fields for the z exponents and r, so Deg 64 would
+    # carry into the next field
+    with pytest.raises(ValueError, match="Deg 64 overflows the 6-bit key fields"):
+        fd.WickElement(4, 64, {})
+    fd.WickElement(4, 63, {})
+    with pytest.raises(ValueError, match="Deg 70 overflows"):
+        fd.WickElement(4, 8, {(0, (70,) + (0,) * 7, ()): jet_const(const_space(4), 1.0)})
+    # one stack holds the coefficients, so their jets share one dimension
+    terms = {(0, (1, 0), ()): jet_const(const_space(1), 1.0),
+             (0, (0, 1), ()): jet_const(const_space(2), 1.0)}
+    with pytest.raises(ValueError, match=r"jets of dimensions \[2, 4\] do not combine"):
+        fd.WickElement(1, 4, terms)
 
 
 def test_from_jet_and_scalar_part():
@@ -443,8 +476,9 @@ ORACLE_STATES = {**PRODUCT_STATES, "quartic-n3": (QUARTIC3, PT3, 3)}
 
 @pytest.mark.parametrize("name", list(ORACLE_STATES))
 def test_products_match_the_per_jet_loops(name, request):
-    # wick_product and wick_scalar_parts on key codes and coefficient
-    # stacks against one Jet product and one Jet sum per piece
+    # wick_product, wick_scalar_parts and the element operations on key
+    # codes and coefficient stacks against one Jet product and one Jet sum
+    # per piece
     state = state_of(ORACLE_STATES[name], request)
     lam = state.lam
     a, b, _, _ = product_operands(state)
@@ -465,6 +499,16 @@ def test_products_match_the_per_jet_loops(name, request):
                     got = fd.wick_scalar_parts(left, right, lam, v_max)
                     want = reference_wick_scalar_parts(left, right, lam, v_max)
                     assert same_terms(got, want), (label, v_max)
+                # the element operations; tol 1.0 passes any finite v^0 part
+                ops = {"+": (left + right, reference_sum(left, right)),
+                       "delta": (fd.delta_pair(left), reference_delta_pair(left)),
+                       "delta_inv": (fd.delta_inv_pair(left), reference_delta_inv_pair(left)),
+                       "D": (fd.extended_D(left, state.ctx),
+                             reference_extended_D(left, state.ctx)),
+                       "v_divide": (fd.v_divide(left + right.vshift(1), 1.0),
+                                    reference_v_divide(left + right.vshift(1), 1.0))}
+                for op, (got, want) in ops.items():
+                    assert same_terms(got.terms, want.terms), (label, op)
     # every entry the products left in the table, against the per-jet walk
     codes = lam.codes
     for (za, zb), (order, entry) in lam._table.items():
@@ -479,8 +523,9 @@ def test_products_match_the_per_jet_loops(name, request):
 
 
 def test_chunk_budget_is_invisible(curved, monkeypatch):
-    # a budget of one pair product takes the pair plans, the walks and the
-    # jet products one pair, one state and one row at a time
+    # a budget of one pair product takes the pair plans, the walks, the
+    # contributions of D, delta, delta_inv and the sums, and the jet
+    # products one pair, one state and one row at a time
     a, b, lifted, other = product_operands(curved)
     runs = []
     for budget in (jets.CHUNK, 1):
@@ -488,24 +533,32 @@ def test_chunk_budget_is_invisible(curved, monkeypatch):
         pairing = fd.WickPairing(curved.lam.matrix)
         runs.append((fd.wick_product(a, b, pairing).terms,
                      fd.wick_product(b, a, pairing, curved.d_max).terms,
-                     fd.wick_scalar_parts(lifted, other, pairing, 2)))
+                     fd.wick_scalar_parts(lifted, other, pairing, 2),
+                     fd.extended_D(a, curved.ctx).terms, fd.extended_D(b, curved.ctx).terms,
+                     fd.delta_pair(a).terms, fd.delta_inv_pair(a).terms,
+                     (a + b).terms, (b - a).terms))
     for got, want in zip(*runs):
         assert same_terms(got, want)
 
 
 def test_largest_star_product_stays_small(curved):
     # the largest Wick product of a star run on the quartic at D_max 4, the
-    # recursion's 78 x 28 terms, on a fresh table: its walk is traced too
+    # recursion's 78 x 28 terms, on a fresh table: its walk is traced too;
+    # and D of the largest component of r
     a, b = curved.r_components[3], curved.r_components[2]
     assert (len(a.terms), len(b.terms)) == (78, 28)
     pairing = fd.WickPairing(curved.lam.matrix)
-    tracemalloc.start()
-    try:
-        fd.wick_product(a, b, pairing)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    c = curved.r_components[4]
+    assert len(c.terms) == 172
+    peaks = []
+    for run in (lambda: fd.wick_product(a, b, pairing), lambda: fd.extended_D(c, curved.ctx)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2 ** 20
 
 
 def test_contraction_table_fill_order_is_invisible(curved):
