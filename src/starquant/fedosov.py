@@ -28,9 +28,16 @@ with _Sums, which folds each key's contributions left to right as jet
 sums do, bit for bit.  Products of jets go through jets.batched_mul,
 grouped by jet order: the Wick product's coefficient products and
 contraction weights, and the covariant operator's products with the
-frame, connection and anholonomy stacks of the state.  The pairing lam =
-theta - i g of a state is a WickPairing, whose table of contraction
-weights lives and dies with the state.
+frame, connection and anholonomy stacks.  The pairing lam = theta - i g
+of a state is a WickPairing, whose table of contraction weights lives
+and dies with the state.
+
+The point's tensors have one owner, its GeometryAtPoint.  The covariant
+operator, the torsion and curvature lifts and the curvature trace form
+read the phi_pair stacks it memoizes (connection, anholonomy, torsion,
+curvature and the trace 2-form gamma); the frame, whose entries have
+mixed jet orders, is read entry by entry.  The trace form's exterior
+derivatives read values only, so they take their products at order 0.
 
 The degree recursions keep only the jet orders their readers need: a
 caller that reads the scalar parts of products of lifts at jet order q
@@ -49,6 +56,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import combinations
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -58,10 +66,12 @@ from . import jets
 from .errors import StarquantError
 from .geometry import (
     GeometryAtPoint,
+    _along,
+    _j_trace,
     _max_abs,
+    _partials,
+    _rows,
     as_generator,
-    frame_deriv,
-    jsum,
     values,
 )
 from .jets import Jet, batched_mul, batched_partial, jet_space
@@ -303,7 +313,8 @@ def _padded(stacks):
 
 
 def _stack_of(entries):
-    """The jet orders and zero-padded coefficient rows of an array of jets."""
+    """The jet orders and zero-padded coefficient rows of an array of jets
+    of mixed orders, such as the frame."""
     flat = list(entries.flat)
     rows = _padded([c.coeffs[None] for c in flat])
     orders = np.array([c.order for c in flat], dtype=np.int64)
@@ -406,33 +417,10 @@ def sigma(a):
 
 
 # ---------------------------------------------------------------------------
-# frame data consumed by the covariant operator
+# the covariant operator and the lifts, on the stacks of the geometry
 
 
-@dataclass
-class ConnectionContext:
-    """Connection and frame tensors of one adapted family at the point, as
-    jets, and the (space, rows) stacks of Gamma and W that extended_D reads."""
-
-    n: int
-    frames: np.ndarray
-    gamma: np.ndarray
-    anholonomy: np.ndarray
-    torsion: np.ndarray
-    curvature: np.ndarray
-    theta_low: np.ndarray
-    gamma_stack: tuple
-    anholonomy_stack: tuple
-
-
-def connection_context(geo, kind="phi_pair"):
-    return ConnectionContext(geo.n, geo.frames(kind)[0], geo.connection(kind),
-                             geo.anholonomy(kind), geo.torsion(kind), geo.curvature(kind),
-                             values(geo.theta_frame(kind)), geo._connection_stack(kind),
-                             geo._anholonomy_stack(kind))
-
-
-def extended_D(a, ctx):
+def extended_D(a, geo):
     """Covariant derivative on coefficients and fiber slots; raises deg_a.
 
     On a term c(u) z^z e^F the alpha-component is
@@ -440,15 +428,20 @@ def extended_D(a, ctx):
     e^alpha, plus c times the exterior derivative of e^F, where
     d e^eps = -(1/2) W^eps_{mu nu} e^mu wedge e^nu.  Per term the visits
     are: for each alpha outside F, e_alpha(c) and then the Gamma terms
-    over (out, src); then for each eps of F the W terms over mu < nu."""
-    n2 = 2 * ctx.n
+    over (out, src); then for each eps of F the W terms over mu < nu.
+
+    Gamma and W are the phi_pair connection and anholonomy stacks of the
+    GeometryAtPoint geo; the frame, whose entries have mixed jet orders,
+    is read entry by entry."""
+    n2 = 2 * geo.n
     codes = _key_codes(n2)
     z, mask = codes.z(a.code), codes.mask(a.code)
     bit = 1 << np.arange(n2)
     free = (mask[:, None] & bit) == 0  # (term, alpha): alpha not in F
     sign = codes.sign[bit, mask[:, None]]  # of e^alpha ^ e^F
-    f_order, f_rows = _stack_of(ctx.frames)
-    (g_space, G), (w_space, W) = ctx.gamma_stack, ctx.anholonomy_stack
+    f_order, f_rows = _stack_of(geo.frames("phi_pair")[0])
+    (g_space, G), (w_space, W) = (geo._connection_stack("phi_pair"),
+                                  geo._anholonomy_stack("phi_pair"))
     weights = _padded([G.reshape(n2 ** 3, -1), W.reshape(n2 ** 3, -1)])
     step = 1 + n2 * n2  # the visits of one alpha
 
@@ -510,8 +503,9 @@ def _frame_derivs(dim, c_order, c_rows, f_order, f_rows, width):
     return acc[:, :width]
 
 
-def lifted_torsion_curvature(ctx, d_max):
-    """Fiber lifts of the torsion and curvature 2-forms.
+def lifted_torsion_curvature(geo, d_max):
+    """Fiber lifts of the phi_pair torsion and curvature 2-forms of the
+    GeometryAtPoint geo, from its stacks.
 
     T_lift = (1/2) z^g theta_{t g} T^t_{ab} e^a ^ e^b   (deg_s 1, deg_a 2)
     R_lift = (1/4) z^g z^h theta_{t g} R^t_{h a b} e^a ^ e^b  (deg_s 2).
@@ -524,29 +518,29 @@ def lifted_torsion_curvature(ctx, d_max):
     Antisymmetry in (a, b) folds the 1/2 into the a < b sum.  The pieces
     over t (theta_{t g} != 0) sum in t order, at the keys (g, a < b) of T
     and (g, h, a < b) of R, visited in that order."""
-    n2 = 2 * ctx.n
+    n2 = 2 * geo.n
     codes = _key_codes(n2)
-    th = ctx.theta_low
+    th = values(geo.theta_frame("phi_pair"))
+    (t_space, T), (r_space, R) = (geo._torsion_stack("phi_pair"),
+                                  geo._curvature_stack("phi_pair"))
     a, b = np.triu_indices(n2, 1)
     forms = (1 << a) + (1 << b)
     lifts = []
     # T and R with an axis h (of length 1 for T), the factors of theta and
     # the z^h of the keys
-    for tensor, coef, zh in ((ctx.torsion[:, None], th, np.zeros(1, dtype=np.int64)),
-                             (ctx.curvature, [[0.5 * x for x in row] for row in th],
-                              codes.zplace)):
-        t_order, t_rows = _stack_of(tensor)
-        keys, orders, pieces = [], [], []
+    for space, rows, coef, zh in ((t_space, T[:, None], th, np.zeros(1, dtype=np.int64)),
+                                  (r_space, R, [[0.5 * x for x in row] for row in th],
+                                   codes.zplace)):
+        keys, pieces = [], []
         for g in range(n2):
             ts = [t for t in range(n2) if th[t, g] != 0.0]
             if ts:
-                folded = reduce(operator.add, [t_rows[t] * coef[t][g] for t in ts])
+                folded = reduce(operator.add, [rows[t] * coef[t][g] for t in ts])
                 keys.append((codes.zplace[g] + zh[:, None] + forms).ravel())
-                orders.append(t_order[ts].min(axis=0)[:, a, b].ravel())
                 pieces.append(folded[:, a, b].reshape(-1, folded.shape[-1]))
-        orders = np.concatenate(orders or [np.zeros(0, dtype=np.int64)])
+        keys = np.concatenate(keys or [np.zeros(0, dtype=np.int64)])
         stack = np.concatenate(pieces) if pieces else None
-        lifts.append(_summed(ctx.n, d_max, n2, np.concatenate(keys or [orders]), orders,
+        lifts.append(_summed(geo.n, d_max, n2, keys, np.full(len(keys), space.order),
                              lambda lo, hi: stack[lo:hi]))
     return tuple(lifts)
 
@@ -900,7 +894,9 @@ class FedosovState:
     reads of v^0 .. v^r at 2 r, and the closure references at the degrees
     they read.  The containers themselves stay at d_alg.
 
-    lam is the state's own WickPairing, whose table goes with the state.
+    geometry owns the point's tensors: the operators of the state read
+    its stacks, and the state keeps no copy of them.  lam is the state's
+    own WickPairing, whose table goes with the state.
 
     A state built with a read order keeps comp[k] of r only to
     r_order(read, d_max, k), and r is None: the closure references, the
@@ -910,7 +906,6 @@ class FedosovState:
     geometry: GeometryAtPoint
     d_max: int
     d_alg: int
-    ctx: ConnectionContext
     lam: WickPairing
     torsion_lift: WickElement
     curvature_lift: WickElement
@@ -937,11 +932,11 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, read=Non
     if order is None:
         order = max(5, 3 + d_max)
     geo = GeometryAtPoint(as_generator(generator), point, order, hessian_tol)
-    ctx = connection_context(geo, "phi_pair")
-    lam = WickPairing(geo.metric_frame_inverse("phi_pair") * (-1j) + ctx.theta_low)
+    lam = WickPairing(geo.metric_frame_inverse("phi_pair") * (-1j)
+                      + values(geo.theta_frame("phi_pair")))
     d_alg = d_max + 2
-    t_lift, r_lift = lifted_torsion_curvature(ctx, d_alg)
-    state = FedosovState(geometry=geo, d_max=d_max, d_alg=d_alg, ctx=ctx, lam=lam,
+    t_lift, r_lift = lifted_torsion_curvature(geo, d_alg)
+    state = FedosovState(geometry=geo, d_max=d_max, d_alg=d_alg, lam=lam,
                          torsion_lift=t_lift, curvature_lift=r_lift)
     fedosov_r(state, read)
     return state
@@ -1014,7 +1009,7 @@ def fedosov_r(state, read=None):
     def source(m):
         if m == 2:
             return state.torsion_lift
-        acc = extended_D(comp[m - 1], state.ctx)
+        acc = extended_D(comp[m - 1], state.geometry)
         if m == 3:
             acc = acc + state.curvature_lift
         top = None if orders is None else orders(m)
@@ -1035,7 +1030,7 @@ def recursion_residual(state):
     to the degrees the truncation determines completely."""
     r = state.r
     lhs = delta_pair(r)
-    rhs = state.torsion_lift + state.curvature_lift + extended_D(r, state.ctx)
+    rhs = state.torsion_lift + state.curvature_lift + extended_D(r, state.geometry)
     # read at d_max - 1 after the division by v
     square = wick_product(r, r, state.lam, cap=state.d_max + 1)
     if len(square.code):
@@ -1049,7 +1044,7 @@ def flat_connection_apply(a, state, cap=None):
     through degree cap - 2 only."""
     if a.d_max != state.d_alg:
         a = _built(a.n, state.d_alg, a.dim, a.code, a.order, a.coeffs)
-    out = extended_D(a, state.ctx) - delta_pair(a)
+    out = extended_D(a, state.geometry) - delta_pair(a)
     if len(state.r.code):
         out = out - v_divide(ad_wick(state.r, a, state.lam, cap).scale(1j))
     return out
@@ -1097,7 +1092,7 @@ def tau_lift(f, state, read=None):
         t[0] = _cut(t[0], orders(0))
 
     def source(m):
-        acc = extended_D(t[m - 1], state.ctx)
+        acc = extended_D(t[m - 1], state.geometry)
         top = None if orders is None else orders(m)
         pieces = [ad_wick(_cut(state.r_components[l + 2], top), _cut(t[m - 1 - l], top),
                           state.lam)
@@ -1134,70 +1129,58 @@ def star_product(f, g, state, v_max=None):
 
 
 # ---------------------------------------------------------------------------
-# the closed characteristic 2-form
-
-
-def _chern_jets(state):
-    n2 = 2 * state.n
-    J = state.geometry.complex_structure_frame("phi_pair")
-    R = state.ctx.curvature
-    gamma = np.empty((n2, n2), dtype=object)
-    for a in range(n2):
-        for b in range(n2):
-            gamma[a, b] = jsum(
-                [J[ap, t] * R[t, ap, a, b] for ap in range(n2) for t in range(n2)]
-            ) * (-0.25)
-    return gamma
+# the closed characteristic 2-form, on the stacks of the geometry
 
 
 def chern_weyl(state):
     """Curvature trace 2-form, its torsion-corrected companion, and the
-    zero-degree class representative, as complex component matrices."""
-    n2 = 2 * state.n
-    J = state.geometry.complex_structure_frame("phi_pair")
-    T = state.ctx.torsion
-    W = state.ctx.anholonomy
-    F = state.ctx.frames
-    gamma = _chern_jets(state)
-    xi = [
-        jsum([J[ap, t] * T[t, ap, b] for ap in range(n2) for t in range(n2)])
-        for b in range(n2)
-    ]
+    zero-degree class representative, as complex component matrices.
+
+    gamma is the geometry's trace stack; xi[b] = J[a', t] T[t][a'][b],
+    folded over a' and then t, and d xi[a][b] = e_a xi_b - e_b xi_a -
+    W^c_ab xi_c, folded over c.  Only values of d xi are read, so its
+    products are taken at order 0."""
+    geo, n2 = state.geometry, 2 * state.n
+    gamma_vals = geo._trace_stack("phi_pair")[1][..., 0].copy()
+    x_space, xi = _j_trace(geo.complex_structure_frame("phi_pair"),
+                           geo._torsion_stack("phi_pair"))
+    value, F, W = _value_frame(geo)
+    dxi_parts = _partials(x_space, xi)
+    a, b = np.triu_indices(n2, 1)
+    acc = _along(value, F[a], dxi_parts[:, b]) - _along(value, F[b], dxi_parts[:, a])
+    for c in range(n2):
+        acc = acc - batched_mul(value, W[c, a, b], xi[c])
     dxi = np.zeros((n2, n2), dtype=np.complex128)
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            pieces = [
-                frame_deriv(xi[b], F[a]),
-                -frame_deriv(xi[a], F[b]),
-            ]
-            pieces += [-(W[c, a, b] * xi[c]) for c in range(n2)]
-            val = jsum(pieces).value
-            dxi[a, b] = val
-            dxi[b, a] = -val
-    gamma_vals = values(gamma)
+    dxi[a, b] = acc[:, 0]
+    dxi[b, a] = -acc[:, 0]
     kappa = 0.5j * gamma_vals - (1j / 6.0) * dxi
     c0 = 0.5j * gamma_vals
     return gamma_vals, kappa, c0
 
 
 def chern_weyl_closedness(state):
-    """Max component of the exterior derivative of the curvature trace."""
-    n2 = 2 * state.n
-    W = state.ctx.anholonomy
-    F = state.ctx.frames
-    gamma = _chern_jets(state)
-    components = []
-    for a in range(n2):
-        for b in range(a + 1, n2):
-            for c in range(b + 1, n2):
-                pieces = [
-                    frame_deriv(gamma[b, c], F[a]),
-                    -frame_deriv(gamma[a, c], F[b]),
-                    frame_deriv(gamma[a, b], F[c]),
-                ]
-                for d in range(n2):
-                    pieces.append(-(W[d, a, b] * gamma[d, c]))
-                    pieces.append(W[d, a, c] * gamma[d, b])
-                    pieces.append(-(W[d, b, c] * gamma[d, a]))
-                components.append(jsum(pieces).value)
-    return _max_abs(components)
+    """Max component of the exterior derivative of the curvature trace:
+    over a < b < c, e_a gamma_bc - e_b gamma_ac + e_c gamma_ab, then over
+    d the terms -W^d_ab gamma_dc + W^d_ac gamma_db - W^d_bc gamma_da.
+    Only values are read, so the products are taken at order 0."""
+    geo, n2 = state.geometry, 2 * state.n
+    if n2 < 3:
+        return 0.0  # no index triple, and gamma may have no order to lose
+    space, gamma = geo._trace_stack("phi_pair")
+    value, F, W = _value_frame(geo)
+    parts = _partials(space, gamma)
+    a, b, c = np.array(list(combinations(range(n2), 3)), dtype=np.int64).T
+    acc = (_along(value, F[a], parts[:, b, c]) - _along(value, F[b], parts[:, a, c])
+           + _along(value, F[c], parts[:, a, b]))
+    for d in range(n2):
+        acc = acc - batched_mul(value, W[d, a, b], gamma[d, c])
+        acc = acc + batched_mul(value, W[d, a, c], gamma[d, b])
+        acc = acc - batched_mul(value, W[d, b, c], gamma[d, a])
+    return _max_abs(acc)
+
+
+def _value_frame(geo):
+    """The order 0 space, and the phi_pair frame rows and anholonomy
+    stack that the exterior derivatives at the point read."""
+    value = jet_space(2 * geo.n, 0)
+    return value, _rows(geo.frames("phi_pair")[0], value), geo._anholonomy_stack("phi_pair")[1]

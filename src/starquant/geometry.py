@@ -49,6 +49,7 @@ from .expr import jet_function
 from .jets import (
     Jet,
     PhasePoint,
+    _obj_matmul,
     batched_mul,
     batched_partial,
     jet_const,
@@ -77,16 +78,6 @@ def jsum(terms):
     """Left fold of a list of jets; sum() would start from 0 and turn a
     leading -0.0 into +0.0."""
     return sum(terms[1:], terms[0])
-
-
-def _mm(A, B):
-    n, m = A.shape
-    _, k = B.shape
-    out = np.empty((n, k), dtype=object)
-    for i in range(n):
-        for j in range(k):
-            out[i, j] = jsum([A[i, t] * B[t, j] for t in range(m)])
-    return out
 
 
 def _transpose(A):
@@ -365,6 +356,24 @@ def _curvature_full(G, W, F):
     return space, R
 
 
+def _j_trace(J, X):
+    """The fold over a' and then t of J[a', t] X[t][a'], as a (space,
+    rows) stack, from the jets of the frame complex structure J and a
+    (space, rows) stack X."""
+    x_space, X = X
+    n2 = X.shape[0]
+    space = jet_space(n2, min(x_space.order, _min_order(J)))
+    lefts = _rows(J, space).reshape((n2 * n2,) + (1,) * (X.ndim - 3) + (space.size,))
+    return space, _dot(space, lefts, X.swapaxes(0, 1).reshape((n2 * n2,) + X.shape[2:]))
+
+
+def _curvature_trace(J, R):
+    """The curvature trace 2-form gamma[a][b] = -(1/4) J[a', t]
+    R[t][a'][a][b] as a (space, rows) stack, from the stack R."""
+    space, gamma = _j_trace(J, R)
+    return space, gamma * (-0.25)
+
+
 def _omega_jets(N, F_phi):
     """Omega_ija = e_i(N_ja) - e_j(N_ia) along the oblique horizontal frame."""
     n = N.shape[0]
@@ -608,22 +617,22 @@ class GeometryAtPoint:
 
     def operator_to_coord(self, O_frame, kind):
         F, C = self.frames(kind)
-        return _mm(_mm(_transpose(F), O_frame), C)
+        return _obj_matmul(_obj_matmul(_transpose(F), O_frame), C)
 
     @property
     def theta_coord(self):
         def build():
             self._need("lifts")
             _, C = self.frames_n
-            return _mm(_mm(_transpose(C), self.theta_frame("canonical_d")), C)
+            return _obj_matmul(_obj_matmul(_transpose(C), self.theta_frame("canonical_d")), C)
 
         return self._memo("theta_coord", build)
 
     # -- anholonomy, connections, torsion, curvature --------------------------
 
-    # The anholonomy, connection and curvature are built once as
-    # (space, rows) stacks, and wrapped as arrays of jets only where
-    # entries are read.
+    # The anholonomy, connection, torsion, curvature and curvature trace
+    # are built once as (space, rows) stacks, and wrapped as arrays of
+    # jets only where entries are read.
 
     def _anholonomy_stack(self, kind):
         def build():
@@ -678,7 +687,7 @@ class GeometryAtPoint:
         return self._memo(("connection", kind),
                           lambda: _jets(*self._connection_stack(kind)))
 
-    def torsion(self, kind):
+    def _torsion_stack(self, kind):
         def build():
             self._need("torsion")
             (g_space, G), (w_space, W) = (self._connection_stack(kind),
@@ -686,9 +695,17 @@ class GeometryAtPoint:
             space = g_space if g_space.order <= w_space.order else w_space
             G = G[..., : space.size]
             # T[g, a, b] = G[g, a, b] - G[g, b, a] - W[g, a, b]
-            return _jets(space, G - G.swapaxes(1, 2) - W[..., : space.size])
+            return space, G - G.swapaxes(1, 2) - W[..., : space.size]
 
-        return self._memo(("torsion", kind), build)
+        return self._memo(("torsion_stack", kind), build)
+
+    def _trace_stack(self, kind):
+        return self._memo(("trace_stack", kind),
+                          lambda: _curvature_trace(self.complex_structure_frame(kind),
+                                                   self._curvature_stack(kind)))
+
+    def torsion(self, kind):
+        return self._memo(("torsion", kind), lambda: _jets(*self._torsion_stack(kind)))
 
     def curvature(self, kind):
         return self._memo(("curvature", kind),
@@ -795,7 +812,7 @@ def _vielbein_upper(base_fns, viel_fns, xs, ps, hessian_tol=1e-10):
             base_lo[i, j] = base_fns[i][j](xs, ps)
             E[i, j] = viel_fns[i][j](xs, ps)
     base_up = jet_matrix_inverse(base_lo, rel_tol=hessian_tol)
-    return _mm(_mm(E, base_up), _transpose(E))
+    return _obj_matmul(_obj_matmul(E, base_up), _transpose(E))
 
 
 def _generators(rows):
@@ -919,11 +936,7 @@ def _curvature_torsion_blocks(kind, omega, T, R, W):
             )
     # mixed torsion reported as L^c_{ai} - d^c(N_ia): minus the (v out,
     # h direction, v source) block of the structure equations
-    P_aic = np.empty((n, n, n), dtype=np.complex128)
-    for a in range(n):
-        for i in range(n):
-            for c in range(n):
-                P_aic[a, i, c] = -T[n + a, i, n + c].value
+    P_aic = -values(T[n:, :n, n:])
     R_ijkm = values(R[:n, :n, :n, :n])
     P_ijkc = values(R[:n, :n, :n, n:])
     S_ijbc = values(R[:n, :n, n:, n:])

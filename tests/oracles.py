@@ -13,7 +13,9 @@ geometry's coefficient-tensor contractions must reproduce bit for bit.
 product and one Jet sum per piece, on a dict of jets per element
 (`DictElement`), with the form indices merged by `wedge_merge`; the key
 codes and coefficient stacks of the package must reproduce them bit for
-bit.
+bit.  `reference_chern_weyl` and `reference_chern_weyl_closedness` are
+the per-jet loops of the curvature trace form, one jet per entry, which
+the trace form on the geometry's stacks must reproduce bit for bit.
 """
 
 import math
@@ -24,7 +26,7 @@ import numpy as np
 from starquant.errors import StarquantError
 from starquant.expr import Add, Call, Const, Div, Mul, Neg, Pow, Sub, Var
 from starquant.fedosov import PRUNE_TOL, WickElement
-from starquant.geometry import _max_abs, frame_deriv, jsum
+from starquant.geometry import _max_abs, frame_deriv, jsum, values
 from starquant.jets import apply_unary, jet_const, jet_space
 
 
@@ -253,9 +255,9 @@ def reference_delta_inv_pair(a):
     return _built(a.n, a.d_max, out)
 
 
-def reference_extended_D(a, ctx):
-    n2 = 2 * ctx.n
-    F, G, W = ctx.frames, ctx.gamma, ctx.anholonomy
+def reference_extended_D(a, geo):
+    n2 = 2 * geo.n
+    F, G, W = geo.frames("phi_pair")[0], geo.connection("phi_pair"), geo.anholonomy("phi_pair")
     out = {}
     for (r, z, f), c in a.terms.items():
         for al in range(n2):
@@ -385,3 +387,69 @@ def reference_wick_scalar_parts(a, b, lam, v_max):
             t, _, w = _rows_of(lam, za, zb, base.order)[-1]
             _accumulate(out, ra + rb + t, base * w)
     return {r: out[r] for r in sorted(out) if not _negligible(out[r])}
+
+
+def _reference_chern_jets(state):
+    n2 = 2 * state.n
+    J = state.geometry.complex_structure_frame("phi_pair")
+    R = state.geometry.curvature("phi_pair")
+    gamma = np.empty((n2, n2), dtype=object)
+    for a in range(n2):
+        for b in range(n2):
+            gamma[a, b] = jsum(
+                [J[ap, t] * R[t, ap, a, b] for ap in range(n2) for t in range(n2)]
+            ) * (-0.25)
+    return gamma
+
+
+def reference_chern_weyl(state):
+    """chern_weyl by one jet per entry: gamma, kappa and c0 as complex
+    component matrices."""
+    n2 = 2 * state.n
+    J = state.geometry.complex_structure_frame("phi_pair")
+    T = state.geometry.torsion("phi_pair")
+    W = state.geometry.anholonomy("phi_pair")
+    F = state.geometry.frames("phi_pair")[0]
+    gamma = _reference_chern_jets(state)
+    xi = [
+        jsum([J[ap, t] * T[t, ap, b] for ap in range(n2) for t in range(n2)])
+        for b in range(n2)
+    ]
+    dxi = np.zeros((n2, n2), dtype=np.complex128)
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            pieces = [
+                frame_deriv(xi[b], F[a]),
+                -frame_deriv(xi[a], F[b]),
+            ]
+            pieces += [-(W[c, a, b] * xi[c]) for c in range(n2)]
+            val = jsum(pieces).value
+            dxi[a, b] = val
+            dxi[b, a] = -val
+    gamma_vals = values(gamma)
+    kappa = 0.5j * gamma_vals - (1j / 6.0) * dxi
+    c0 = 0.5j * gamma_vals
+    return gamma_vals, kappa, c0
+
+
+def reference_chern_weyl_closedness(state):
+    """chern_weyl_closedness by one jet per component."""
+    n2 = 2 * state.n
+    W = state.geometry.anholonomy("phi_pair")
+    F = state.geometry.frames("phi_pair")[0]
+    gamma = _reference_chern_jets(state)
+    components = []
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            for c in range(b + 1, n2):
+                pieces = [
+                    frame_deriv(gamma[b, c], F[a]),
+                    -frame_deriv(gamma[a, c], F[b]),
+                    frame_deriv(gamma[a, b], F[c]),
+                ]
+                for d in range(n2):
+                    pieces.append(-(W[d, a, b] * gamma[d, c]))
+                    pieces.append(W[d, a, c] * gamma[d, b])
+                    pieces.append(-(W[d, b, c] * gamma[d, a]))
+                components.append(jsum(pieces).value)
+    return _max_abs(components)

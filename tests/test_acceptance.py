@@ -195,17 +195,17 @@ def test_criterion_5_operator_identities():
                                fd.delta_pair(fd.delta_pair(a)).max_abs())
 
     state = fd.build_state(QUARTIC2, PT2, 4)
-    ctx, lam = state.ctx, state.lam
+    geo, lam = state.geometry, state.lam
     tl, rl = state.torsion_lift, state.curvature_lift
     comm_worst = 0.0
     for z in zmonos(2, 2):
         for form in [(), (0,), (3,)]:
             a = mono(2, state.d_alg, state.geometry.space, z, form)
-            anti = (fd.extended_D(fd.delta_pair(a), ctx)
-                    + fd.delta_pair(fd.extended_D(a, ctx)))
+            anti = (fd.extended_D(fd.delta_pair(a), geo)
+                    + fd.delta_pair(fd.extended_D(a, geo)))
             rhs = fd.v_divide(fd.ad_wick(tl, a, lam).scale(1j))
             comm_worst = max(comm_worst, (anti - rhs).max_abs())
-            twice = fd.extended_D(fd.extended_D(a, ctx), ctx)
+            twice = fd.extended_D(fd.extended_D(a, geo), geo)
             rhs = fd.v_divide(fd.ad_wick(rl, a, lam).scale(1j))
             comm_worst = max(comm_worst, (twice + rhs).max_abs())
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant import cli, fedosov, jets
+from starquant import cli, fedosov, geometry, jets
 from starquant.errors import InsufficientJetOrder, StarquantError
 
 
@@ -692,6 +692,29 @@ def test_inspect_builds_geometry_once_per_point(tmp_path, capsys, monkeypatch):
         assert len(builds) == 2, argv[0]  # one per point
 
 
+def test_star_and_check_build_the_trace_once_per_point(tmp_path, capsys, monkeypatch):
+    # chern_weyl and chern_weyl_closedness read one curvature trace stack,
+    # which the point's geometry builds once
+    builds = []
+    build = geometry._curvature_trace
+
+    def counting_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(geometry, "_curvature_trace", counting_build)
+    two = base_config(n=2, generator="0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2", D_max=2,
+                      flow={"t_end": 0.1, "dt": 1e-2},
+                      points=[{"x": [0.3, -0.1], "p": [0.7, 0.4]},
+                              {"x": [-0.2, 0.1], "p": [0.5, -0.3]}])
+    path = write_config(tmp_path, two)
+    for argv in (["check", "--config", path], ["star", "--config", path, "x1*p1", "p1"]):
+        builds.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0, argv[0]
+        assert len(builds) == 2, argv[0]  # one per point
+
+
 def test_workers_are_bounded(tmp_path, capsys, monkeypatch):
     pools = []
 
@@ -903,7 +926,8 @@ def test_read_orders_cut_the_pair_products(tmp_path, monkeypatch):
     cut, count[0] = count[0], 0
     _full_orders(monkeypatch)
     _report(tmp_path, "star", data)
-    assert (cut, count[0]) == (1_220_531, 6_487_611)
+    # 72 of each are the order 0 products of the curvature trace form
+    assert (cut, count[0]) == (1_178_291, 6_445_371)
     assert cut <= 0.6 * count[0]
 
 

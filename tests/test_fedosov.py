@@ -14,6 +14,8 @@ import sympy as sp
 
 from oracles import (
     _bump,
+    reference_chern_weyl,
+    reference_chern_weyl_closedness,
     reference_contraction_rows,
     reference_delta_inv_pair,
     reference_delta_pair,
@@ -295,26 +297,26 @@ def probe_basis(state):
 
 
 def test_lifted_bianchi_identities(curved):
-    ctx = curved.ctx
+    geo = curved.geometry
     tl, rl = curved.torsion_lift, curved.curvature_lift
     assert tl.max_abs() > 0.1
     assert rl.max_abs() > 0.1
     assert fd.delta_pair(tl).max_abs() <= 1e-13
-    assert (fd.delta_pair(rl) - fd.extended_D(tl, ctx)).max_abs() <= 1e-12
-    assert fd.extended_D(rl, ctx).max_abs() <= 1e-12
+    assert (fd.delta_pair(rl) - fd.extended_D(tl, geo)).max_abs() <= 1e-12
+    assert fd.extended_D(rl, geo).max_abs() <= 1e-12
 
 
 def test_commutator_identities(curved):
-    ctx, lam = curved.ctx, curved.lam
+    geo, lam = curved.geometry, curved.lam
     tl, rl = curved.torsion_lift, curved.curvature_lift
     worst_t = worst_r = 0.0
     for a in probe_basis(curved):
-        anti = fd.extended_D(fd.delta_pair(a), ctx) + fd.delta_pair(
-            fd.extended_D(a, ctx)
+        anti = fd.extended_D(fd.delta_pair(a), geo) + fd.delta_pair(
+            fd.extended_D(a, geo)
         )
         rhs = fd.v_divide(fd.ad_wick(tl, a, lam).scale(1j))
         worst_t = max(worst_t, (anti - rhs).max_abs())
-        twice = fd.extended_D(fd.extended_D(a, ctx), ctx)
+        twice = fd.extended_D(fd.extended_D(a, geo), geo)
         rhs = fd.v_divide(fd.ad_wick(rl, a, lam).scale(1j))
         worst_r = max(worst_r, (twice + rhs).max_abs())
     assert worst_t <= 1e-12
@@ -322,13 +324,13 @@ def test_commutator_identities(curved):
 
 
 def test_extended_D_leibniz(curved):
-    ctx, lam = curved.ctx, curved.lam
-    space = curved.geometry.space
+    geo, lam = curved.geometry, curved.lam
+    space = geo.space
     a = mono(2, curved.d_alg, space, (1, 0, 0, 0), (0,))
     b = mono(2, curved.d_alg, space, (0, 1, 1, 0))
-    left = fd.extended_D(fd.wick_product(a, b, lam), ctx)
-    right = fd.wick_product(fd.extended_D(a, ctx), b, lam) - fd.wick_product(
-        a, fd.extended_D(b, ctx), lam
+    left = fd.extended_D(fd.wick_product(a, b, lam), geo)
+    right = fd.wick_product(fd.extended_D(a, geo), b, lam) - fd.wick_product(
+        a, fd.extended_D(b, geo), lam
     )
     assert (left - right).max_abs() <= 1e-12
 
@@ -350,7 +352,7 @@ def test_flat_state_fully_degenerate(flat):
 
 def test_exp_family_flat_but_connected(exp1):
     gam_vals = np.array([[abs(v.value) for v in row] for row in
-                         exp1.ctx.gamma.reshape(2, 4)])
+                         exp1.geometry.connection("phi_pair").reshape(2, 4)])
     assert gam_vals.max() > 0.5
     assert exp1.torsion_lift.is_zero()
     assert exp1.curvature_lift.is_zero()
@@ -402,9 +404,9 @@ def product_operands(state):
     x1 = fd.WickElement.from_jet(state.geometry.base_jets[0], n, state.d_alg)
     lifted, _ = fd.tau_lift(parse("x1 * p1", n), state)
     other, _ = fd.tau_lift(parse("x1^2 + p1", n), state)
-    a = (other.restrict(1) + fd.extended_D(x1, state.ctx)
+    a = (other.restrict(1) + fd.extended_D(x1, state.geometry)
          + state.r_components[2] + state.r_components[3])
-    b = (lifted + fd.extended_D(lifted, state.ctx)).restrict(2)
+    b = (lifted + fd.extended_D(lifted, state.geometry)).restrict(2)
     return a, b, lifted, other
 
 
@@ -503,8 +505,8 @@ def test_products_match_the_per_jet_loops(name, request):
                 ops = {"+": (left + right, reference_sum(left, right)),
                        "delta": (fd.delta_pair(left), reference_delta_pair(left)),
                        "delta_inv": (fd.delta_inv_pair(left), reference_delta_inv_pair(left)),
-                       "D": (fd.extended_D(left, state.ctx),
-                             reference_extended_D(left, state.ctx)),
+                       "D": (fd.extended_D(left, state.geometry),
+                             reference_extended_D(left, state.geometry)),
                        "v_divide": (fd.v_divide(left + right.vshift(1), 1.0),
                                     reference_v_divide(left + right.vshift(1), 1.0))}
                 for op, (got, want) in ops.items():
@@ -527,18 +529,24 @@ def test_chunk_budget_is_invisible(curved, monkeypatch):
     # contributions of D, delta, delta_inv and the sums, and the jet
     # products one pair, one state and one row at a time
     a, b, lifted, other = product_operands(curved)
-    runs = []
+    runs, traces = [], []
+    geo = curved.geometry
     for budget in (jets.CHUNK, 1):
         monkeypatch.setattr(jets, "CHUNK", budget)
+        # the trace form on a fresh geometry, whose stacks are built anew
+        fresh = dataclasses.replace(curved, geometry=fd.GeometryAtPoint(geo.fn, geo.point,
+                                                                        geo.order))
+        traces.append(trace_form(fresh))
         pairing = fd.WickPairing(curved.lam.matrix)
         runs.append((fd.wick_product(a, b, pairing).terms,
                      fd.wick_product(b, a, pairing, curved.d_max).terms,
                      fd.wick_scalar_parts(lifted, other, pairing, 2),
-                     fd.extended_D(a, curved.ctx).terms, fd.extended_D(b, curved.ctx).terms,
+                     fd.extended_D(a, geo).terms, fd.extended_D(b, geo).terms,
                      fd.delta_pair(a).terms, fd.delta_inv_pair(a).terms,
                      (a + b).terms, (b - a).terms))
     for got, want in zip(*runs):
         assert same_terms(got, want)
+    assert traces[0] == traces[1]
 
 
 def test_largest_star_product_stays_small(curved):
@@ -551,7 +559,7 @@ def test_largest_star_product_stays_small(curved):
     c = curved.r_components[4]
     assert len(c.terms) == 172
     peaks = []
-    for run in (lambda: fd.wick_product(a, b, pairing), lambda: fd.extended_D(c, curved.ctx)):
+    for run in (lambda: fd.wick_product(a, b, pairing), lambda: fd.extended_D(c, curved.geometry)):
         tracemalloc.start()
         try:
             run()
@@ -882,3 +890,53 @@ def test_chern_gamma_vanishes_kappa_does_not(curved):
     assert np.abs(kap).max() > 0.01
     assert np.abs(kap + kap.T).max() <= 1e-13
     assert fd.chern_weyl_closedness(curved) <= 1e-12
+
+
+def trace_form(state):
+    return form_bits(*fd.chern_weyl(state), fd.chern_weyl_closedness(state))
+
+
+def form_bits(*arrays):
+    """The bytes of each array's real and imaginary parts, every NaN part
+    as one NaN: x - y and x + (-y) differ in the sign bit of a NaN only."""
+    parts = [np.array(x, dtype=np.complex128, ndmin=1).view(np.float64) for x in arrays]
+    return [np.where(np.isnan(x), np.nan, x).tobytes() for x in parts]
+
+
+EXP2 = parse("0.5 * exp(2*x1) * (p1^2 + p2^2)", 2)
+# (generator, point, D_max, read order), or a module fixture by name
+TRACE_STATES = {
+    "quartic-3": (QUARTIC2, PT2, 3, None),
+    "quartic-4-read-3": (QUARTIC2, PT2, 4, 3),
+    "quartic-6-read-0": (QUARTIC2, PT2, 6, 0),
+    "quartic-n3": (QUARTIC3, PT3, 3, None),
+    "exp-conformal-1": "exp1",
+    "exp-conformal-2": (EXP2, PT2, 3, None),
+    "flat": "flat",
+    "nan": (QUARTIC2, PT2, 4, None),
+}
+
+
+@pytest.mark.parametrize("name", list(TRACE_STATES))
+def test_trace_form_matches_the_per_jet_loops(name, request):
+    # chern_weyl and its closedness on the geometry's stacks against one
+    # jet per entry: same entries, same bits
+    spec = TRACE_STATES[name]
+    if isinstance(spec, str):
+        state = request.getfixturevalue(spec)
+    else:
+        state = fd.build_state(*spec[:3], read=spec[3])
+    if name == "nan":
+        # a NaN value and first derivative in one curvature and one torsion
+        # entry, before the trace stack or either jet array is built
+        for key, entry in (("curvature_stack", (0, 1, 0, 1)), ("torsion_stack", (0, 1, 0))):
+            space, rows = state.geometry._cache[(key, "phi_pair")]
+            rows = rows.copy()
+            rows[entry][:2] = float("nan")
+            state.geometry._cache[(key, "phi_pair")] = space, rows
+    got = trace_form(state)
+    want = form_bits(*reference_chern_weyl(state), reference_chern_weyl_closedness(state))
+    assert got == want
+    if name == "nan":
+        assert all(np.isnan(x).any() for x in (*fd.chern_weyl(state),
+                                                fd.chern_weyl_closedness(state)))

@@ -667,12 +667,14 @@ def test_residual_maxima_keep_nan():
     with pytest.raises(StarquantError, match="torsion blocks"):
         geo._curvature_torsion_blocks("canonical_d", G.omega, T, G.curvature("canonical_d"),
                                       G.anholonomy("canonical_d"))
-    # one NaN coefficient of the curvature reaches the closedness residual
-    # of the curvature trace
+    # one NaN coefficient of the curvature stack reaches the closedness
+    # residual of the curvature trace; the stack is poked on a fresh state,
+    # before the trace is first built from it, so its memo cannot hide it
     state = fd.build_state(QUARTIC2, PT2, d_max=4)
     assert np.isfinite(fd.chern_weyl_closedness(state))
-    R = state.ctx.curvature
-    coeffs = R[0, 1, 0, 1].coeffs.copy()
-    coeffs[0] = float("nan")
-    R[0, 1, 0, 1] = Jet(R[0, 1, 0, 1].space, coeffs)
+    state = fd.build_state(QUARTIC2, PT2, d_max=4)
+    space, R = state.geometry._curvature_stack("phi_pair")
+    R = R.copy()
+    R[0, 1, 0, 1, 0] = float("nan")
+    state.geometry._cache[("curvature_stack", "phi_pair")] = space, R
     assert np.isnan(fd.chern_weyl_closedness(state))
