@@ -854,25 +854,31 @@ def _full_orders(monkeypatch):
 
 
 def _count_pair_products(monkeypatch):
-    # coefficient pair products of the product tables: per row of every
-    # stacked product, and per Jet product
-    count = [0]
-    batched, mul = jets.batched_mul, jets.Jet.__mul__
+    # coefficient pair products of the product tables that the Wick algebra
+    # forms: per row of every stacked product in fedosov, counted only
+    # inside the outermost wick_product or wick_scalar_parts call
+    count, depth = [0], [0]
+    batched = fedosov.batched_mul
 
     def counted_batched(space, a, b):
         out = batched(space, a, b)
-        count[0] += len(out) * len(space._mul()[0])
+        if depth[0]:
+            count[0] += len(out) * len(space._mul()[0])
         return out
 
-    def counted_mul(self, other):
-        out = mul(self, other)
-        if isinstance(other, jets.Jet) and out.coeffs.ndim == 1:
-            count[0] += len(out.space._mul()[0])
-        return out
+    def inside(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
 
     monkeypatch.setattr(fedosov, "batched_mul", counted_batched)
-    monkeypatch.setattr(jets, "batched_mul", counted_batched)
-    monkeypatch.setattr(jets.Jet, "__mul__", counted_mul)
+    for module in (fedosov, cli):
+        monkeypatch.setattr(module, "wick_scalar_parts", inside(module.wick_scalar_parts))
+    monkeypatch.setattr(fedosov, "wick_product", inside(fedosov.wick_product))
     return count
 
 
@@ -926,8 +932,7 @@ def test_read_orders_cut_the_pair_products(tmp_path, monkeypatch):
     cut, count[0] = count[0], 0
     _full_orders(monkeypatch)
     _report(tmp_path, "star", data)
-    # 72 of each are the order 0 products of the curvature trace form
-    assert (cut, count[0]) == (1_178_291, 6_445_371)
+    assert (cut, count[0]) == (635_150, 5_679_318)
     assert cut <= 0.6 * count[0]
 
 
