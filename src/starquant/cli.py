@@ -38,6 +38,7 @@ from .fedosov import (
 from .geometry import (
     GeometryAtPoint,
     _max_abs,
+    _values,
     anholonomy_closed_form_residual,
     bracket_jets,
     dtheta_residual,
@@ -524,7 +525,7 @@ def _inspect_point(cfg, gen, pt):
         "g_lower": values(geo.g_lower),
         "nconnection": values(geo.nconnection),
         "connections": blocks,
-        "ricci": values(geo.ricci_phi),
+        "ricci": _values(geo._ricci_stack()[1]),
         "scalar": geo.scalar_phi.value.real,
         "einstein_residual": geo.einstein_residual(cfg["lambda"]),
     }

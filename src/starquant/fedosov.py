@@ -67,12 +67,13 @@ from .errors import StarquantError
 from .geometry import (
     GeometryAtPoint,
     _along,
+    _at,
     _j_trace,
+    _jets,
     _max_abs,
     _partials,
-    _rows,
+    _values,
     as_generator,
-    values,
 )
 from .jets import Jet, batched_mul, batched_partial, jet_space
 
@@ -312,15 +313,6 @@ def _padded(stacks):
     return out
 
 
-def _stack_of(entries):
-    """The jet orders and zero-padded coefficient rows of an array of jets
-    of mixed orders, such as the frame."""
-    flat = list(entries.flat)
-    rows = _padded([c.coeffs[None] for c in flat])
-    orders = np.array([c.order for c in flat], dtype=np.int64)
-    return orders.reshape(entries.shape), rows.reshape(entries.shape + rows.shape[-1:])
-
-
 class _Sums:
     """Contributions summed into keys as jet sums fold them: the keys in
     the order they are first visited, each kept at the lowest jet order of
@@ -430,16 +422,15 @@ def extended_D(a, geo):
     are: for each alpha outside F, e_alpha(c) and then the Gamma terms
     over (out, src); then for each eps of F the W terms over mu < nu.
 
-    Gamma and W are the phi_pair connection and anholonomy stacks of the
-    GeometryAtPoint geo; the frame, whose entries have mixed jet orders,
-    is read entry by entry."""
+    The frame, Gamma and W are the phi_pair stacks of the
+    GeometryAtPoint geo."""
     n2 = 2 * geo.n
     codes = _key_codes(n2)
     z, mask = codes.z(a.code), codes.mask(a.code)
     bit = 1 << np.arange(n2)
     free = (mask[:, None] & bit) == 0  # (term, alpha): alpha not in F
     sign = codes.sign[bit, mask[:, None]]  # of e^alpha ^ e^F
-    f_order, f_rows = _stack_of(geo.frames("phi_pair")[0])
+    basis = geo._basis("phi_pair")
     (g_space, G), (w_space, W) = (geo._connection_stack("phi_pair"),
                                   geo._anholonomy_stack("phi_pair"))
     weights = _padded([G.reshape(n2 ** 3, -1), W.reshape(n2 ** 3, -1)])
@@ -466,7 +457,7 @@ def extended_D(a, geo):
                            a.code[t3] - bit[eps] + bit[mu] + bit[nu]])
     factor = np.concatenate([sign[t1, al1], -sign[t2, al2] * z[t2, out],
                              np.where(pos % 2, 1.0, -1.0) * s2]).astype(np.float64)
-    orders = np.concatenate([np.minimum(f_order.min(axis=1)[al1], a.order[t1] - 1),
+    orders = np.concatenate([np.minimum(basis.space.order, a.order[t1] - 1),
                              np.minimum(g_space.order, a.order[t2]),
                              np.minimum(w_space.order, a.order[t3])])
     visit = np.lexsort((np.concatenate([al1 * step, al2 * step + 1 + out * n2 + src,
@@ -483,24 +474,22 @@ def extended_D(a, geo):
         at = np.nonzero(frame[lo:hi])[0]
         if len(at):
             vals[at] = _frame_derivs(a.dim, a.order[tt[at]], a.coeffs[tt[at]],
-                                     f_order[left[lo:hi][at]], f_rows[left[lo:hi][at]], width)
+                                     orders[lo:hi][at], basis.frame[left[lo:hi][at]], width)
         return vals * factor[lo:hi, None]
 
     return _summed(a.n, a.d_max, a.dim, keys[visit], orders, rows)
 
 
-def _frame_derivs(dim, c_order, c_rows, f_order, f_rows, width):
+def _frame_derivs(dim, c_order, c_rows, order, f_rows, width):
     """frame_deriv of each row of c_rows along its frame row, as jets take
-    it, to the lowest order of its products; `width` wide."""
-    wide = max(width, int(_sizes(dim, np.minimum(f_order.max(axis=1), c_order - 1)).max()))
+    it, each product at jet order `order`; `width` wide."""
     acc, p_width = None, int(_sizes(dim, c_order - 1).max())
     for var in range(dim):
         part = _grouped(c_order, p_width, lambda o, sel: batched_partial(jet_space(dim, o),
                                                                           c_rows[sel], var))
-        term = _mul_grouped(dim, np.minimum(f_order[:, var], c_order - 1), f_rows[:, var],
-                            part, wide)
+        term = _mul_grouped(dim, order, f_rows[:, var], part, width)
         acc = term if acc is None else acc + term
-    return acc[:, :width]
+    return acc
 
 
 def lifted_torsion_curvature(geo, d_max):
@@ -520,7 +509,7 @@ def lifted_torsion_curvature(geo, d_max):
     and (g, h, a < b) of R, visited in that order."""
     n2 = 2 * geo.n
     codes = _key_codes(n2)
-    th = values(geo.theta_frame("phi_pair"))
+    th = _values(geo._basis("phi_pair").theta)
     (t_space, T), (r_space, R) = (geo._torsion_stack("phi_pair"),
                                   geo._curvature_stack("phi_pair"))
     a, b = np.triu_indices(n2, 1)
@@ -932,8 +921,10 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, read=Non
     if order is None:
         order = max(5, 3 + d_max)
     geo = GeometryAtPoint(as_generator(generator), point, order, hessian_tol)
-    lam = WickPairing(geo.metric_frame_inverse("phi_pair") * (-1j)
-                      + values(geo.theta_frame("phi_pair")))
+    basis = geo._basis("phi_pair")
+    lam = basis.metric_inverse * (-1j)
+    lam[..., 0] += basis.theta[..., 0]
+    lam = WickPairing(_jets(basis.space, lam))
     d_alg = d_max + 2
     t_lift, r_lift = lifted_torsion_curvature(geo, d_alg)
     state = FedosovState(geometry=geo, d_max=d_max, d_alg=d_alg, lam=lam,
@@ -1142,8 +1133,8 @@ def chern_weyl(state):
     products are taken at order 0."""
     geo, n2 = state.geometry, 2 * state.n
     gamma_vals = geo._trace_stack("phi_pair")[1][..., 0].copy()
-    x_space, xi = _j_trace(geo.complex_structure_frame("phi_pair"),
-                           geo._torsion_stack("phi_pair"))
+    basis = geo._basis("phi_pair")
+    x_space, xi = _j_trace((basis.space, basis.J), geo._torsion_stack("phi_pair"))
     value, F, W = _value_frame(geo)
     dxi_parts = _partials(x_space, xi)
     a, b = np.triu_indices(n2, 1)
@@ -1182,5 +1173,6 @@ def chern_weyl_closedness(state):
 def _value_frame(geo):
     """The order 0 space, and the phi_pair frame rows and anholonomy
     stack that the exterior derivatives at the point read."""
-    value = jet_space(2 * geo.n, 0)
-    return value, _rows(geo.frames("phi_pair")[0], value), geo._anholonomy_stack("phi_pair")[1]
+    value, basis = jet_space(2 * geo.n, 0), geo._basis("phi_pair")
+    return (value, _at(basis.space, basis.frame, value),
+            geo._anholonomy_stack("phi_pair")[1])

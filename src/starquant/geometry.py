@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .jets import (
     _obj_matmul,
     batched_mul,
     batched_partial,
-    jet_const,
     jet_matrix_inverse,
     jet_space,
 )
@@ -125,10 +125,6 @@ def bracket_jets(f, g, n):
 # whose last axis holds each entry's coefficients
 
 
-def _min_order(jets):
-    return min(jet.order for jet in np.asarray(jets, dtype=object).flat)
-
-
 def _rows(jets, space):
     """Coefficient rows of an array of jets, each truncated to `space`."""
     arr = np.asarray(jets, dtype=object)
@@ -141,6 +137,13 @@ def _rows(jets, space):
             )
         out[idx] = jet.coeffs[: space.size]
     return out
+
+
+def _at(own, rows, space):
+    """The rows of a stack in the space `own`, cut to the lower `space`."""
+    if own.order < space.order:
+        raise InsufficientJetOrder(f"need jet order >= {space.order}, have {own.order}")
+    return rows[..., : space.size]
 
 
 def _jets(space, rows):
@@ -173,10 +176,35 @@ def _dot(space, lefts, rights):
     return acc
 
 
+def _matmul(space, A, B):
+    """Matrix product of two stacks in `space`: entry (i, j) is the left
+    fold over t of A[i, t] * B[t, j], a jsum of jet products."""
+    return _dot(space, np.moveaxis(A, 1, 0)[:, :, None], B[:, None])
+
+
+def _eye(n, space, value=1.0):
+    """The n x n stack of jet_const(space, value) on the diagonal and
+    zero jets off it."""
+    out = np.zeros((n, n, space.size), dtype=np.complex128)
+    out[np.arange(n), np.arange(n), 0] = value
+    return out
+
+
+def _blocks(tl, tr, bl, br):
+    """The 2n x 2n stack of four n x n blocks."""
+    return np.concatenate([np.concatenate([tl, tr], axis=1),
+                           np.concatenate([bl, br], axis=1)])
+
+
 def _along(space, frame, partials):
     """frame_deriv over stacks, in `space`: the fold over A of
     frame[..., A, :] times partials[A]."""
     return _dot(space, np.moveaxis(frame, -2, 0), partials)
+
+
+def _values(rows):
+    """The values of a stack's entries, as a fresh complex array."""
+    return rows[..., 0].copy()
 
 
 def _max_abs(vals):
@@ -216,79 +244,61 @@ class CurvatureTorsion:
 
 
 # ---------------------------------------------------------------------------
-# frame construction and first-principles frame calculus (jet matrices)
+# the frame-basis structures, as stacks in the jet space of N
 
 
-def _frame_jets(N, g_upper=None):
-    """Frame/coframe jet matrices: the plain N-adapted pair, or with the
-    fiber metric g_upper the oblique pair.
+class FrameBasis(NamedTuple):
+    """The structures of one frame family on frame components, each an
+    (2n, 2n) stack in `space`, the jet space of the nonlinear connection."""
 
-    N is the n x n jet matrix of nonlinear-connection coefficients.
-    """
-    n = N.shape[0]
-    ref = N[0, 0]
-    one = jet_const(ref.space, 1.0)
-    zero = jet_const(ref.space, 0.0)
-    F = np.full((2 * n, 2 * n), zero, dtype=object)
-    C = np.full((2 * n, 2 * n), zero, dtype=object)
-    if g_upper is None:
-        for i in range(n):
-            F[i, i] = one
-            C[i, i] = one
-            F[n + i, n + i] = one
-            C[n + i, n + i] = one
-            for a in range(n):
-                F[i, n + a] = N[i, a] * 1.0
-                C[n + a, i] = N[i, a] * (-1.0)
-        return F, C
-    gu = g_upper
-    for i in range(n):
-        F[i, i] = one
-        for a in range(n):
-            F[i, n + a] = N[i, a]
-    for b in range(n):
-        for j in range(n):
-            F[n + b, j] = -gu[b, j]
-        for a in range(n):
-            diag = one if a == b else zero
-            F[n + b, n + a] = diag - jsum([gu[b, i] * N[i, a] for i in range(n)])
-    for i in range(n):
-        for j in range(n):
-            diag = one if i == j else zero
-            C[i, j] = diag - jsum([gu[b, i] * N[j, b] for b in range(n)])
-        for b in range(n):
-            C[i, n + b] = gu[b, i]
-    for c in range(n):
-        for j in range(n):
-            C[n + c, j] = -N[j, c]
-        C[n + c, n + c] = one
-    return F, C
+    space: object
+    frame: np.ndarray  # one frame vector per row, in coordinate components
+    coframe: np.ndarray  # likewise, frame @ coframe.T = I
+    theta: np.ndarray  # theta = dp_k ^ dx^k on the frame pairs
+    metric: np.ndarray  # the lift metric on the frame pairs
+    metric_inverse: np.ndarray
+    J: np.ndarray  # the almost complex operator on frame components
 
 
-def _theta_on_frames(F, n):
-    """theta = dp_k ^ dx^k evaluated on all frame pairs, as jets."""
-    n2 = 2 * n
-    out = np.empty((n2, n2), dtype=object)
-    for a in range(n2):
-        for b in range(n2):
-            plus = jsum([F[a, n + k] * F[b, k] for k in range(n)])
-            out[a, b] = plus - jsum([F[b, n + k] * F[a, k] for k in range(n)])
-    return out
+def _frame_basis(kind, space, gu, gl, N):
+    """FrameBasis of the plain N-adapted frame (canonical_d) or of the
+    oblique frame (phi_pair), from the rows of g^{ab}, g_ab and N in
+    `space`.  Each entry takes the operations of one jet in the order
+    they were taken per jet, so its signed zeros are kept: a constant
+    entry is jet_const, and the oblique J diagonal is its negation."""
+    n = len(N)
+    zero, one = np.zeros_like(N), _eye(n, space)
+    guT, glT, NT = (m.swapaxes(0, 1) for m in (gu, gl, N))
+    if kind == "canonical_d":
+        F = _blocks(one, N * 1.0, zero, one)
+        C = _blocks(one, zero, NT * (-1.0), one)
+        metric, inverse = _blocks(gl, zero, zero, gu), _blocks(gu, zero, zero, gl)
+        J = _blocks(zero, guT, -glT, zero)
+    else:
+        F = _blocks(one, N, -gu, one - _matmul(space, gu, N))
+        C = _blocks(one - _matmul(space, guT, NT), guT, -NT, one)
+        minus_one = _eye(n, space, -1.0)
+        metric = _blocks(gl, minus_one, minus_one, gu * 2.0)
+        inverse = _blocks(gu * 2.0, one, one, gl)
+        J = _blocks(np.where(np.eye(n, dtype=bool)[..., None], -one, 0.0), guT * 2.0, -glT,
+                    one)
+    # theta[a, b] = F[a, n+k] F[b, k] - F[b, n+k] F[a, k], each folded over k
+    plus = _matmul(space, F[:, n:], F[:, :n].swapaxes(0, 1))
+    return FrameBasis(space, F, C, plus - plus.swapaxes(0, 1), metric, inverse, J)
 
 
-def _anholonomy(F, C):
-    """W[gamma][alpha][beta] from the brackets of the frame fields, as a
-    (space, rows) stack: W[g, a, b] = C[g, B] [F_a, F_b]^B."""
-    n2 = F.shape[0]
-    top = jet_space(n2, _min_order(F))
-    space = jet_space(n2, min(top.order - 1, _min_order(C)))
-    Fr = _rows(F, top)
-    dF = _partials(top, Fr)
+def _anholonomy(basis):
+    """W[gamma][alpha][beta] from the brackets of the frame fields of a
+    FrameBasis, as a (space, rows) stack: W[g, a, b] = C[g, B] [F_a, F_b]^B."""
+    top, F = basis.space, basis.frame
+    n2 = len(F)
+    space = jet_space(n2, top.order - 1)
+    dF = _partials(top, F)
     a, b = np.triu_indices(n2, 1)
     # [F_a, F_b]^B = e_a(F_b^B) - e_b(F_a^B) over the pairs a < b
-    br = (_along(space, Fr[a, None], dF[:, b])
-          - _along(space, Fr[b, None], dF[:, a]))
-    C = _rows(C, space)
+    br = (_along(space, F[a, None], dF[:, b])
+          - _along(space, F[b, None], dF[:, a]))
+    C = _at(top, basis.coframe, space)
     w = _dot(space, np.moveaxis(C, 1, 0)[:, :, None], np.moveaxis(br, 1, 0)[:, None])
     W = np.zeros((n2, n2, n2, space.size), dtype=np.complex128)
     W[:, a, b] = w
@@ -334,13 +344,13 @@ def _full_connection(hhh, vvv):
 
 def _curvature_full(G, W, F):
     """R[g][ph][a][b] as a (space, rows) stack from the stacks of the
-    connection G and the anholonomy W and the frame jets F:
+    connection G, the anholonomy W and the frame F:
     e_a G_{g,b,ph} - e_b G_{g,a,ph} plus the fold over d of
     G_{d,b,ph} G_{g,a,d} - G_{d,a,ph} G_{g,b,d} - W_{d,a,b} G_{g,d,ph}."""
-    (g_space, G), (w_space, W) = G, W
+    (g_space, G), (w_space, W), (f_space, F) = G, W, F
     n2 = G.shape[0]
-    space = jet_space(n2, min(g_space.order - 1, w_space.order, _min_order(F)))
-    Fr = _rows(F, space)
+    space = jet_space(n2, min(g_space.order - 1, w_space.order, f_space.order))
+    Fr = _at(f_space, F, space)
     dG = _partials(jet_space(n2, space.order + 1), G)
     a, b = np.triu_indices(n2, 1)
     # entries [g, pair, ph]
@@ -358,31 +368,34 @@ def _curvature_full(G, W, F):
 
 def _j_trace(J, X):
     """The fold over a' and then t of J[a', t] X[t][a'], as a (space,
-    rows) stack, from the jets of the frame complex structure J and a
-    (space, rows) stack X."""
-    x_space, X = X
+    rows) stack, from the (space, rows) stacks of the frame complex
+    structure J and of X."""
+    (j_space, J), (x_space, X) = J, X
     n2 = X.shape[0]
-    space = jet_space(n2, min(x_space.order, _min_order(J)))
-    lefts = _rows(J, space).reshape((n2 * n2,) + (1,) * (X.ndim - 3) + (space.size,))
+    space = jet_space(n2, min(x_space.order, j_space.order))
+    lefts = _at(j_space, J, space).reshape((n2 * n2,) + (1,) * (X.ndim - 3) + (space.size,))
     return space, _dot(space, lefts, X.swapaxes(0, 1).reshape((n2 * n2,) + X.shape[2:]))
 
 
 def _curvature_trace(J, R):
     """The curvature trace 2-form gamma[a][b] = -(1/4) J[a', t]
-    R[t][a'][a][b] as a (space, rows) stack, from the stack R."""
+    R[t][a'][a][b] as a (space, rows) stack, from the stacks J and R."""
     space, gamma = _j_trace(J, R)
     return space, gamma * (-0.25)
 
 
-def _omega_jets(N, F_phi):
-    """Omega_ija = e_i(N_ja) - e_j(N_ia) along the oblique horizontal frame."""
+def _omega(N, F):
+    """Omega_ija = e_i(N_ja) - e_j(N_ia) along the oblique horizontal
+    frame, as a (space, rows) stack, from the jets N and the oblique
+    frame's (space, rows) stack F."""
+    f_space, F = F
     n = N.shape[0]
-    space = jet_space(2 * n, min(_min_order(N) - 1, _min_order(F_phi[:n])))
+    space = jet_space(2 * n, min(N[0, 0].order - 1, f_space.order))
     up = jet_space(2 * n, space.order + 1)
     # D[i, j, a] = e_i(N_ja)
-    D = _along(space, _rows(F_phi[:n], space)[:, None, None],
+    D = _along(space, _at(f_space, F[:n], space)[:, None, None],
                _partials(up, _rows(N, up))[:, None])
-    return _jets(space, D - D.swapaxes(0, 1))
+    return space, D - D.swapaxes(0, 1)
 
 
 def _nijenhuis_values(F, C, J_coord):
@@ -429,7 +442,6 @@ class GeometryAtPoint:
     DEPTH = {
         "g": 2,
         "nconnection": 3,
-        "frames": 3,
         "lifts": 3,
         "canonical_d": 3,
         "anholonomy": 4,
@@ -517,127 +529,71 @@ class GeometryAtPoint:
 
     # -- frames and frame-basis structures -----------------------------------
 
+    # Every tensor from the frames on is built once as a (space, rows)
+    # stack; the jet accessors below are uncached views of the stacks.
+
+    def _basis(self, kind):
+        """The FrameBasis of the frame family used by the connection kind."""
+
+        def build():
+            space = self.nconnection[0, 0].space
+            return _frame_basis(kind, space, *(_rows(m, space) for m in (
+                self.g_upper, self.g_lower, self.nconnection)))
+
+        return self._memo(("basis", kind), build)
+
+    def _view(self, kind, name):
+        basis = self._basis(kind)
+        return _jets(basis.space, getattr(basis, name))
+
     def frames(self, kind):
         """(frame, coframe) jet matrices for the frame family used by the
         requested connection kind."""
-
-        def build():
-            self._need("frames")
-            if kind == "canonical_d":
-                return _frame_jets(self.nconnection)
-            return _frame_jets(self.nconnection, self.g_upper)
-
-        return self._memo(("frames", kind), build)
-
-    @property
-    def frames_n(self):
-        return self.frames("canonical_d")
-
-    @property
-    def frames_phi(self):
-        return self.frames("phi_pair")
+        return self._view(kind, "frame"), self._view(kind, "coframe")
 
     def theta_frame(self, kind):
-        return self._memo(
-            ("theta_frame", kind),
-            lambda: _theta_on_frames(self.frames(kind)[0], self.n),
-        )
+        return self._view(kind, "theta")
 
     def metric_frame(self, kind):
         """Lift metric on frame pairs: diag(g_ij, g^{ab}) for the plain
         frame, the bordered form for the oblique frame."""
-
-        def build():
-            n = self.n
-            gl, gu = self.g_lower, self.g_upper
-            ref = self.nconnection[0, 0]
-            zero = jet_const(ref.space, 0.0)
-            G = np.full((2 * n, 2 * n), zero, dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    G[i, j] = gl[i, j]
-                    G[n + i, n + j] = (
-                        gu[i, j] if kind == "canonical_d" else gu[i, j] * 2.0
-                    )
-            if kind == "phi_pair":
-                minus_one = jet_const(ref.space, -1.0)
-                for i in range(n):
-                    G[i, n + i] = minus_one
-                    G[n + i, i] = minus_one
-            return G
-
-        return self._memo(("metric_frame", kind), build)
+        return self._view(kind, "metric")
 
     def metric_frame_inverse(self, kind):
-        def build():
-            n = self.n
-            gl, gu = self.g_lower, self.g_upper
-            ref = self.nconnection[0, 0]
-            zero = jet_const(ref.space, 0.0)
-            G = np.full((2 * n, 2 * n), zero, dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    G[i, j] = gu[i, j] if kind == "canonical_d" else gu[i, j] * 2.0
-                    G[n + i, n + j] = gl[i, j]
-            if kind == "phi_pair":
-                one = jet_const(ref.space, 1.0)
-                for i in range(n):
-                    G[i, n + i] = one
-                    G[n + i, i] = one
-            return G
-
-        return self._memo(("metric_frame_inv", kind), build)
+        return self._view(kind, "metric_inverse")
 
     def complex_structure_frame(self, kind):
         """Almost complex operator on frame components (acts on column
         vectors of frame components)."""
-
-        def build():
-            n = self.n
-            gl, gu = self.g_lower, self.g_upper
-            ref = self.nconnection[0, 0]
-            zero = jet_const(ref.space, 0.0)
-            J = np.full((2 * n, 2 * n), zero, dtype=object)
-            if kind == "canonical_d":
-                for i in range(n):
-                    for a in range(n):
-                        J[i, n + a] = gu[a, i]
-                        J[n + a, i] = -gl[i, a]
-            else:
-                one = jet_const(ref.space, 1.0)
-                for i in range(n):
-                    J[i, i] = -one
-                    J[n + i, n + i] = one
-                    for a in range(n):
-                        J[i, n + a] = gu[a, i] * 2.0
-                        J[n + a, i] = -gl[i, a]
-            return J
-
-        return self._memo(("J_frame", kind), build)
+        return self._view(kind, "J")
 
     def operator_to_coord(self, O_frame, kind):
-        F, C = self.frames(kind)
-        return _obj_matmul(_obj_matmul(_transpose(F), O_frame), C)
+        """F^T O C: an operator on frame components, given as jets, taken
+        to coordinates."""
+        basis = self._basis(kind)
+        space = basis.space
+        FT_O = _matmul(space, basis.frame.swapaxes(0, 1), _rows(O_frame, space))
+        return _jets(space, _matmul(space, FT_O, basis.coframe))
+
+    def _theta_coord_stack(self):
+        def build():
+            self._need("lifts")
+            basis = self._basis("canonical_d")
+            space, C = basis.space, basis.coframe
+            return space, _matmul(space, _matmul(space, C.swapaxes(0, 1), basis.theta), C)
+
+        return self._memo("theta_coord_stack", build)
 
     @property
     def theta_coord(self):
-        def build():
-            self._need("lifts")
-            _, C = self.frames_n
-            return _obj_matmul(_obj_matmul(_transpose(C), self.theta_frame("canonical_d")), C)
-
-        return self._memo("theta_coord", build)
+        return _jets(*self._theta_coord_stack())
 
     # -- anholonomy, connections, torsion, curvature --------------------------
-
-    # The anholonomy, connection, torsion, curvature and curvature trace
-    # are built once as (space, rows) stacks, and wrapped as arrays of
-    # jets only where entries are read.
 
     def _anholonomy_stack(self, kind):
         def build():
             self._need("anholonomy")
-            return _anholonomy(*self.frames(kind))
+            return _anholonomy(self._basis(kind))
 
         return self._memo(("anholonomy_stack", kind), build)
 
@@ -645,10 +601,10 @@ class GeometryAtPoint:
         def build():
             self._need(kind)
             n, n2 = self.n, 2 * self.n
-            F, _ = self.frames(kind)
-            metric = jet_space(n2, _min_order(self.g_upper))
+            basis = self._basis(kind)
+            metric = self.g_upper[0, 0].space
             gl, gu = _rows(self.g_lower, metric), _rows(self.g_upper, metric)
-            order = min(_min_order(F), metric.order - 1)
+            order = min(basis.space.order, metric.order - 1)
             if kind == "canonical_d":
                 # plain adapted frame: the h-h bracket is purely vertical
                 # and the v-v bracket vanishes, so no corrections enter
@@ -662,9 +618,9 @@ class GeometryAtPoint:
                 w_v = _dot(w_space, np.moveaxis(gu, 1, 0)[:, :, None, None],
                            W[n:, None, n:, n:])
             space = jet_space(n2, order)
-            Fr = _rows(F, space)
-            hhh = _koszul_block(space, Fr[:n], gl, gu, w_h)
-            vvv = _koszul_block(space, Fr[n:], gu, gl, w_v)
+            F = _at(basis.space, basis.frame, space)
+            hhh = _koszul_block(space, F[:n], gl, gu, w_h)
+            vvv = _koszul_block(space, F[n:], gu, gl, w_v)
             return space, _full_connection(hhh, vvv)
 
         return self._memo(("connection_stack", kind), build)
@@ -672,20 +628,11 @@ class GeometryAtPoint:
     def _curvature_stack(self, kind):
         def build():
             self._need("curvature_d" if kind == "canonical_d" else "curvature_phi")
-            return _curvature_full(self._connection_stack(kind),
-                                   self._anholonomy_stack(kind), self.frames(kind)[0])
+            basis = self._basis(kind)
+            return _curvature_full(self._connection_stack(kind), self._anholonomy_stack(kind),
+                                   (basis.space, basis.frame))
 
         return self._memo(("curvature_stack", kind), build)
-
-    def anholonomy(self, kind):
-        """Anholonomy coefficients W[gamma][alpha][beta] of the frame."""
-        return self._memo(("anholonomy", kind),
-                          lambda: _jets(*self._anholonomy_stack(kind)))
-
-    def connection(self, kind):
-        """Full coefficient array Gamma[output][direction][source]."""
-        return self._memo(("connection", kind),
-                          lambda: _jets(*self._connection_stack(kind)))
 
     def _torsion_stack(self, kind):
         def build():
@@ -700,53 +647,72 @@ class GeometryAtPoint:
         return self._memo(("torsion_stack", kind), build)
 
     def _trace_stack(self, kind):
-        return self._memo(("trace_stack", kind),
-                          lambda: _curvature_trace(self.complex_structure_frame(kind),
-                                                   self._curvature_stack(kind)))
+        def build():
+            basis = self._basis(kind)
+            return _curvature_trace((basis.space, basis.J), self._curvature_stack(kind))
 
-    def torsion(self, kind):
-        return self._memo(("torsion", kind), lambda: _jets(*self._torsion_stack(kind)))
+        return self._memo(("trace_stack", kind), build)
 
-    def curvature(self, kind):
-        return self._memo(("curvature", kind),
-                          lambda: _jets(*self._curvature_stack(kind)))
-
-    @property
-    def omega(self):
+    def _omega_stack(self):
         def build():
             self._need("omega")
-            return _omega_jets(self.nconnection, self.frames_phi[0])
+            basis = self._basis("phi_pair")
+            return _omega(self.nconnection, (basis.space, basis.frame))
 
-        return self._memo("omega", build)
+        return self._memo("omega_stack", build)
 
-    @property
-    def ricci_phi(self):
+    def _ricci_stack(self):
         def build():
             self._need("ricci")
             space, R = self._curvature_stack("phi_pair")
             diag = np.arange(2 * self.n)
             # ric[b, g] = R[a, b, g, a], folded over a
-            return _jets(space, _fold(R[diag, :, :, diag]))
+            return space, _fold(R[diag, :, :, diag])
 
-        return self._memo("ricci_phi", build)
+        return self._memo("ricci_stack", build)
+
+    def _scalar_stack(self):
+        def build():
+            space, ric = self._ricci_stack()
+            basis = self._basis("phi_pair")
+            ginv = _at(basis.space, basis.metric_inverse, space)
+            n2 = 2 * self.n
+            terms = batched_mul(space, ginv, ric)
+            return space, _fold(terms.reshape(n2 * n2, space.size))
+
+        return self._memo("scalar_stack", build)
+
+    def anholonomy(self, kind):
+        """Anholonomy coefficients W[gamma][alpha][beta] of the frame."""
+        return _jets(*self._anholonomy_stack(kind))
+
+    def connection(self, kind):
+        """Full coefficient array Gamma[output][direction][source]."""
+        return _jets(*self._connection_stack(kind))
+
+    def torsion(self, kind):
+        return _jets(*self._torsion_stack(kind))
+
+    def curvature(self, kind):
+        return _jets(*self._curvature_stack(kind))
+
+    @property
+    def omega(self):
+        return _jets(*self._omega_stack())
+
+    @property
+    def ricci_phi(self):
+        return _jets(*self._ricci_stack())
 
     @property
     def scalar_phi(self):
-        def build():
-            ric = self.ricci_phi
-            space = ric[0, 0].space
-            ginv = _rows(self.metric_frame_inverse("phi_pair"), space)
-            n2 = 2 * self.n
-            terms = batched_mul(space, ginv, _rows(ric, space))
-            return Jet(space, _fold(terms.reshape(n2 * n2, space.size)))
-
-        return self._memo("scalar_phi", build)
+        return Jet(*self._scalar_stack())
 
     @property
     def nijenhuis(self):
         def build():
             self._need("nijenhuis")
-            F, C = self.frames_n
+            F, C = self.frames("canonical_d")
             Jc = self.operator_to_coord(
                 self.complex_structure_frame("canonical_d"), "canonical_d"
             )
@@ -756,23 +722,22 @@ class GeometryAtPoint:
 
     def curvature_torsion(self, kind):
         """Torsion and curvature blocks of one connection kind, read from
-        the cached torsion, curvature, anholonomy and Omega."""
+        the values of the cached torsion, curvature, anholonomy and Omega."""
         return self._memo(
             ("curvature_torsion", kind),
-            lambda: _curvature_torsion_blocks(
-                kind, self.omega, self.torsion(kind), self.curvature(kind),
-                self.anholonomy(kind),
-            ),
+            lambda: _curvature_torsion_blocks(kind, *(stack[1][..., 0] for stack in (
+                self._omega_stack(), self._torsion_stack(kind), self._curvature_stack(kind),
+                self._anholonomy_stack(kind)))),
         )
 
     def einstein_residual(self, lam=0.0):
         """Left side of the contracted field equations with zero source: the
         raised Ricci block minus (1/2)(scalar + lambda) times the identity,
         with the coordinate leg restored through the oblique coframe."""
-        ric = values(self.ricci_phi)
-        scalar = self.scalar_phi.value
-        ginv = values(self.metric_frame_inverse("phi_pair"))
-        Cv = values(self.frames_phi[1])
+        ric = _values(self._ricci_stack()[1])
+        scalar = complex(self._scalar_stack()[1][0])
+        basis = self._basis("phi_pair")
+        ginv, Cv = _values(basis.metric_inverse), _values(basis.coframe)
         return (ginv @ ric @ Cv - 0.5 * (scalar + lam) * Cv).real
 
 
@@ -885,11 +850,11 @@ def dtheta_residual(geo):
     """Max exterior-derivative component of the assembled symplectic form,
     read from the jets of its coordinate components at the point: the
     cyclic sum d_A theta_BC + d_B theta_CA + d_C theta_AB over A < B < C."""
-    th = geo.theta_coord
-    first = jet_space(th[0, 0].dim, 1)
+    space, th = geo._theta_coord_stack()
+    first = jet_space(space.dim, 1)
     # d[A, B, C] = d_A theta_BC at the point
-    d = _partials(first, _rows(th, first))[..., 0]
-    triples = list(combinations(range(th.shape[0]), 3))
+    d = _partials(first, _at(space, th, first))[..., 0]
+    triples = list(combinations(range(len(th)), 3))
     A, B, C = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     return _max_abs(d[A, B, C] + d[B, C, A] + d[C, A, B])
 
@@ -902,7 +867,7 @@ def dtheta_check(H, pt, step=1e-4):
 
     def theta_at(arr):
         geo = GeometryAtPoint(H, PhasePoint.from_array(arr), 3)
-        return real_values(geo.theta_coord)
+        return _values(geo._theta_coord_stack()[1]).real
 
     base = pt.as_array()
     n2 = 2 * pt.n
@@ -920,11 +885,11 @@ def dtheta_check(H, pt, step=1e-4):
 
 
 def _curvature_torsion_blocks(kind, omega, T, R, W):
-    """Slice full-frame torsion T and curvature R jets into the reported
-    component blocks, as values."""
+    """Slice the values of the full-frame torsion T and curvature R into
+    the reported component blocks, each a fresh array."""
     n = omega.shape[0]
-    T_hij = values(T[:n, :n, :n])
-    S_abc = values(T[n:, n:, n:])
+    T_hij = T[:n, :n, :n].copy()
+    S_abc = T[n:, n:, n:].copy()
     if kind == "canonical_d":
         # vanishing of these two blocks is a theorem for the canonical
         # connection; a violation (NaN included) means corrupted inputs
@@ -936,13 +901,12 @@ def _curvature_torsion_blocks(kind, omega, T, R, W):
             )
     # mixed torsion reported as L^c_{ai} - d^c(N_ia): minus the (v out,
     # h direction, v source) block of the structure equations
-    P_aic = -values(T[n:, :n, n:])
-    R_ijkm = values(R[:n, :n, :n, :n])
-    P_ijkc = values(R[:n, :n, :n, n:])
-    S_ijbc = values(R[:n, :n, n:, n:])
-    return CurvatureTorsion(
-        values(omega), T_hij, S_abc, P_aic, R_ijkm, P_ijkc, S_ijbc, values(W)
-    )
+    P_aic = -T[n:, :n, n:]
+    R_ijkm = R[:n, :n, :n, :n].copy()
+    P_ijkc = R[:n, :n, :n, n:].copy()
+    S_ijbc = R[:n, :n, n:, n:].copy()
+    return CurvatureTorsion(omega.copy(), T_hij, S_abc, P_aic, R_ijkm, P_ijkc, S_ijbc,
+                            W.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -955,17 +919,16 @@ def frame_identity_residuals(geo):
     n2 = 2 * geo.n
     eye = np.eye(n2)
     for kind, label in (("canonical_d", "plain"), ("phi_pair", "oblique")):
-        F, C = geo.frames(kind)
-        Fv, Cv = values(F), values(C)
+        basis = geo._basis(kind)
+        Fv, Cv, Jf, th, gf = (_values(x) for x in (basis.frame, basis.coframe, basis.J,
+                                                   basis.theta, basis.metric))
         out[f"{label}_frame_pairing"] = float(np.abs(Fv @ Cv.T - eye).max())
-        Jf = values(geo.complex_structure_frame(kind))
         out[f"{label}_J_squared"] = float(np.abs(Jf @ Jf + eye).max())
-        th = values(geo.theta_frame(kind))
-        gf = values(geo.metric_frame(kind))
         out[f"{label}_theta_vs_gJ"] = float(np.abs(Jf.T @ gf - th).max())
     # the almost product structure, +1 on the horizontal and -1 on the
     # vertical frame vectors, taken to coordinates through the plain frame
-    Fv, Cv = (values(m) for m in geo.frames_n)
+    basis = geo._basis("canonical_d")
+    Fv, Cv = _values(basis.frame), _values(basis.coframe)
     P = Fv.T @ np.diag([1.0] * geo.n + [-1.0] * geo.n) @ Cv
     out["product_squared"] = float(np.abs(P @ P - eye).max())
     return out
@@ -982,7 +945,8 @@ def anholonomy_closed_form_residual(geo):
     value, first = jet_space(2 * n, 0), jet_space(2 * n, 1)
     dN = _partials(first, _rows(geo.nconnection, first))
     # D[i, j, a] = e_i(N_ja) at the point, along the plain frame
-    D = _along(value, _rows(geo.frames_n[0][:n], value)[:, None, None],
+    basis = geo._basis("canonical_d")
+    D = _along(value, _at(basis.space, basis.frame[:n], value)[:, None, None],
                dN[:, None])[..., 0]
     dN = dN[n:, ..., 0]  # dN[c, i, a] = d^c N_ia
     return _max_abs(np.concatenate([
@@ -996,22 +960,23 @@ def anholonomy_closed_form_residual(geo):
 
 def metric_compat_residual(geo, kind):
     """Max component of the covariant derivative of the frame metric."""
-    return _compat_residual(geo, kind, geo.metric_frame(kind))
+    return _compat_residual(geo, kind, "metric")
 
 
 def theta_compat_residual(geo, kind):
     """Max component of the covariant derivative of the symplectic form."""
-    return _compat_residual(geo, kind, geo.theta_frame(kind))
+    return _compat_residual(geo, kind, "theta")
 
 
-def _compat_residual(geo, kind, form):
+def _compat_residual(geo, kind, name):
     # only the values are read, so every product is taken at order 0:
     # e_a form_bc - G_{d,a,b} form_dc - G_{d,a,c} form_bd, folded over d
     n2 = 2 * geo.n
     value, first = jet_space(n2, 0), jet_space(n2, 1)
     G = geo._connection_stack(kind)[1]
-    form = _rows(form, first)
-    acc = _along(value, _rows(geo.frames(kind)[0], value)[:, None, None],
+    basis = geo._basis(kind)
+    form = _at(basis.space, getattr(basis, name), first)
+    acc = _along(value, _at(basis.space, basis.frame, value)[:, None, None],
                  _partials(first, form)[:, None])
     for d in range(n2):
         acc = acc - batched_mul(value, G[d][:, :, None], form[d][None, None])

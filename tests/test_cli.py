@@ -692,6 +692,36 @@ def test_inspect_builds_geometry_once_per_point(tmp_path, capsys, monkeypatch):
         assert len(builds) == 2, argv[0]  # one per point
 
 
+def test_a_point_holds_jets_only_for_its_seed(tmp_path, capsys, monkeypatch):
+    # from the frames on, a point's tensors are cached as coefficient stacks
+    # and its jet accessors are views; only g, g^-1 and N stay arrays of jets
+    geometries = []
+    init = cli.GeometryAtPoint.__init__
+
+    def recording_init(self, *args, **kwargs):
+        geometries.append(self)
+        init(self, *args, **kwargs)
+
+    def object_arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value] if value.dtype == object else []
+        if isinstance(value, tuple):
+            return [a for v in value for a in object_arrays(v)]
+        return []
+
+    monkeypatch.setattr(cli.GeometryAtPoint, "__init__", recording_init)
+    quartic = base_config(n=2, generator="0.5*(p1^2 + p2^2) + x2^2 * p1^2 / 2",
+                          points=[{"x": [0.3, -0.1], "p": [0.7, 0.4]}], D_max=3)
+    path = write_config(tmp_path, quartic)
+    for argv in (["inspect", "--config", path], ["star", "--config", path, "x1*p1", "p2"]):
+        geometries.clear()
+        code, _, _ = run(argv, capsys)
+        assert code == 0, argv[0]
+        (geo,) = geometries
+        held = {key for key, value in geo._cache.items() if object_arrays(value)}
+        assert held == {"g_upper", "g_lower", "nconnection"}, argv[0]
+
+
 def test_star_and_check_build_the_trace_once_per_point(tmp_path, capsys, monkeypatch):
     # chern_weyl and chern_weyl_closedness read one curvature trace stack,
     # which the point's geometry builds once

@@ -11,7 +11,7 @@ from starquant import fedosov as fd
 from starquant import geometry as geo
 from starquant.errors import DegenerateHessian, InsufficientJetOrder, StarquantError
 from starquant.expr import parse
-from starquant.jets import Jet, PhasePoint, jet_const
+from starquant.jets import PhasePoint
 from oracles import reference_compat_residual, reference_curvature
 
 
@@ -210,10 +210,10 @@ def test_product_structure_check_reads_the_frames():
     # coframe is dual to the frame; a corrupted coframe fails the check
     G = geo.GeometryAtPoint(QUARTIC2, PT2, 4)
     assert geo.frame_identity_residuals(G)["product_squared"] <= 1e-12
-    F, C = G.frames_n
-    bad = C.copy()
-    bad[0, 0] = bad[0, 0] + 1e-3
-    G._cache[("frames", "canonical_d")] = (F, bad)
+    basis = G._basis("canonical_d")
+    bad = basis.coframe.copy()
+    bad[0, 0, 0] += 1e-3
+    G._cache[("basis", "canonical_d")] = basis._replace(coframe=bad)
     assert geo.frame_identity_residuals(G)["product_squared"] > 1e-4
 
 
@@ -272,14 +272,14 @@ def test_dtheta_residual_matches_finite_differences():
 def test_dtheta_residual_catches_a_form_that_is_not_closed():
     # x1 dx2 ^ dp1 at n = 2 has d = dx1 ^ dx2 ^ dp1, so one component is 1
     space, base, _ = pt(0.3, -0.1, 0.7, 0.4).jets(2)
-    form = np.full((4, 4), jet_const(space, 0.0), dtype=object)
-    form[1, 2], form[2, 1] = base[0], -base[0]
-    assert geo.dtheta_residual(SimpleNamespace(theta_coord=form)) == 1.0
+    form = np.zeros((4, 4, space.size), dtype=np.complex128)
+    form[1, 2], form[2, 1] = base[0].coeffs, -base[0].coeffs
+    assert geo.dtheta_residual(SimpleNamespace(_theta_coord_stack=lambda: (space, form))) == 1.0
 
 
 def test_metric_lift_against_hand_blocks():
     G = geo.GeometryAtPoint(EXP1, pt(0.3, 0.7), 3)
-    _, C = G.frames_n
+    _, C = G.frames("canonical_d")
     Cv = geo.real_values(C)
     lift = Cv.T @ geo.real_values(G.metric_frame("canonical_d")) @ Cv
     gl, gu, Nv = np.exp(-0.6), np.exp(0.6), -0.7
@@ -471,7 +471,7 @@ def test_ricci_flat_zero():
 def test_einstein_flat_lambda():
     G = geo.GeometryAtPoint(FLAT2, pt(0.3, 1.1, 0.6, -0.4), 5)
     assert abs(G.einstein_residual(0.0)).max() <= 1e-12
-    Cv = geo.real_values(G.frames_phi[1])
+    Cv = geo.real_values(G.frames("phi_pair")[1])
     res = G.einstein_residual(1.0)
     assert abs(res + 0.5 * Cv).max() <= 1e-12
 
@@ -480,7 +480,7 @@ def test_einstein_recombination():
     G = geo.GeometryAtPoint(CONF2, pt(0.3, -0.2, 0.7, 0.4), 5)
     ric, scalar = geo.values(G.ricci_phi), G.scalar_phi.value.real
     ginv = geo.values(G.metric_frame_inverse("phi_pair"))
-    Cv = geo.values(G.frames_phi[1])
+    Cv = geo.values(G.frames("phi_pair")[1])
     lam = 0.7
     want = (ginv @ ric @ Cv - 0.5 * (scalar + lam) * Cv).real
     got = G.einstein_residual(lam)
@@ -504,7 +504,8 @@ def test_nijenhuis_overlap_with_omega():
     point = pt(0.4, 0.9, 0.2, -0.5)
     G = geo.GeometryAtPoint(H, point, 4)
     nij = G.nijenhuis
-    Om = geo.values(geo._omega_jets(G.nconnection, G.frames_phi[0]))
+    basis = G._basis("phi_pair")
+    Om = geo._omega(G.nconnection, (basis.space, basis.frame))[1][..., 0]
     for i in range(2):
         for j in range(2):
             for a in range(2):
@@ -593,6 +594,12 @@ def test_insufficient_order_gates():
         G4.curvature("phi_pair")
     with pytest.raises(InsufficientJetOrder):
         geo.GeometryAtPoint(EXP1, point, 3).torsion("canonical_d")
+    # at seed order 3 the frames have order 0, and these read first derivatives
+    for residual in (lambda G: geo.metric_compat_residual(G, "canonical_d"),
+                     lambda G: geo.theta_compat_residual(G, "canonical_d"),
+                     geo.dtheta_residual):
+        with pytest.raises(InsufficientJetOrder, match="need jet order >= 1, have 0"):
+            residual(geo.GeometryAtPoint(EXP1, point, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -601,20 +608,20 @@ def test_insufficient_order_gates():
 
 def test_canonical_torsion_guard_raises():
     G = geo.GeometryAtPoint(CONF2, pt(0.3, -0.2, 0.7, 0.4), 5)
-    W = G.anholonomy("canonical_d")
-    R = G.curvature("canonical_d")
-    intact = G.torsion("canonical_d")
-    geo._curvature_torsion_blocks("canonical_d", G.omega, intact, R, W)
+    W, R, intact = (geo.values(x("canonical_d")) for x in (G.anholonomy, G.curvature,
+                                                          G.torsion))
+    omega = geo.values(G.omega)
+    geo._curvature_torsion_blocks("canonical_d", omega, intact, R, W)
     for bad in (1e-6, float("nan")):
         T = intact.copy()
         T[0, 0, 1] = T[0, 0, 1] + bad
         with pytest.raises(StarquantError, match="torsion"):
-            geo._curvature_torsion_blocks("canonical_d", G.omega, T, R, W)
+            geo._curvature_torsion_blocks("canonical_d", omega, T, R, W)
     # the oblique connection carries no such theorem, so no guard
-    T = G.torsion("phi_pair").copy()
+    T = geo.values(G.torsion("phi_pair"))
     T[0, 0, 1] = T[0, 0, 1] + 1e-6
-    geo._curvature_torsion_blocks("phi_pair", G.omega, T, G.curvature("phi_pair"),
-                                  G.anholonomy("phi_pair"))
+    geo._curvature_torsion_blocks("phi_pair", omega, T, geo.values(G.curvature("phi_pair")),
+                                  geo.values(G.anholonomy("phi_pair")))
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +666,13 @@ def test_residual_maxima_keep_nan():
     assert geo._max_abs([]) == 0.0
     # a NaN in S_abc alone still stops the canonical torsion blocks
     G = geo.GeometryAtPoint(QUARTIC2, PT2, 5)
-    T = G.torsion("canonical_d").copy()
+    T = geo.values(G.torsion("canonical_d"))
     n = PT2.n
-    nan = T[n, n, n].coeffs.copy()
-    nan[0] = float("nan")
-    T[n, n, n] = Jet(T[n, n, n].space, nan)
+    T[n, n, n] = float("nan")
     with pytest.raises(StarquantError, match="torsion blocks"):
-        geo._curvature_torsion_blocks("canonical_d", G.omega, T, G.curvature("canonical_d"),
-                                      G.anholonomy("canonical_d"))
+        geo._curvature_torsion_blocks("canonical_d", geo.values(G.omega), T,
+                                      geo.values(G.curvature("canonical_d")),
+                                      geo.values(G.anholonomy("canonical_d")))
     # one NaN coefficient of the curvature stack reaches the closedness
     # residual of the curvature trace; the stack is poked on a fresh state,
     # before the trace is first built from it, so its memo cannot hide it
