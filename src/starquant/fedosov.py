@@ -907,7 +907,7 @@ class FedosovState:
         return self.geometry.n
 
 
-def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, read=None):
+def build_state(generator, point, d_max, order=None, read=None):
     """Evaluate the oblique-frame geometry at the point and run the
     degree recursion.  Jet order defaults to 3 + d_max (at least 5).
 
@@ -920,7 +920,7 @@ def build_state(generator, point, d_max, order=None, hessian_tol=1e-10, read=Non
         raise ValueError("d_max must be at least 2")
     if order is None:
         order = max(5, 3 + d_max)
-    geo = GeometryAtPoint(as_generator(generator), point, order, hessian_tol)
+    geo = GeometryAtPoint(as_generator(generator), point, order)
     basis = geo._basis("phi_pair")
     lam = basis.metric_inverse * (-1j)
     lam[..., 0] += basis.theta[..., 0]

@@ -454,11 +454,10 @@ class GeometryAtPoint:
         "ricci": 5,
     }
 
-    def __init__(self, generator, point, order, hessian_tol=1e-10):
+    def __init__(self, generator, point, order):
         self.fn = as_generator(generator)
         self.point = point
         self.order = order
-        self.hessian_tol = hessian_tol
         self.n = point.n
         self.space, self.base_jets, self.fiber_jets = point.jets(order)
         self._cache = {}
@@ -497,10 +496,7 @@ class GeometryAtPoint:
 
     @property
     def g_lower(self):
-        return self._memo(
-            "g_lower",
-            lambda: jet_matrix_inverse(self.g_upper, rel_tol=self.hessian_tol),
-        )
+        return self._memo("g_lower", lambda: jet_matrix_inverse(self.g_upper))
 
     # -- nonlinear connection ------------------------------------------------
 
@@ -745,7 +741,7 @@ class GeometryAtPoint:
 # Lagrange-side objects, vielbein lifts, brackets and references
 
 
-def _velocity_hessian(L, pt, order, hessian_tol):
+def _velocity_hessian(L, pt, order):
     fn = as_generator(L)
     _, xs, ys = pt.jets(order)
     Lj = fn(xs, ys)
@@ -755,18 +751,18 @@ def _velocity_hessian(L, pt, order, hessian_tol):
         da = Lj.partial(n + a)
         for b in range(n):
             lower[a, b] = da.partial(n + b)
-    upper = jet_matrix_inverse(lower, rel_tol=hessian_tol)
+    upper = jet_matrix_inverse(lower)
     return Lj, lower, upper
 
 
-def fundamental_tensor_lagrange(L, pt, order=2, hessian_tol=1e-10):
+def fundamental_tensor_lagrange(L, pt, order=2):
     """(upper, lower) jet matrices: the velocity Hessian of L sits in
     `lower` (indices down), its inverse in `upper`."""
-    _, lower, upper = _velocity_hessian(L, pt, order, hessian_tol)
+    _, lower, upper = _velocity_hessian(L, pt, order)
     return upper, lower
 
 
-def _vielbein_upper(base_fns, viel_fns, xs, ps, hessian_tol=1e-10):
+def _vielbein_upper(base_fns, viel_fns, xs, ps):
     """Fiber metric E g_base^-1 E^T, indices up, from generators of the
     base metric (lower indices) and of the vielbein entries."""
     n = len(xs)
@@ -776,7 +772,7 @@ def _vielbein_upper(base_fns, viel_fns, xs, ps, hessian_tol=1e-10):
         for j in range(n):
             base_lo[i, j] = base_fns[i][j](xs, ps)
             E[i, j] = viel_fns[i][j](xs, ps)
-    base_up = jet_matrix_inverse(base_lo, rel_tol=hessian_tol)
+    base_up = jet_matrix_inverse(base_lo)
     return _obj_matmul(_obj_matmul(E, base_up), _transpose(E))
 
 
@@ -784,14 +780,13 @@ def _generators(rows):
     return [[as_generator(e) for e in row] for row in rows]
 
 
-def vielbein_lift(g_base, vielbein, pt, order=2, hessian_tol=1e-10):
+def vielbein_lift(g_base, vielbein, pt, order=2):
     """(upper, lower) jet matrices of the fiber metric
     g^{ij}(x,p) = e^i_k e^j_l g^{kl}(x) built from a base metric given
     with lower indices (x only) and vielbein entries (x, p)."""
     _, xs, ps = pt.jets(order)
-    upper = _vielbein_upper(_generators(g_base), _generators(vielbein), xs, ps,
-                            hessian_tol)
-    return upper, jet_matrix_inverse(upper, rel_tol=hessian_tol)
+    upper = _vielbein_upper(_generators(g_base), _generators(vielbein), xs, ps)
+    return upper, jet_matrix_inverse(upper)
 
 
 def induced_hamiltonian(g_base, vielbein):
@@ -811,11 +806,11 @@ def induced_hamiltonian(g_base, vielbein):
     return fn
 
 
-def semi_spray(L, pt, order=2, hessian_tol=1e-10):
+def semi_spray(L, pt, order=2):
     """Spray coefficients G^i = (1/2) g^{ij} (d2L/dy^j dx^k y^k - dL/dx^j)."""
     n = pt.n
     _, xs, ys = pt.jets(order)
-    Lj, _, upper = _velocity_hessian(L, pt, order, hessian_tol)
+    Lj, _, upper = _velocity_hessian(L, pt, order)
     out = []
     for i in range(n):
         inner = []
@@ -827,10 +822,10 @@ def semi_spray(L, pt, order=2, hessian_tol=1e-10):
     return out
 
 
-def nconnection_tangent(L, pt, order=3, hessian_tol=1e-10):
+def nconnection_tangent(L, pt, order=3):
     """N_i^a = dG^a/dy^i for the Lagrange semi-spray, as a jet matrix."""
     n = pt.n
-    G = semi_spray(L, pt, order, hessian_tol)
+    G = semi_spray(L, pt, order)
     coeffs = np.empty((n, n), dtype=object)
     for i in range(n):
         for a in range(n):

@@ -57,6 +57,11 @@ _SCALARS = (int, float, complex, np.integer, np.floating, np.complexfloating)
 # domains of log/sqrt/fractional powers.
 _TINY_IMAG = 1e-12
 
+# A matrix whose value part has |det| <= HESSIAN_TOL * scale^n, scale its
+# largest entry magnitude, is degenerate: the fiber Hessians and every jet
+# matrix the package inverts are held to it.
+HESSIAN_TOL = 1e-10
+
 # The most index triples one product table may hold (about 60 MB of
 # int64).  A config whose table would be larger is refused.
 TABLE_CAP = 25 * 10 ** 5
@@ -641,11 +646,11 @@ def _obj_matmul(A, B):
     return out
 
 
-def jet_matrix_inverse(matrix, rel_tol=1e-10):
+def jet_matrix_inverse(matrix):
     """Invert a square matrix of jets sharing one space.
 
     Splits M = M0 + Delta with M0 the value part.  When |det M0| falls at
-    or below rel_tol * scale^n (scale = largest entry magnitude) the
+    or below HESSIAN_TOL * scale^n (scale = largest entry magnitude) the
     matrix is declared degenerate.  Otherwise the truncation-exact
     iteration X <- X0 - (X0 Delta) X runs `order` times, which is enough
     because Delta is nilpotent in the truncated algebra.  Entries may be
@@ -664,7 +669,7 @@ def jet_matrix_inverse(matrix, rel_tol=1e-10):
     det = np.linalg.det(M0)
     for row_scale, row_det in zip(np.abs(M0).max(axis=(-2, -1)).flat, det.flat):
         scale = max(float(row_scale), 1e-300)
-        if abs(row_det) <= rel_tol * scale**n:
+        if abs(row_det) <= HESSIAN_TOL * scale**n:
             raise DegenerateHessian(
                 f"matrix value part is singular: |det| = {abs(row_det):.3e} "
                 f"against scale^{n} = {scale**n:.3e}"

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DegenerateHessian, FlowNotResolved, NewtonDivergence
 from .geometry import _max_abs, as_generator
-from .jets import PhasePoint, _wrap, jet_space
+from .jets import HESSIAN_TOL, PhasePoint, _wrap, jet_space
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -128,7 +128,7 @@ def _stage_jet(fn, space, state):
     return jet
 
 
-def _hessian_values(jet, n, tol, what):
+def _hessian_values(jet, n, what):
     """Gradient and Hessian values of a phase-space jet of order >= 2,
     read from its coefficients, with the same degeneracy guard on the
     fiber-fiber block as the jet matrix inverse.  A stacked jet gives one
@@ -145,50 +145,50 @@ def _hessian_values(jet, n, tol, what):
         rows = zip(np.abs(fiber).max(axis=(-2, -1)), det)
     for scale, row_det in rows:
         scale = max(scale, 1e-300)
-        if abs(row_det) <= tol * scale**n:
+        if abs(row_det) <= HESSIAN_TOL * scale**n:
             raise DegenerateHessian(
                 f"{what} fiber Hessian is singular: |det| = {abs(row_det):.3e}"
             )
     return grad, hess
 
 
-def _fiber_push(fn, state, tol, what):
+def _fiber_push(fn, state, what):
     """(dG/d fiber, G) at a state (2n,), or at each row of a stack of
     states (rows, 2n): the fiber derivative and the value of a generator,
     from one second-order jet evaluation behind the fiber Hessian's
     guard."""
     n = state.shape[-1] // 2
     jet = _stage_jet(fn, jet_space(2 * n, 2), state)
-    grad, _ = _hessian_values(jet, n, tol, what)
+    grad, _ = _hessian_values(jet, n, what)
     return grad.real[..., n:].copy(), jet.value.real
 
 
-def legendre_to_hamiltonian(L, pt_tm, hessian_tol=1e-10):
+def legendre_to_hamiltonian(L, pt_tm):
     """Pointwise transform (x, y) -> p = dL/dy and H = p.y - L."""
-    p, L_value = _fiber_push(as_generator(L), pt_tm.as_array(), hessian_tol, "Lagrangian")
+    p, L_value = _fiber_push(as_generator(L), pt_tm.as_array(), "Lagrangian")
     H_value = float(p @ pt_tm.p - L_value)
     return p, H_value
 
 
-def legendre_to_lagrangian(H, pt_ctm, hessian_tol=1e-10):
+def legendre_to_lagrangian(H, pt_ctm):
     """Pointwise transform (x, p) -> y = dH/dp and L = p.y - H."""
-    y, H_value = _fiber_push(as_generator(H), pt_ctm.as_array(), hessian_tol, "Hamiltonian")
+    y, H_value = _fiber_push(as_generator(H), pt_ctm.as_array(), "Hamiltonian")
     L_value = float(pt_ctm.p @ y - H_value)
     return y, L_value
 
 
-def legendre_momenta(L, states, hessian_tol=1e-10):
+def legendre_momenta(L, states):
     """p = dL/dy at each row (x, y) of a (rows, 2n) array of tangent
     states, from one stacked jet evaluation; row by row, the momenta of
     legendre_to_hamiltonian."""
-    return _fiber_push(as_generator(L), states, hessian_tol, "Lagrangian")[0]
+    return _fiber_push(as_generator(L), states, "Lagrangian")[0]
 
 
-def legendre_velocities(H, states, hessian_tol=1e-10):
+def legendre_velocities(H, states):
     """y = dH/dp at each row (x, p) of a (rows, 2n) array of cotangent
     states, from one stacked jet evaluation; row by row, the velocities
     of legendre_to_lagrangian."""
-    return _fiber_push(as_generator(H), states, hessian_tol, "Hamiltonian")[0]
+    return _fiber_push(as_generator(H), states, "Hamiltonian")[0]
 
 
 def momentum_from_velocity(H, x, y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
@@ -208,7 +208,7 @@ def momentum_from_velocity(H, x, y, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
         _, xs, ps = PhasePoint(x, p).jets(2)
         Hj = fn(xs, ps)
         try:
-            grad, hess = _hessian_values(Hj, n, 1e-10, "Hamiltonian")
+            grad, hess = _hessian_values(Hj, n, "Hamiltonian")
         except DegenerateHessian:
             if it == 0:
                 raise
@@ -315,7 +315,7 @@ def hamilton_flows(H, starts, t_end, dt):
     return _per_row(_hamilton, starts, t_end, dt, H)
 
 
-def _spray_values(fn, space, state, n, hessian_tol, energy):
+def _spray_values(fn, space, state, n, energy):
     """Values of the spray coefficients G^i and, when `energy` is true,
     of the energy y.dL/dy - L (else None) at a state (x, y), or at each
     row of a stack of states, from one second-order jet evaluation of
@@ -324,7 +324,7 @@ def _spray_values(fn, space, state, n, hessian_tol, energy):
     blocks, and the products are matmuls on column vectors, which keep
     the bits of the single-state products."""
     Lj = _stage_jet(fn, space, state)
-    grad, hess = _hessian_values(Lj, n, hessian_tol, "Lagrangian")
+    grad, hess = _hessian_values(Lj, n, "Lagrangian")
     grad, hess = grad.real, hess.real
     upper = np.linalg.inv(hess[..., n:, n:])
     # contiguous copies: BLAS takes another path for a strided operand,
@@ -339,7 +339,7 @@ def _spray_values(fn, space, state, n, hessian_tol, energy):
     return G.squeeze(-1), (p @ y).squeeze((-2, -1)) - Lj.coeffs[..., 0].real
 
 
-def _lagrange(start, t_end, dt, L, hessian_tol):
+def _lagrange(start, t_end, dt, L):
     # times, states and energies of the Lagrange flow from a state or a
     # stack of states
     fn = as_generator(L)
@@ -347,24 +347,24 @@ def _lagrange(start, t_end, dt, L, hessian_tol):
     space = jet_space(2 * n, 2)
 
     def deriv(state, energy):
-        G, en = _spray_values(fn, space, state, n, hessian_tol, energy)
+        G, en = _spray_values(fn, space, state, n, energy)
         return np.concatenate([state[..., n:], -2.0 * G], axis=-1), en
 
     return _integrate(deriv, start, t_end, dt)
 
 
-def lagrange_flow(L, start, t_end, dt, hessian_tol=1e-10):
+def lagrange_flow(L, start, t_end, dt):
     """RK4 trajectory of dx/dt = y, dy/dt = -2 G(x, y); records the
     energy y.dL/dy - L, which the flow conserves."""
-    return Trajectory(*_lagrange(start.as_array(), t_end, dt, L, hessian_tol))
+    return Trajectory(*_lagrange(start.as_array(), t_end, dt, L))
 
 
-def lagrange_flows(L, starts, t_end, dt, hessian_tol=1e-10):
+def lagrange_flows(L, starts, t_end, dt):
     """RK4 trajectories of dx/dt = y, dy/dt = -2 G(x, y) from each row of
     a (rows, 2n) array of starts, integrated in lockstep; each records
     the energy y.dL/dy - L, which the flow conserves.  One Trajectory per
     row, each with the bits of lagrange_flow from that row."""
-    return _per_row(_lagrange, starts, t_end, dt, L, hessian_tol)
+    return _per_row(_lagrange, starts, t_end, dt, L)
 
 
 def _per_row(flow, starts, *args):

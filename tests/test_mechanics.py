@@ -259,9 +259,9 @@ def test_lagrange_energy_is_computed_where_it_is_recorded(monkeypatch):
                              "tangent"))
     asked, spray = [], mech._spray_values
 
-    def recorded(fn, space, state, n, hessian_tol, energy):
+    def recorded(fn, space, state, n, energy):
         asked.append(energy)
-        return spray(fn, space, state, n, hessian_tol, energy)
+        return spray(fn, space, state, n, energy)
 
     monkeypatch.setattr(mech, "_spray_values", recorded)
     traj = mech.lagrange_flow(gen, PhasePoint([0.3], [-0.7]), 2e-3, 1e-3)
