@@ -1150,13 +1150,20 @@ def chern_weyl(state):
 
 
 def chern_weyl_closedness(state):
-    """Max component of the exterior derivative of the curvature trace:
-    over a < b < c, e_a gamma_bc - e_b gamma_ac + e_c gamma_ab, then over
-    d the terms -W^d_ab gamma_dc + W^d_ac gamma_db - W^d_bc gamma_da.
-    Only values are read, so the products are taken at order 0."""
+    """Max component of the exterior derivative of the curvature trace."""
+    return _max_abs(_closedness_components(state))
+
+
+def _closedness_components(state):
+    """The components of the exterior derivative of the curvature trace,
+    over a < b < c in lexicographic order: e_a gamma_bc - e_b gamma_ac +
+    e_c gamma_ab, then over d the terms -W^d_ab gamma_dc + W^d_ac gamma_db
+    - W^d_bc gamma_da.  Only values are read, so the products are taken
+    at order 0."""
     geo, n2 = state.geometry, 2 * state.n
     if n2 < 3:
-        return 0.0  # no index triple, and gamma may have no order to lose
+        # no index triple, and gamma may have no order to lose
+        return np.zeros(0, dtype=np.complex128)
     space, gamma = geo._trace_stack("phi_pair")
     value, F, W = _value_frame(geo)
     parts = _partials(space, gamma)
@@ -1167,7 +1174,7 @@ def chern_weyl_closedness(state):
         acc = acc - batched_mul(value, W[d, a, b], gamma[d, c])
         acc = acc + batched_mul(value, W[d, a, c], gamma[d, b])
         acc = acc - batched_mul(value, W[d, b, c], gamma[d, a])
-    return _max_abs(acc)
+    return acc[:, 0]
 
 
 def _value_frame(geo):

@@ -893,7 +893,7 @@ def test_chern_gamma_vanishes_kappa_does_not(curved):
 
 
 def trace_form(state):
-    return form_bits(*fd.chern_weyl(state), fd.chern_weyl_closedness(state))
+    return form_bits(*fd.chern_weyl(state), fd._closedness_components(state))
 
 
 def form_bits(*arrays):
