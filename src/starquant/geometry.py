@@ -920,12 +920,6 @@ def frame_identity_residuals(geo):
         out[f"{label}_frame_pairing"] = float(np.abs(Fv @ Cv.T - eye).max())
         out[f"{label}_J_squared"] = float(np.abs(Jf @ Jf + eye).max())
         out[f"{label}_theta_vs_gJ"] = float(np.abs(Jf.T @ gf - th).max())
-    # the almost product structure, +1 on the horizontal and -1 on the
-    # vertical frame vectors, taken to coordinates through the plain frame
-    basis = geo._basis("canonical_d")
-    Fv, Cv = _values(basis.frame), _values(basis.coframe)
-    P = Fv.T @ np.diag([1.0] * geo.n + [-1.0] * geo.n) @ Cv
-    out["product_squared"] = float(np.abs(P @ P - eye).max())
     return out
 
 

@@ -200,21 +200,21 @@ def test_frame_identities_all_families():
             assert res["oblique_J_squared"] <= 1e-10
             assert res["plain_theta_vs_gJ"] <= 1e-10
             assert res["oblique_theta_vs_gJ"] <= 1e-10
-            assert res["product_squared"] <= 1e-12
             th = geo.values(G.theta_frame("canonical_d"))
             assert abs(th + th.T).max() <= 1e-12
 
 
-def test_product_structure_check_reads_the_frames():
-    # P = F^T diag(1, -1) C squares to the identity only while the plain
-    # coframe is dual to the frame; a corrupted coframe fails the check
+def test_frame_pairing_catches_a_wrong_coframe_entry():
+    # F C^T = I holds only while the plain coframe is dual to the frame,
+    # whichever block of the coframe is wrong
     G = geo.GeometryAtPoint(QUARTIC2, PT2, 4)
-    assert geo.frame_identity_residuals(G)["product_squared"] <= 1e-12
     basis = G._basis("canonical_d")
-    bad = basis.coframe.copy()
-    bad[0, 0, 0] += 1e-3
-    G._cache[("basis", "canonical_d")] = basis._replace(coframe=bad)
-    assert geo.frame_identity_residuals(G)["product_squared"] > 1e-4
+    assert geo.frame_identity_residuals(G)["plain_frame_pairing"] <= 1e-12
+    for entry, bad in (((0, 0), 1e-3), ((2, 0), 0.5)):
+        coframe = basis.coframe.copy()
+        coframe[entry][0] += bad
+        G._cache[("basis", "canonical_d")] = basis._replace(coframe=coframe)
+        assert geo.frame_identity_residuals(G)["plain_frame_pairing"] == pytest.approx(bad)
 
 
 def test_theta_frame_is_canonical_block():
