@@ -34,10 +34,10 @@ and dies with the state.
 
 The point's tensors have one owner, its GeometryAtPoint.  The covariant
 operator, the torsion and curvature lifts and the curvature trace form
-read the phi_pair stacks it memoizes (connection, anholonomy, torsion,
-curvature and the trace 2-form gamma); the frame, whose entries have
-mixed jet orders, is read entry by entry.  The trace form's exterior
-derivatives read values only, so they take their products at order 0.
+read the phi_pair stacks it memoizes (the frame-basis structures,
+connection, anholonomy, torsion, curvature and the trace 2-form
+gamma).  The trace form's exterior derivatives read values only, so
+they take their products at order 0.
 
 The degree recursions keep only the jet orders their readers need: a
 caller that reads the scalar parts of products of lifts at jet order q
@@ -1132,7 +1132,7 @@ def chern_weyl(state):
     W^c_ab xi_c, folded over c.  Only values of d xi are read, so its
     products are taken at order 0."""
     geo, n2 = state.geometry, 2 * state.n
-    gamma_vals = geo._trace_stack("phi_pair")[1][..., 0].copy()
+    gamma_vals = _values(geo._trace_stack("phi_pair")[1])
     basis = geo._basis("phi_pair")
     x_space, xi = _j_trace((basis.space, basis.J), geo._torsion_stack("phi_pair"))
     value, F, W = _value_frame(geo)

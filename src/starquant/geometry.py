@@ -9,17 +9,22 @@ curvature, up to the contracted field-equation residual.  One
 metric, semi-spray and nonlinear connection, and the vielbein lift, are
 plain functions of a generator and a point.
 
-The anholonomy, the connections, their torsion and curvature have one
-jet order per tensor, so each is built as a coefficient stack: one
-complex array whose last axis holds an entry's coefficients.  A sum
-over a contraction index is a short loop of array additions over
-batched products (`jets.batched_mul`), taken in the order in which the
-per-entry jet sums added their terms, so every entry keeps the bits of
-those sums.  Results are computed at the order the jet order rule
-gives them, which by that rule equals multiplying at higher order and
-truncating.  The stacks are wrapped as arrays of jets only where
-entries are read.  Residuals that read only values, such as the
-compatibility checks, take their products at order 0.
+The seed (H, the fiber metric g^{ab}, its inverse g_ab and the
+nonlinear connection N) is held as jets.  From the frames on, every
+tensor is built once as a coefficient stack: one complex array whose
+last axis holds an entry's coefficients, all entries in one jet space.
+The frames and coframes, theta on frame pairs, both lift metrics, J and
+theta in coordinates are stacks in the jet space of N (a `FrameBasis`
+per frame family); the anholonomy, connections, torsion, curvature,
+Omega, Ricci and the scalar are stacks at the order the jet order rule
+gives each.  A sum over a contraction index is a short loop of array
+additions over batched products (`jets.batched_mul`), taken in the
+order in which per-entry jet sums add their terms, so every entry has
+the bits of those sums; by the jet order rule, computing at the lower
+order equals multiplying at higher order and truncating.  The jet
+accessors from the frames on are uncached views of the stacks.  Values
+are read from coefficient 0, and residuals that read only values, such
+as the compatibility checks, take their products at order 0.
 
 Conventions fixed here once and used everywhere:
 
@@ -49,6 +54,7 @@ from .errors import InsufficientJetOrder, StarquantError
 from .expr import jet_function
 from .jets import (
     Jet,
+    JetSpace,
     PhasePoint,
     _obj_matmul,
     batched_mul,
@@ -251,7 +257,7 @@ class FrameBasis(NamedTuple):
     """The structures of one frame family on frame components, each an
     (2n, 2n) stack in `space`, the jet space of the nonlinear connection."""
 
-    space: object
+    space: JetSpace
     frame: np.ndarray  # one frame vector per row, in coordinate components
     coframe: np.ndarray  # likewise, frame @ coframe.T = I
     theta: np.ndarray  # theta = dp_k ^ dx^k on the frame pairs
@@ -263,9 +269,12 @@ class FrameBasis(NamedTuple):
 def _frame_basis(kind, space, gu, gl, N):
     """FrameBasis of the plain N-adapted frame (canonical_d) or of the
     oblique frame (phi_pair), from the rows of g^{ab}, g_ab and N in
-    `space`.  Each entry takes the operations of one jet in the order
-    they were taken per jet, so its signed zeros are kept: a constant
-    entry is jet_const, and the oblique J diagonal is its negation."""
+    `space`.  Each entry has the bits, signed zeros included, that the
+    same operations give on jets: a constant entry is jet_const (+0.0
+    past the value), the oblique J diagonal is its negation (-0.0 there),
+    and the plain frame's N entries are multiplied by 1.0 and -1.0, which
+    can set the sign of a zero imaginary part where a copy or a negation
+    would not."""
     n = len(N)
     zero, one = np.zeros_like(N), _eye(n, space)
     guT, glT, NT = (m.swapaxes(0, 1) for m in (gu, gl, N))
