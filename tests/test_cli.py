@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starquant import cli, fedosov, geometry, jets
+from starquant import cli, fedosov, geometry
 from starquant.errors import InsufficientJetOrder, StarquantError
 
 
