@@ -1,6 +1,13 @@
 """Parser of the generating-function DSL, and its compiler to closures
 that evaluate an expression on jets.
 
+The compiler works on coefficient arrays: `jet_function` compiles an
+AST once for each jet space it meets, into closures over the raw
+coefficient arrays of that space, (size,) for one point or (rows, size)
+for a stack, which call the array operations of `jets`.  Jets appear
+only at the boundary: the wrapper reads the variables' arrays and wraps
+the result in one Jet, so its callers see the same Jet in and out.
+
 Grammar (whitespace-insensitive, ASCII only)::
 
     expr   := term (('+'|'-') term)*
@@ -22,11 +29,14 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ParseError, StarquantError, UnknownVariable
-from .jets import Jet, apply_unary, jet_const, jet_space, pow_const
+from . import jets
+from .jets import (_frozen, _int_pow_rows, _pow_rows, _scale_rows, _unary_rows, _wrap,
+                   jet_const, jet_space)
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -283,27 +293,33 @@ def pretty(node):
     return _pp(node)[0]
 
 
-def _compile(node):
-    """Turn an AST into a closure f(values, space) over a flat
-    (base..., fiber...) list of jets of `space`.
+def _compile(node, space):
+    """Turn an AST into a closure f(rows) for one jet space: `rows` is the
+    flat (base..., fiber...) list of the variables' coefficient arrays in
+    `space`, each (size,) for one point or (rows, size) for a stack, and
+    f returns the expression's coefficient array, with the bits of the
+    plain walk over Jets.
 
-    Constants become jets of `space` and functions compose through the
-    jet series.  Operands are evaluated left to right, except that a
-    divisor is evaluated (and checked) before its numerator.
+    No Jet is built between nodes.  Each closure binds its space and its
+    constant rows when it is built and calls the array operations of
+    `jets`, which the Jet operations wrap; a constant's row has no row
+    axis and combines with a stack as with each of its rows.  Operands
+    are evaluated left to right, except that a divisor is evaluated (and
+    checked) before its numerator.
 
-    Every Var-free subtree is evaluated once, here, and its closure only
-    lays out the result: a constant's jet is its coefficient 0 followed
-    by one repeated signed zero, at every order >= 1.  A product or
-    quotient with a Var-free operand scales the other operand's jet by
-    that coefficient (by its reciprocal for a divisor) instead of going
-    through the product table.  Both keep the bits of the plain
+    Every Var-free subtree is evaluated once per compile, in one
+    variable, and its closure hands out one read-only row: its
+    coefficient 0 followed by one repeated signed zero, at every order
+    >= 1.  A product or quotient with a Var-free operand scales the other
+    operand by that coefficient (by its reciprocal for a divisor) instead
+    of going through the product table.  Both keep the bits of the plain
     evaluation.  A subtree whose evaluation raises, or gives a zero
     divisor or a non-finite number, is not folded, so it fails where and
     as it always did.  Series terms of a constant above order 1 are never
     formed, so a constant whose higher terms overflow (1 / 1e-100 at
-    order 3) no longer fails.
+    order 3) does not fail.
     """
-    return _closure(node)[0]
+    return _closure(node, space, {})[0]
 
 
 # what evaluating a Var-free subtree may raise; such a subtree is left
@@ -311,108 +327,142 @@ def _compile(node):
 _FOLD_ERRORS = (StarquantError, ArithmeticError, Warning)
 
 
-def _factor(fn):
-    # coefficient 0 of a Var-free closure's jet, or None; the same at
-    # every order >= 1, so order 1 in one variable serves every space
+def _closure(node, space, memo):
+    # (closure, whether the subtree is Var-free), built bottom-up once per
+    # node and space of a compile; `memo` holds them and the folds
+    key = (id(node), space)
+    if key not in memo:
+        fn, var_free = _build(node, space, memo)
+        if var_free and not isinstance(node, Const):
+            folded = _folded(node, memo)
+            if folded is not None:
+                fn = _layout(folded, space)
+        memo[key] = fn, var_free
+    return memo[key]
+
+
+def _folded(node, memo):
+    # a Var-free subtree evaluated once: its row at order 0, and at order
+    # 1 its coefficient 0 and the signed zero every higher coefficient
+    # repeats; None where evaluating it raises or is not finite
+    key = ("fold", id(node))
+    if key not in memo:
+        try:
+            low = _build(node, jet_space(1, 0), memo)[0](())
+            c0, zero = _build(node, jet_space(1, 1), memo)[0](())
+        except _FOLD_ERRORS:
+            memo[key] = None
+        else:
+            finite = np.isfinite(np.append(low, (c0, zero))).all()
+            memo[key] = (low, c0, zero) if finite else None
+    return memo[key]
+
+
+def _layout(folded, space):
+    # the closure of a folded subtree: one row of `space`, shared by
+    # every call
+    low, c0, zero = folded
+    if space.order == 0:
+        row = low.copy()
+    else:
+        row = np.full(space.size, zero)
+        row[0] = c0
+    row = _frozen(row)
+    return lambda v: row
+
+
+def _factor(node, memo, reciprocal=False):
+    # coefficient 0 of a Var-free subtree (or of its reciprocal), or None;
+    # the same at every order >= 1, so order 1 in one variable serves
+    # every space
+    unit = jet_space(1, 1)
     try:
-        c = fn((), jet_space(1, 1)).value
+        row = _closure(node, unit, memo)[0](())
+        c = complex((_pow_rows(unit, row, -1) if reciprocal else row)[0])
     except _FOLD_ERRORS:
         return None
     return c if cmath.isfinite(c) else None
 
 
-def _constant(fn):
-    # a Var-free closure evaluated once: its jet at order 0, and at order
-    # 1 its coefficient 0 and the signed zero every higher coefficient
-    # repeats; None where evaluating it raises or is not finite
-    try:
-        low = fn((), jet_space(1, 0)).coeffs
-        c0, zero = fn((), jet_space(1, 1)).coeffs
-    except _FOLD_ERRORS:
-        return None
-    if not np.isfinite(np.append(low, (c0, zero))).all():
-        return None
-
-    def constant(v, s):
-        if s.order == 0:
-            return Jet(s, low.copy())
-        out = np.full(s.size, zero)
-        out[0] = c0
-        return Jet(s, out)
-
-    return constant
-
-
-def _closure(node):
-    # (closure, whether the subtree is Var-free), built bottom-up, so each
-    # node is classified and folded once per compile
-    fn, var_free = _build(node)
-    if var_free and not isinstance(node, Const):
-        fn = _constant(fn) or fn
-    return fn, var_free
-
-
-def _build(node):
+def _build(node, space, memo):
     if isinstance(node, Const):
-        c = node.value
-        return (lambda v, s: jet_const(s, c)), True
+        row = _frozen(jet_const(space, node.value).coeffs)
+        return (lambda v: row), True
     if isinstance(node, Var):
-        slot = node.slot
-        return (lambda v, s: v[slot]), False
+        return itemgetter(node.slot), False
     if isinstance(node, Neg):
-        a, const = _closure(node.arg)
-        return (lambda v, s: -a(v, s)), const
+        a, const = _closure(node.arg, space, memo)
+        return (lambda v: -a(v)), const
     if isinstance(node, (Add, Sub, Mul, Div)):
-        a, a_const = _closure(node.left)
-        b, b_const = _closure(node.right)
+        a, a_const = _closure(node.left, space, memo)
+        b, b_const = _closure(node.right, space, memo)
         const = a_const and b_const
         if isinstance(node, Add):
-            return (lambda v, s: a(v, s) + b(v, s)), const
+            return (lambda v: a(v) + b(v)), const
         if isinstance(node, Sub):
-            return (lambda v, s: a(v, s) - b(v, s)), const
-        return _jet_product(node, a, a_const, b, b_const), const
+            return (lambda v: a(v) - b(v)), const
+        return _product(node, space, memo, (a, a_const), (b, b_const)), const
     if isinstance(node, Pow):
-        a, const = _closure(node.base)
+        a, const = _closure(node.base, space, memo)
         e = node.exponent
         if float(e).is_integer():
             e = int(e)
-        return (lambda v, s: a(v, s) ** e), const
+            if e >= 0:  # the exact polynomial route of pow_const
+                return (lambda v: _int_pow_rows(space, a(v), e)), const
+        return (lambda v: _pow_rows(space, a(v), e)), const
     if isinstance(node, Call):
-        a, const = _closure(node.arg)
+        a, const = _closure(node.arg, space, memo)
         fname = node.fname
-        return (lambda v, s: apply_unary(a(v, s), fname)), const
+        return (lambda v: _unary_rows(space, a(v), fname)), const
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _jet_product(node, a, a_const, b, b_const):
+def _product(node, space, memo, left, right):
     # closure of a Mul or Div, folding a Var-free operand.  Its value is
-    # real, so Jet.scale gives the table's bits on either side.
+    # real, so scaling gives the table's bits on either side.  Products
+    # look the kernel up when they run, so that it can be counted.
+    (a, a_const), (b, b_const) = left, right
     if isinstance(node, Mul):
-        c = _factor(a) if a_const else None
+        c = _factor(node.left, memo) if a_const else None
         if c is not None:
-            return lambda v, s: b(v, s).scale(c)
-        c = _factor(b) if b_const else None
+            return lambda v: _scale_rows(c, b(v))
+        c = _factor(node.right, memo) if b_const else None
         if c is not None:
-            return lambda v, s: a(v, s).scale(c)
-        return lambda v, s: a(v, s) * b(v, s)
+            return lambda v: _scale_rows(c, a(v))
+        return lambda v: jets._mul_rows(space, a(v), b(v))
     # a / b is a times b^-1, so a constant divisor folds to its reciprocal
-    r = _factor(lambda v, s: pow_const(b(v, s), -1)) if b_const else None
+    r = _factor(node.right, memo, reciprocal=True) if b_const else None
     if r is not None:
-        return lambda v, s: a(v, s).scale(r)
-    c = _factor(a) if a_const else None
+        return lambda v: _scale_rows(r, a(v))
+    c = _factor(node.left, memo) if a_const else None
     if c is not None:
-        return lambda v, s: pow_const(b(v, s), -1).scale(c)
+        return lambda v: _scale_rows(c, _pow_rows(space, b(v), -1))
 
-    def div(v, s):
-        den = b(v, s)
-        return a(v, s) / den
+    def div(v):
+        den = b(v)
+        return jets._mul_rows(space, a(v), _pow_rows(space, den, -1))
 
     return div
 
 
+def _variable_rows(values):
+    # the jet space of a flat list of variable jets, and their coefficient
+    # arrays; jets of several orders are cut to the lowest, as the order
+    # rule cuts the operands of a sum or a product
+    space = values[0].space
+    rows = [v.coeffs for v in values if v.space is space]
+    if len(rows) == len(values):
+        return space, rows
+    if len({v.space.dim for v in values}) > 1:
+        raise ValueError(f"jet mismatch: {sorted({v.space.dim for v in values})} variables")
+    space = min((v.space for v in values), key=lambda sp: sp.order)
+    return space, [v.coeffs[..., : space.size] for v in values]
+
+
 def evaluate(node, values):
     """Evaluate an AST over a flat (base..., fiber...) list of jets."""
-    return _compile(node)(values, values[0].space)
+    space, rows = _variable_rows(values)
+    return _wrap(space, _compile(node, space)(rows))
 
 
 def eval_jet(node, point, order):
@@ -424,16 +474,17 @@ def eval_jet(node, point, order):
 def jet_function(node):
     """Wrap an AST as f(base_jets, fiber_jets) -> Jet for the geometry layer.
 
-    The AST is compiled on the first call, once for the life of the
-    wrapper.
+    The AST is compiled once for each jet space the wrapper meets, for
+    the life of the wrapper; a call reads the jets' coefficient arrays,
+    runs the closures on them and wraps the result in one Jet.
     """
-    fn = None
+    compiled = {}
 
     def f(base, fiber):
-        nonlocal fn
-        values = list(base) + list(fiber)
+        space, rows = _variable_rows([*base, *fiber])
+        fn = compiled.get(space)
         if fn is None:
-            fn = _compile(node)
-        return fn(values, values[0].space)
+            fn = compiled[space] = _compile(node, space)
+        return _wrap(space, fn(rows))
 
     return f

@@ -27,16 +27,28 @@ stacks through one scatter-add per chunk of rows, and `batched_partial`
 differentiates them, each row with the bits of `Jet.__mul__` or
 `Jet.partial`, so the per-jet Python overhead is paid once per stack.
 
+Arrays first: the products, integer powers, series compositions and
+scalings are functions of raw coefficient arrays of one space
+(`_mul_rows`, `_int_pow_rows`, `_pow_rows`, `_unary_rows`, `_horner`,
+`_scale_rows`), and the `Jet` operations and `pow_const` and
+`apply_unary` wrap them.  The compiled DSL expressions call them
+directly, with no `Jet` between nodes.  `_mul_rows` is the one product
+kernel: `Jet.__mul__`, `batched_mul` and the compiled expressions all
+call it.  Seeded variable rows and the constant rows a compiled
+expression hands out are shared, so they are read-only.
+
 Stacked jets: a `Jet` may carry a leading row axis, coefficients of
 shape (rows, size), one row per expansion point; `JetSpace.variables`
 seeds them from a (rows, dim) array.  Sums, differences, scaling and the
-derivative reads broadcast over the rows, a product of stacked jets
-goes through `batched_mul`, and the series of `exp`, `log`, `sin`,
-`cos`, `sqrt` and `pow_const` are built row by row with the scalar
-arithmetic of a single jet, its domain checks included.  Every row
-then has the bits the same evaluation gives on that row alone, so a
-compiled DSL expression evaluates many points in one pass.  A constant
-jet without row axes combines with a stack as with each of its rows.
+derivative reads broadcast over the rows, and a product of stacked jets
+goes through the kernel's stacked path.  The series of `exp`, `sin` and
+`cos` are numpy arithmetic on the row values, formed for all rows at
+once; those of `log`, `sqrt` and `pow_const` are built row by row with
+the scalar arithmetic of a single jet, its domain checks included, so
+the first row that fails raises its own message.  Every row then has
+the bits the same evaluation gives on that row alone, so a compiled DSL
+expression evaluates many points in one pass.  A constant jet without
+row axes combines with a stack as with each of its rows.
 """
 
 from __future__ import annotations
@@ -110,8 +122,9 @@ class JetSpace:
         # graded ordering.
         self.prefix = np.searchsorted(self.degrees, np.arange(self.order + 1), side="right")
         self._mul_table = None
-        self._scatter_dest = None
+        self._product_plan = None
         self._seed_rows = None
+        self._seed_block = (None, None)
         self._partial_tables = {}
         self._derivative_table = None
 
@@ -130,18 +143,25 @@ class JetSpace:
             raise ValueError(f"expected {self.dim} values, got {vals.shape}")
         if self._seed_rows is None:
             # first-order identity parts of the coordinate jets, built once
-            self._seed_rows = np.array(
+            self._seed_rows = _frozen(np.array(
                 [jet_var(self, i, 0.0).coeffs for i in range(self.dim)]
-            )
+            ))
         if stacked:
-            # variable-major, so each variable's stack is contiguous
-            rows = np.empty((self.dim, len(vals), self.size), dtype=np.complex128)
-            rows[...] = self._seed_rows[:, None, :]
+            # variable-major, so each variable's stack is contiguous; the
+            # seed block of the last stack length is kept, since a flow
+            # seeds stacks of one length at every stage
+            count, block = self._seed_block
+            if count != len(vals):
+                block = _frozen(np.repeat(self._seed_rows[:, None, :], len(vals), axis=1))
+                self._seed_block = (len(vals), block)
+            rows = block.copy()
             rows[:, :, 0] = vals.T
         else:
             rows = self._seed_rows.copy()
             rows[:, 0] = vals
-        return [_wrap(self, row) for row in rows]
+        # a compiled expression may hand a seeded row back as its result
+        _frozen(rows)
+        return [_wrap(self, rows[i]) for i in range(self.dim)]
 
     def _mul(self):
         # ii, jj -> kk index triples for the truncated product; built once.
@@ -169,15 +189,16 @@ class JetSpace:
             )
         return self._mul_table
 
-    def _scatter(self):
-        # (rows per chunk, flat destinations of a full chunk's pair
-        # products, row by row in table order); a chunk of fewer rows reads
-        # a prefix.  Built again only when CHUNK changes.
-        _, _, kk = self._mul()
+    def _plan(self):
+        # the product plan: (the CHUNK it was built for, rows per chunk,
+        # the table's index triples, flat destinations of a full chunk's
+        # pair products, row by row in table order); a chunk of fewer rows
+        # reads a prefix.  Built again only when CHUNK changes.
+        ii, jj, kk = self._mul()
         step = max(1, CHUNK // len(kk))
-        if self._scatter_dest is None or self._scatter_dest[0] != step:
-            self._scatter_dest = (step, (kk + self.size * np.arange(step)[:, None]).ravel())
-        return self._scatter_dest
+        dest = (kk + self.size * np.arange(step)[:, None]).ravel()
+        self._product_plan = (CHUNK, step, ii, jj, kk, dest)
+        return self._product_plan
 
     def _partial(self, var):
         tab = self._partial_tables.get(var)
@@ -304,16 +325,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             space = self.space if other.space is self.space else _lower(self, other)
-            if self.coeffs.ndim > 1 or other.coeffs.ndim > 1:
-                return _wrap(space, batched_mul(space, self.coeffs, other.coeffs))
-            # the lower order's table only indexes coefficients it keeps
-            ii, jj, kk = space._mul()
-            # unbuffered scatter-add: each output sums its terms one by one
-            # from +0.0 in table order, so results do not depend on numpy's
-            # pairwise-summation blocking
-            out = np.zeros(space.size, dtype=np.complex128)
-            np.add.at(out, kk, self.coeffs[ii] * other.coeffs[jj])
-            return _wrap(space, out)
+            return _wrap(space, _mul_rows(space, self.coeffs, other.coeffs))
         if isinstance(other, _SCALARS):
             return _wrap(self.space, self.coeffs * other)
         return NotImplemented
@@ -321,15 +333,9 @@ class Jet:
     __rmul__ = __mul__
 
     def scale(self, c):
-        """jet_const(space, c) * self, without the product table.  For
-        finite coefficients it has that product's bits: there each
-        coefficient is c times this one, summed from +0.0, so a -0.0 turns
-        into +0.0 here too (`self * c` keeps it).  numpy may fuse a complex
-        product into FMAs, so c stays the left factor; for a real c the
-        order of the factors does not change the bits."""
-        out = c * self.coeffs
-        out += 0.0
-        return _wrap(self.space, out)
+        """jet_const(space, c) * self, without the product table (see
+        `_scale_rows`)."""
+        return _wrap(self.space, _scale_rows(c, self.coeffs))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -347,8 +353,6 @@ class Jet:
         if isinstance(power, (float, np.floating)) and float(power).is_integer():
             power = int(power)
         if isinstance(power, (int, np.integer)):
-            if power >= 0:
-                return _int_pow(self, int(power))
             return pow_const(self, int(power))
         if isinstance(power, (float, np.floating)):
             return pow_const(self, float(power))
@@ -420,38 +424,63 @@ class Jet:
         return self.coefficient(mono) * fact
 
 
+def _mul_rows(space, a, b):
+    """The jet product kernel, on coefficient arrays: row (size,) times
+    row, or row by row where either is a stack (..., size).  Operands may
+    hold more coefficients than `space`, which reads the lower ones, as
+    the order rule truncates.  Every jet product, of a `Jet`, of a
+    compiled expression or of `batched_mul`, is a call of it.
+
+    Each output row is one unbuffered scatter-add over the product
+    table: it sums its terms one by one from +0.0 in table order, so
+    results do not depend on numpy's pairwise-summation blocking, and a
+    row of a stack has the bits it has alone.  Two stacks of one length
+    that fit in one chunk, the stages of a flow, take the space's plan
+    as it is; other stacks broadcast, and go in chunks of at most CHUNK
+    pair products (one row at least), so the intermediates stay bounded
+    whatever the stack's length.
+    """
+    plan = space._product_plan
+    if plan is None or plan[0] != CHUNK:
+        plan = space._plan()
+    _, step, ii, jj, kk, dest = plan
+    size = space.size
+    if a.ndim == 1 and b.ndim == 1:
+        # the lower order's table only indexes coefficients it keeps
+        out = np.zeros(size, dtype=np.complex128)
+        np.add.at(out, kk, a[ii] * b[jj])
+        return out
+    # not `*=`: numpy's in-place complex multiply can round a product
+    # differently from the out-of-place one of a single row
+    rows = len(a)
+    if a.ndim == 2 and b.ndim == 2 and rows == len(b) and rows <= step:
+        terms = a.take(ii, axis=1) * b.take(jj, axis=1)
+        out = np.zeros(rows * size, dtype=np.complex128)
+        np.add.at(out, dest[: terms.size], terms.ravel())
+        return out.reshape(rows, size)
+    if a.ndim == b.ndim == 2 and rows == len(b):
+        shape = a.shape[:1]  # two stacks of rows, nothing to broadcast
+    else:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        a, b = _row_stack(a, shape, size), _row_stack(b, shape, size)
+        rows = len(a)
+    out = np.zeros(rows * size, dtype=np.complex128)
+    for lo in range(0, rows, step):
+        terms = a[lo:lo + step].take(ii, axis=1) * b[lo:lo + step].take(jj, axis=1)
+        at = dest[: terms.size]
+        np.add.at(out, at + size * lo if lo else at, terms.ravel())
+    return out.reshape(shape + (size,))
+
+
 def batched_mul(space, a, b):
     """Row-by-row products of two stacks of coefficient rows in `space`.
 
     `a` and `b` have shapes (..., m) with m >= space.size; their leading
     axes broadcast, and each row is truncated to `space` first, as the
     order rule does.  Every output row has the bits of `Jet.__mul__` on
-    the two rows: one unbuffered scatter-add over the product table, its
-    pairs laid out row by row in table order.  Rows are taken in chunks
-    of at most CHUNK pair products (one row at least), so the
-    intermediates stay bounded whatever the stack's length.
+    the two rows; both are the kernel `_mul_rows`.
     """
-    ii, jj, kk = space._mul()
-    size = space.size
-    if a.ndim == b.ndim == 2 and len(a) == len(b):
-        shape = a.shape[:1]  # two stacks of rows, nothing to broadcast
-    else:
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-        a, b = _row_stack(a, shape, size), _row_stack(b, shape, size)
-    rows = len(a)
-    step, dest = space._scatter()
-    out = np.zeros(rows * size, dtype=np.complex128)
-    # not `*=`: numpy's in-place complex multiply can round a product
-    # differently from the out-of-place one that Jet.__mul__ takes
-    for lo in range(0, rows, step):
-        if rows > step:
-            a_rows, b_rows = a[lo:lo + step], b[lo:lo + step]
-        else:
-            a_rows, b_rows = a, b
-        terms = a_rows.take(ii, axis=1) * b_rows.take(jj, axis=1)
-        at = dest[: terms.size]
-        np.add.at(out, at + size * lo if lo else at, terms.ravel())
-    return out.reshape(shape + (size,))
+    return _mul_rows(space, a, b)
 
 
 def _row_stack(a, shape, size):
@@ -491,6 +520,13 @@ def _wrap(space, coeffs):
     return jet
 
 
+def _frozen(arr):
+    # a shared array, read-only, so a kernel that writes into an operand
+    # fails instead of changing rows that other results share
+    arr.flags.writeable = False
+    return arr
+
+
 def jet_const(space, value):
     out = np.zeros(space.size, dtype=np.complex128)
     out[0] = value
@@ -508,61 +544,83 @@ def jet_var(space, var, value):
     return Jet(space, out)
 
 
-def _int_pow(jet, n):
+# ---------------------------------------------------------------------------
+# Operations on coefficient arrays of one space: a row (size,) for one
+# point or a stack (rows, size).  The compiled DSL expressions call them
+# directly, and the Jet operations of the same name wrap them.
+
+
+def _scale_rows(c, a):
+    # jet_const(space, c) * a, without the product table.  For finite
+    # coefficients it has that product's bits: there each coefficient is
+    # c times this one, summed from +0.0, so a -0.0 turns into +0.0 here
+    # too (`a * c` keeps it).  numpy may fuse a complex product into FMAs,
+    # so c stays the left factor; for a real c the order of the factors
+    # does not change the bits.
+    out = c * a
+    out += 0.0
+    return out
+
+
+def _int_pow_rows(space, a, n):
     # Exact on polynomials: repeated squaring, no series expansion.  The
     # running product starts from the first factor it needs, not from 1.
     if n == 0:
-        return jet_const(jet.space, 1.0)
+        return jet_const(space, 1.0).coeffs
     out = None
-    base = jet
+    base = a
     while True:
         if n & 1:
-            out = base if out is None else out * base
+            out = base if out is None else _mul_rows(space, out, base)
         n >>= 1
         if not n:
             return out
-        base = base * base
+        base = _mul_rows(space, base, base)
 
 
-def _row_series(jet, make, *args):
+def _row_series(a, make, *args):
     # make(c, *args) -> the series at the value c.  A stack gets one
     # series per row, each from the scalar arithmetic a single jet takes,
     # as an array whose entry m holds term m of every row.
-    if jet.coeffs.ndim == 1:
-        return make(jet.value, *args)
-    rows = [make(c, *args) for c in jet.coeffs[:, 0].tolist()]
+    if a.ndim == 1:
+        return make(complex(a[0]), *args)
+    rows = [make(c, *args) for c in a[:, 0].tolist()]
     return np.array(rows, dtype=np.complex128).T
 
 
-def _horner(jet, series):
-    # Compose the univariate series with the nilpotent part u of the jet,
-    # on coefficient arrays: u is the jet minus its value, the first step
-    # scales u by the leading term, as Jet.scale does, and each later step
-    # is a table product by u; every step then adds its term at order 0,
-    # as Jet + scalar does.  The terms are scalars, or per-row arrays for
-    # a stack.
-    space = jet.space
+def _horner(space, a, series):
+    # Compose the univariate series with the nilpotent part u of `a`: u
+    # is `a` minus its value, the first step scales u by the leading
+    # term, as `_scale_rows` does, and each later step is a table product
+    # by u; every step then adds its term at order 0, as Jet + scalar
+    # does.  The terms are scalars, or per-row arrays for a stack.
     if len(series) == 1:
         out = np.zeros(np.shape(series[0]) + (space.size,), dtype=np.complex128)
-        out.T[0] = series[0]
-        return _wrap(space, out)
-    u = jet.coeffs.copy()
-    u.T[0] -= jet.coeffs.T[0]
+        out[..., 0] = series[0]
+        return out
+    u = a.copy()
+    u[..., 0] -= a[..., 0]
     lead = series[-1]
     out = (lead[:, None] if isinstance(lead, np.ndarray) else lead) * u
     out += 0.0
-    out.T[0] += series[-2]
-    u = _wrap(space, u)
+    out[..., 0] += series[-2]
     for m in range(len(series) - 3, -1, -1):
-        out = (_wrap(space, out) * u).coeffs
-        out.T[0] += series[m]
-    return _wrap(space, out)
+        out = _mul_rows(space, out, u)
+        out[..., 0] += series[m]
+    return out
 
 
 def _require_positive_real(fn, c):
     if abs(c.imag) > _TINY_IMAG * max(1.0, abs(c.real)) or c.real <= 0.0:
         raise JetDomainError(f"{fn} needs a positive real value, got {c}")
     return c.real
+
+
+def _pow_rows(space, a, exponent):
+    # the array form of pow_const
+    if isinstance(exponent, (int, np.integer)) and exponent >= 0:
+        return _int_pow_rows(space, a, int(exponent))
+    return _horner(space, a, _row_series(a, _pow_series, exponent, space.order))
 
 
 def pow_const(jet, exponent):
@@ -573,9 +631,8 @@ def pow_const(jet, exponent):
     fractional exponents additionally need the value off the negative
     real axis.
     """
-    if isinstance(exponent, (int, np.integer)) and exponent >= 0:
-        return _int_pow(jet, int(exponent))
-    return _horner(jet, _row_series(jet, _pow_series, exponent, jet.order))
+    out = _pow_rows(jet.space, jet.coeffs, exponent)
+    return jet if out is jet.coeffs else _wrap(jet.space, out)  # jet ** 1 is jet
 
 
 def _pow_series(c, exponent, order):
@@ -602,27 +659,53 @@ def _pow_series(c, exponent, order):
     return series
 
 
+def _unary_rows(space, a, fn):
+    # the array form of apply_unary.  The exp, sin and cos series are
+    # numpy arithmetic on the values, so a stack's are formed for all
+    # rows at once; the log and sqrt series use Python's complex
+    # arithmetic and checks, so they stay row by row, and the first row
+    # that fails raises.
+    if fn in ("exp", "sin", "cos"):
+        series = _entire_series(a[..., 0], fn, space.order)
+    elif fn in ("log", "sqrt"):
+        series = _row_series(a, _unary_series, fn, space.order)
+    else:
+        raise ValueError(f"unknown function {fn!r}")
+    return _horner(space, a, series)
+
+
 def apply_unary(jet, fn):
     """Compose a named scalar function with a jet.
 
     Supported names: sin, cos, exp, log, sqrt.  log and sqrt require a
     positive real value at the expansion point (at every row of a stack).
     """
-    if fn not in ("exp", "sin", "cos", "log", "sqrt"):
-        raise ValueError(f"unknown function {fn!r}")
-    return _horner(jet, _row_series(jet, _unary_series, fn, jet.order))
+    return _wrap(jet.space, _unary_rows(jet.space, jet.coeffs, fn))
+
+
+@lru_cache(maxsize=None)
+def _factorials(K, ndim):
+    # 0!, ..., K!, along the first of `ndim` + 1 axes
+    return np.array([math.factorial(m) for m in range(K + 1)],
+                    dtype=np.float64).reshape((K + 1,) + (1,) * ndim)
+
+
+def _entire_series(c, fn, K):
+    # the Taylor series of exp, sin or cos at the value c (one per row of
+    # a stack) to order K, as an array whose entry m holds term m; each
+    # term is one division by m!
+    if fn == "exp":
+        terms = np.exp(c)
+    else:
+        s, co = np.sin(c), np.cos(c)
+        cycle = (s, co, -s, -co) if fn == "sin" else (co, -s, -co, s)
+        terms = np.array([cycle[m % 4] for m in range(K + 1)])
+    return terms / _factorials(K, c.ndim)
 
 
 def _unary_series(c, fn, K):
-    # the Taylor series of fn at the value c to order K
-    if fn == "exp":
-        base = np.exp(c)
-        series = [base / math.factorial(m) for m in range(K + 1)]
-    elif fn == "sin" or fn == "cos":
-        s, co = np.sin(c), np.cos(c)
-        cycle = (s, co, -s, -co) if fn == "sin" else (co, -s, -co, s)
-        series = [cycle[m % 4] / math.factorial(m) for m in range(K + 1)]
-    elif fn == "log":
+    # the Taylor series of log or sqrt at the value c to order K
+    if fn == "log":
         c = _require_positive_real("log", c)
         series = [np.log(c)]
         for m in range(1, K + 1):

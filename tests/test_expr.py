@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starquant import JetDomainError, ParseError, PhasePoint, UnknownVariable
+from starquant import JetDomainError, ParseError, PhasePoint, UnknownVariable, jets
 from starquant.expr import (
     FUNCTION_NAMES,
     Add,
@@ -23,7 +23,7 @@ from starquant.expr import (
     parse,
     pretty,
 )
-from starquant.jets import Jet, jet_space
+from starquant.jets import jet_space
 from oracles import check_jet_against_fd, reference_jet
 
 
@@ -274,6 +274,58 @@ def test_constant_fold_keeps_the_bits(dim, order, data):
     assert got == want
 
 
+@pytest.mark.parametrize("dim,order", [(1, 0), (2, 1), (2, 2), (4, 5)])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_evaluation_keeps_the_bits_of_each_row(dim, order, data):
+    # a stack of three points from one evaluation: every row has the bytes
+    # of the plain walk on that row alone, and a stack raises only what
+    # evaluating one of its rows alone raises
+    node = data.draw(_ast_with_constant_subtrees(dim))
+    points = data.draw(st.lists(st.lists(POINT_VALUES, min_size=dim, max_size=dim),
+                                min_size=3, max_size=3))
+    space = jet_space(dim, order)
+    unit = jet_space(1, 1)
+    for sub in _var_free_subtrees(node)[1]:  # as in test_constant_fold_keeps_the_bits
+        assume(isinstance(_outcome(sub, [], unit, reference_jet), bytes)
+               or not isinstance(_outcome(sub, [], space, reference_jet), bytes))
+    alone = [_outcome(node, space.variables(point), space, reference_jet) for point in points]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = evaluate(node, space.variables(np.array(points))).coeffs
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        assert type(exc) in alone
+        return
+    rows = np.broadcast_to(got, (3, space.size))  # a Var-free result has no rows
+    assert [row.tobytes() for row in rows] == alone
+
+
+def test_stacked_domain_error_names_its_row():
+    # only row 2 spoils log: the stack raises the message row 2 raises alone
+    node = parse("log(x1 + p1)", 1)
+    space = jet_space(2, 3)
+    points = np.array([[0.3, 0.2], [1.5, -0.5], [0.4, -0.9]])
+    with pytest.raises(JetDomainError) as alone:
+        evaluate(node, space.variables(points[2]))
+    with pytest.raises(JetDomainError) as stacked:
+        evaluate(node, space.variables(points))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_jets_of_several_orders_are_cut_to_the_lowest():
+    # every input is truncated to the lowest order first, constants and
+    # series included, so x1 + 1 comes out at p1's order 2
+    node = parse("x1 + 1 + exp(x1) * p1", 1)
+    high, low = jet_space(2, 4), jet_space(2, 2)
+    x_high, _ = high.variables([0.3, -0.2])
+    x_low, p_low = low.variables([0.3, -0.2])
+    got = jet_function(node)([x_high], [p_low])
+    assert got.space is low
+    assert got.coeffs.tobytes() == evaluate(node, [x_low, p_low]).coeffs.tobytes()
+    with pytest.raises(ValueError):
+        evaluate(node, [jet_space(1, 2).variables([0.3])[0], p_low])
+
+
 def test_fold_forms_no_series_of_a_constant():
     # 1e-100 ** -1 has series terms 1e100, -1e200, 1e300, -1e400: the plain
     # walk raises at order 3, while the fold only needs the reciprocal
@@ -313,14 +365,13 @@ def test_constants_reach_no_product_table(monkeypatch):
     space, xs, ps = PhasePoint((0.3,), (-0.2,)).jets(4)
     f(xs, ps)  # compiles, evaluating the constants once
     products = []
-    mul = Jet.__mul__
+    kernel = jets._mul_rows
 
-    def counted(self, other):
-        if isinstance(other, Jet):
-            products.append(other)
-        return mul(self, other)
+    def counted(space, a, b):
+        products.append(b)
+        return kernel(space, a, b)
 
-    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(jets, "_mul_rows", counted)
     got = f(xs, ps)
     assert products == []
     want = reference_jet(node, xs + ps, space)

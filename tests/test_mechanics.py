@@ -6,11 +6,11 @@ import io
 import numpy as np
 import pytest
 
-from starquant import cli, expr, geometry
+from starquant import cli, expr, geometry, jets
 from starquant import mechanics as mech
 from starquant.errors import DegenerateHessian, FlowNotResolved, NewtonDivergence
 from starquant.expr import Const, Mul, Var, jet_function, parse
-from starquant.jets import Jet, PhasePoint
+from starquant.jets import PhasePoint
 
 OSC_H = parse("0.5*(p1^2 + x1^2)", 1)
 OSC_L = parse("0.5*(y1^2 - x1^2)", 1, bundle="tangent")
@@ -62,6 +62,21 @@ def test_legendre_degenerate_rejection():
     H = parse("x1^2 + p1", 1)
     with pytest.raises(DegenerateHessian):
         mech.legendre_to_lagrangian(H, PhasePoint([0.5], [0.5]))
+
+
+def test_stacked_guard_raises_the_message_of_its_first_degenerate_row():
+    # the fiber Hessian [[1, x1], [x1, 1]] has det 1 - x1^2: row 0 is
+    # regular, row 1 degenerate with a small nonzero det, row 2 singular
+    L = jet_function(parse("0.5*(y1^2 + y2^2) + x1*y1*y2", 2, bundle="tangent"))
+    space = jets.jet_space(4, 2)
+    states = np.array([[0.3, 0.1, 0.4, -0.2], [1 - 1e-12, 0.1, 0.4, -0.2],
+                       [1.0, 0.1, 0.4, -0.2]])
+    with pytest.raises(DegenerateHessian) as alone:
+        mech._hessian_values(mech._stage_jet(L, space, states[1]), 2, "Lagrangian")
+    with pytest.raises(DegenerateHessian) as stacked:
+        mech._hessian_values(mech._stage_jet(L, space, states), 2, "Lagrangian")
+    assert "|det| = 0.000e+00" not in str(alone.value)
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_legendre_round_trip():
@@ -186,9 +201,9 @@ def test_legendre_pushes_compile_an_ast_once(monkeypatch):
     compiled = []
     compile_ = expr._compile
 
-    def counted(node):
+    def counted(node, space):
         compiled.append(node)
-        return compile_(node)
+        return compile_(node, space)
 
     monkeypatch.setattr(expr, "_compile", counted)
     geometry._generator_of.cache_clear()
@@ -207,15 +222,16 @@ def test_legendre_pushes_compile_an_ast_once(monkeypatch):
 
 
 def _count_table_products(monkeypatch):
+    # calls of the one jet product kernel, which Jet products and compiled
+    # expressions both make
     count = [0]
-    mul = Jet.__mul__
+    kernel = jets._mul_rows
 
-    def counted(self, other):
-        if isinstance(other, Jet):
-            count[0] += 1
-        return mul(self, other)
+    def counted(space, a, b):
+        count[0] += 1
+        return kernel(space, a, b)
 
-    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(jets, "_mul_rows", counted)
     return count
 
 
