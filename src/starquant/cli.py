@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -868,6 +867,15 @@ def _load_json(path, what):
             return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
         except ValueError as exc:  # bad JSON, or bytes that are not text
             raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def ProcessPoolExecutor(max_workers):  # noqa: N802 - it stands in for the class
+    """The process pool of concurrent.futures, imported only when a run
+    uses one, so that a run with one worker does not load
+    multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _cmd_run(command, args):
