@@ -445,14 +445,10 @@ def _product(node, space, memo, left, right):
     return div
 
 
-def _variable_rows(values):
-    # the jet space of a flat list of variable jets, and their coefficient
-    # arrays; jets of several orders are cut to the lowest, as the order
-    # rule cuts the operands of a sum or a product
-    space = values[0].space
-    rows = [v.coeffs for v in values if v.space is space]
-    if len(rows) == len(values):
-        return space, rows
+def _lowest_rows(values):
+    # jets of several orders: the lowest order's space, and every jet's
+    # coefficient arrays cut to it, as the order rule cuts the operands of
+    # a sum or a product
     if len({v.space.dim for v in values}) > 1:
         raise ValueError(f"jet mismatch: {sorted({v.space.dim for v in values})} variables")
     space = min((v.space for v in values), key=lambda sp: sp.order)
@@ -461,8 +457,7 @@ def _variable_rows(values):
 
 def evaluate(node, values):
     """Evaluate an AST over a flat (base..., fiber...) list of jets."""
-    space, rows = _variable_rows(values)
-    return _wrap(space, _compile(node, space)(rows))
+    return jet_function(node)(values, ())
 
 
 def eval_jet(node, point, order):
@@ -481,7 +476,11 @@ def jet_function(node):
     compiled = {}
 
     def f(base, fiber):
-        space, rows = _variable_rows([*base, *fiber])
+        values = [*base, *fiber]
+        space = values[0].space
+        rows = [v.coeffs for v in values if v.space is space]
+        if len(rows) < len(values):
+            space, rows = _lowest_rows(values)
         fn = compiled.get(space)
         if fn is None:
             fn = compiled[space] = _compile(node, space)

@@ -686,8 +686,8 @@ def apply_unary(jet, fn):
 @lru_cache(maxsize=None)
 def _factorials(K, ndim):
     # 0!, ..., K!, along the first of `ndim` + 1 axes
-    return np.array([math.factorial(m) for m in range(K + 1)],
-                    dtype=np.float64).reshape((K + 1,) + (1,) * ndim)
+    return _frozen(np.array([math.factorial(m) for m in range(K + 1)],
+                            dtype=np.float64).reshape((K + 1,) + (1,) * ndim))
 
 
 def _entire_series(c, fn, K):

@@ -300,6 +300,22 @@ def test_stacked_evaluation_keeps_the_bits_of_each_row(dim, order, data):
     assert [row.tobytes() for row in rows] == alone
 
 
+@pytest.mark.parametrize("src", ["exp(x1*p1)", "sin(x1 - p1)", "cos(x1 + 2*p1)",
+                                 "log(2 + x1*p1)", "sqrt(3 - x1*p1)", "(1 + x1^2)^1.5",
+                                 "x1 / (2 + p1)"])
+def test_stacked_series_keep_the_bits_of_each_row(src):
+    # every series, the ones a stack forms in one array operation and the
+    # ones it forms row by row, on three rows at order 5
+    node = parse(src, 1)
+    space = jet_space(2, 5)
+    points = np.array([[0.3, -0.2], [-1.2, 0.45], [2.6, 0.7]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = evaluate(node, space.variables(points)).coeffs
+        for row, point in zip(got, points):
+            want = reference_jet(node, space.variables(point), space).coeffs
+            assert row.tobytes() == want.tobytes()
+
+
 def test_stacked_domain_error_names_its_row():
     # only row 2 spoils log: the stack raises the message row 2 raises alone
     node = parse("log(x1 + p1)", 1)
