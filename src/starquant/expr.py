@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import ParseError, StarquantError, UnknownVariable
 from . import jets
-from .jets import (_frozen, _int_pow_rows, _pow_rows, _scale_rows, _unary_rows, _wrap,
-                   jet_const, jet_space)
+from .jets import _frozen, _pow_rows, _scale_rows, _unary_rows, _wrap, jet_const, jet_space
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -401,14 +400,12 @@ def _build(node, space, memo):
             return (lambda v: a(v) + b(v)), const
         if isinstance(node, Sub):
             return (lambda v: a(v) - b(v)), const
-        return _product(node, space, memo, (a, a_const), (b, b_const)), const
+        return _product(node, space, memo, a, a_const, b, b_const), const
     if isinstance(node, Pow):
         a, const = _closure(node.base, space, memo)
         e = node.exponent
         if float(e).is_integer():
             e = int(e)
-            if e >= 0:  # the exact polynomial route of pow_const
-                return (lambda v: _int_pow_rows(space, a(v), e)), const
         return (lambda v: _pow_rows(space, a(v), e)), const
     if isinstance(node, Call):
         a, const = _closure(node.arg, space, memo)
@@ -417,11 +414,10 @@ def _build(node, space, memo):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _product(node, space, memo, left, right):
+def _product(node, space, memo, a, a_const, b, b_const):
     # closure of a Mul or Div, folding a Var-free operand.  Its value is
     # real, so scaling gives the table's bits on either side.  Products
     # look the kernel up when they run, so that it can be counted.
-    (a, a_const), (b, b_const) = left, right
     if isinstance(node, Mul):
         c = _factor(node.left, memo) if a_const else None
         if c is not None:

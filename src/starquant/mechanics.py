@@ -11,12 +11,14 @@ come from one low-order jet evaluation of the generator per integrator
 stage (order 1 for the Hamilton flow, order 2 for the spray), and the
 gradient and Hessian values are read from that jet's coefficient rows,
 so a stage costs the generator's jet products and a few numpy
-operations.  The generator's constant factors are folded when it is
-compiled: a stage of the exp-conformal family multiplies jets through
-the product table 2 times on the Hamilton side and 3 on the Lagrange
-side.  After the last step the recorded energies are scanned once, and
-a step that changes the energy by more than STEP_ENERGY_CHANGE of it
-raises FlowNotResolved.
+operations.  A compiled generator runs as closures over the seeded
+coefficient arrays, with a Jet only around its result, and its
+constant factors are folded when it is compiled: a stage of the
+exp-conformal family multiplies jets through the product table 2
+times on the Hamilton side and 3 on the Lagrange side.  After the
+last step the recorded energies are scanned once, and a step that
+changes the energy by more than STEP_ENERGY_CHANGE of it raises
+FlowNotResolved.
 
 Lockstep: `hamilton_flows` and `lagrange_flows` integrate a (rows, 2n)
 array of starting points at once.  Each stage seeds stacked jets, one
