@@ -453,12 +453,12 @@ def _mul_rows(space, a, b):
     # not `*=`: numpy's in-place complex multiply can round a product
     # differently from the out-of-place one of a single row
     rows = len(a)
-    if a.ndim == 2 and b.ndim == 2 and rows == len(b) and rows <= step:
-        terms = a.take(ii, axis=1) * b.take(jj, axis=1)
-        out = np.zeros(rows * size, dtype=np.complex128)
-        np.add.at(out, dest[: terms.size], terms.ravel())
-        return out.reshape(rows, size)
     if a.ndim == b.ndim == 2 and rows == len(b):
+        if rows <= step:  # one chunk
+            terms = a.take(ii, axis=1) * b.take(jj, axis=1)
+            out = np.zeros(rows * size, dtype=np.complex128)
+            np.add.at(out, dest[: terms.size], terms.ravel())
+            return out.reshape(rows, size)
         shape = a.shape[:1]  # two stacks of rows, nothing to broadcast
     else:
         shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
